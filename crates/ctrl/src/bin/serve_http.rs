@@ -39,12 +39,11 @@
 //! `--smoke` defaults to an ephemeral port), `SERVE_HTTP_MODELS` (default
 //! 2), `SERVE_HTTP_SPILL_DIR`.
 
-use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 use tdc_serve::http::{
-    http_request, read_response, BatchInferBody, BatchInferReply, InferBody, InferReply,
-    RegisterBody, RegisterReply, RetireReply,
+    http_request, BatchInferBody, BatchInferReply, InferBody, InferReply, RegisterBody,
+    RegisterReply, RetireReply,
 };
 use tdc_serve::{
     serving_descriptor, BackendKind, BatchingOptions, HttpClient, HttpServer, ModelConfig,
@@ -236,19 +235,14 @@ fn smoke(server: &HttpServer) -> Result<(), String> {
     // connection, both answered in order from the server's request loop.
     let mut client =
         HttpClient::connect(&addr).map_err(|e| format!("keep-alive connect failed: {e}"))?;
-    {
-        let (stream, _) = client.raw_parts();
-        let one = format!(
-            "GET /healthz HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n"
-        );
-        stream
-            .write_all(format!("{one}{one}").as_bytes())
-            .and_then(|_| stream.flush())
-            .map_err(|e| format!("pipelined write failed: {e}"))?;
-    }
-    let (stream, buffer) = client.raw_parts();
     for nth in 1..=2 {
-        let (status, reply) = read_response(stream, buffer)
+        client
+            .send("GET", "/healthz", None)
+            .map_err(|e| format!("pipelined write {nth} failed: {e}"))?;
+    }
+    for nth in 1..=2 {
+        let (status, _, reply) = client
+            .receive()
             .map_err(|e| format!("pipelined response {nth} failed: {e}"))?;
         if status != 200 {
             return Err(format!("pipelined response {nth}: status {status} {reply}"));

@@ -11,13 +11,13 @@
 //! Control-plane requests fan out to the whole fleet — `replan`/`autotune`
 //! roll one replica at a time so serving capacity never drops below N−1.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
 use tdc_serve::control::EpochSwap;
 use tdc_serve::{HealthReply, HttpHandler, RoutedResponse, ShutdownSignal};
 
@@ -361,7 +361,8 @@ impl Router {
     fn forward_infer(&self, model: &str, path: &str, body: &str) -> RoutedResponse {
         let counters = &self.shared.counters;
         counters.requests.fetch_add(1, Ordering::SeqCst);
-        let deadline_ms = deadline_of(body);
+        let deadline = deadline_token(body);
+        let deadline_ms = deadline.as_ref().map(|(deadline, _)| *deadline);
         let started = Instant::now();
         let mut attempts: u64 = 0;
         let mut rounds: u32 = 0;
@@ -379,10 +380,10 @@ impl Router {
             }
             let mut min_hint: Option<u64> = None;
             for replica in &order {
-                let send_body: std::borrow::Cow<'_, str> = match deadline_ms {
-                    Some(deadline) => {
+                let send_body: std::borrow::Cow<'_, str> = match &deadline {
+                    Some((deadline, token)) => {
                         let elapsed = started.elapsed().as_millis() as u64;
-                        if elapsed >= deadline {
+                        if elapsed >= *deadline {
                             counters.shed.fetch_add(1, Ordering::SeqCst);
                             return RoutedResponse::error(
                                 504,
@@ -392,10 +393,7 @@ impl Router {
                                 ),
                             );
                         }
-                        match rewrite_deadline(body, deadline - elapsed) {
-                            Some(rewritten) => std::borrow::Cow::Owned(rewritten),
-                            None => std::borrow::Cow::Borrowed(body),
-                        }
+                        std::borrow::Cow::Owned(splice(body, token, deadline - elapsed))
                     }
                     None => std::borrow::Cow::Borrowed(body),
                 };
@@ -756,39 +754,39 @@ pub fn parse_retry_after(headers: &[(String, String)]) -> Option<u64> {
         .min()
 }
 
+/// The body's top-level `deadline_ms` — its value when that is a finite,
+/// non-negative number, and the byte range of its token — found by a key
+/// scan that steps over the `input` array instead of parsing it.
+fn deadline_token(body: &str) -> Option<(u64, Range<usize>)> {
+    let token = tdc_serve::http::top_level_value(body, "deadline_ms")?;
+    // The scan yields a string, a container, `true`/`false`/`null` or a
+    // number token; only the last parses.
+    let deadline: f64 = body[token.clone()].parse().ok()?;
+    (deadline.is_finite() && deadline >= 0.0).then_some((deadline as u64, token))
+}
+
+/// `body` with `replacement` spliced over the `token` byte range.
+fn splice(body: &str, token: &Range<usize>, replacement: u64) -> String {
+    format!(
+        "{}{replacement}{}",
+        &body[..token.start],
+        &body[token.end..]
+    )
+}
+
 /// Extract `deadline_ms` from an infer request body, when present and
 /// parseable.
 pub fn deadline_of(body: &str) -> Option<u64> {
-    let value = serde_json::parse_value(body).ok()?;
-    let deadline = value.get("deadline_ms")?.as_f64()?;
-    if deadline.is_finite() && deadline >= 0.0 {
-        Some(deadline as u64)
-    } else {
-        None
-    }
+    deadline_token(body).map(|(deadline, _)| deadline)
 }
 
-/// Rewrite the body's `deadline_ms` to the remaining budget, preserving
-/// every other field. Returns `None` when the body has no rewritable
-/// deadline (caller forwards it untouched).
+/// Rewrite the body's `deadline_ms` to the remaining budget in place: the
+/// new number is spliced over the old value's bytes, so the result is
+/// byte-identical to `body` everywhere else. Returns `None` when the body
+/// has no top-level `deadline_ms` (caller forwards it untouched).
 pub fn rewrite_deadline(body: &str, remaining_ms: u64) -> Option<String> {
-    let Ok(Value::Object(fields)) = serde_json::parse_value(body) else {
-        return None;
-    };
-    if !fields.iter().any(|(key, _)| key == "deadline_ms") {
-        return None;
-    }
-    let rewritten: Vec<(String, Value)> = fields
-        .into_iter()
-        .map(|(key, value)| {
-            if key == "deadline_ms" {
-                (key, Value::Number(remaining_ms as f64))
-            } else {
-                (key, value)
-            }
-        })
-        .collect();
-    serde_json::to_string(&Value::Object(rewritten)).ok()
+    let token = tdc_serve::http::top_level_value(body, "deadline_ms")?;
+    Some(splice(body, &token, remaining_ms))
 }
 
 fn model_path(path: &str) -> Option<&str> {
@@ -805,6 +803,7 @@ fn action_path<'a>(path: &'a str, action: &str) -> Option<&'a str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     #[test]
     fn backoff_requires_hint_and_deadline() {
@@ -849,6 +848,34 @@ mod tests {
         assert_eq!(parse_retry_after(&junk), None);
     }
 
+    /// The `Value`-tree implementations the key scan replaced, kept as the
+    /// reference it must agree with.
+    fn deadline_of_ref(body: &str) -> Option<u64> {
+        let value = serde_json::parse_value(body).ok()?;
+        let deadline = value.get("deadline_ms")?.as_f64()?;
+        (deadline.is_finite() && deadline >= 0.0).then_some(deadline as u64)
+    }
+
+    fn rewrite_deadline_ref(body: &str, remaining_ms: u64) -> Option<String> {
+        let Ok(Value::Object(fields)) = serde_json::parse_value(body) else {
+            return None;
+        };
+        if !fields.iter().any(|(key, _)| key == "deadline_ms") {
+            return None;
+        }
+        let rewritten: Vec<(String, Value)> = fields
+            .into_iter()
+            .map(|(key, value)| {
+                if key == "deadline_ms" {
+                    (key, Value::Number(remaining_ms as f64))
+                } else {
+                    (key, value)
+                }
+            })
+            .collect();
+        serde_json::to_string(&Value::Object(rewritten)).ok()
+    }
+
     #[test]
     fn deadline_extraction_and_rewrite() {
         let body = r#"{"input": [1.0, 2.0], "deadline_ms": 250}"#;
@@ -863,6 +890,66 @@ mod tests {
         assert_eq!(rewrite_deadline(r#"{"input": [1.0]}"#, 10), None);
         // Unparseable body → forwarded untouched (the replica rejects it).
         assert_eq!(rewrite_deadline("not json", 10), None);
+    }
+
+    #[test]
+    fn deadline_scan_agrees_with_the_value_tree_reference() {
+        let bodies = [
+            r#"{"input": [1.0, 2.0], "deadline_ms": 250}"#,
+            r#"{"input": [1.0]}"#,
+            "not json",
+            r#"{"deadline_ms": 40, "input": [1, 2, 3], "dims": [3]}"#,
+            "{ \"input\" : [ 1 , [2, 3] ] ,\n\t\"deadline_ms\" : 7 , \"dims\": null }",
+            // Decoys: a nested object's key, and a string that spells one.
+            r#"{"meta": {"deadline_ms": 1}, "input": [1]}"#,
+            r#"{"meta": {"deadline_ms": 1}, "deadline_ms": 9, "input": [1]}"#,
+            r#"{"note": "\"deadline_ms\": 5, ]}", "input": [1], "deadline_ms": 6}"#,
+            r#"{"note": "\"deadline_ms\": 5", "input": [1]}"#,
+            // Number spellings.
+            r#"{"deadline_ms": 1.5e2, "input": []}"#,
+            r#"{"deadline_ms": 25E-1}"#,
+            r#"{"deadline_ms": -5, "input": [1]}"#,
+            r#"{"deadline_ms": -0.0}"#,
+            r#"{"deadline_ms": 1e999}"#,
+            // Not a number, not an object, not closed.
+            r#"{"deadline_ms": "soon", "input": [1]}"#,
+            r#"{"deadline_ms": null}"#,
+            r#"{"deadline_ms": true}"#,
+            r#"[{"deadline_ms": 5}]"#,
+            r#"{"deadline_ms": 5"#,
+            r#"{"deadline_ms": 5} x"#,
+            "{}",
+            "",
+        ];
+        for body in bodies {
+            assert_eq!(
+                deadline_of(body),
+                deadline_of_ref(body),
+                "deadline of {body}"
+            );
+            let rewritten = rewrite_deadline(body, 120);
+            let parse = |text: String| serde_json::parse_value(&text).unwrap();
+            assert_eq!(
+                rewritten.clone().map(parse),
+                rewrite_deadline_ref(body, 120).map(parse),
+                "rewrite of {body}"
+            );
+            // In place: only the value token changed.
+            if let Some(rewritten) = rewritten {
+                let token = tdc_serve::http::top_level_value(body, "deadline_ms").unwrap();
+                assert_eq!(rewritten[..token.start], body[..token.start]);
+                assert_eq!(rewritten[token.start + 3..], body[token.end..]);
+                assert_eq!(&rewritten[token.start..token.start + 3], "120");
+            }
+        }
+        // Duplicate keys: the reference rewrote every copy, the splice only
+        // the first — the one `get`, and so every replica, reads.
+        let twice = r#"{"deadline_ms": 3, "deadline_ms": 4}"#;
+        assert_eq!(deadline_of(twice), deadline_of_ref(twice));
+        assert_eq!(
+            rewrite_deadline(twice, 120).unwrap(),
+            r#"{"deadline_ms": 120, "deadline_ms": 4}"#
+        );
     }
 
     #[test]

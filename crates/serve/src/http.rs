@@ -79,10 +79,11 @@ use crate::batcher::InferenceResponse;
 use crate::control::{AutotuneRequest, ControllerConfig, TuneRequest};
 use crate::options::{BatchingOptions, PlanningOptions, RuntimeOptions};
 use crate::registry::{ModelConfig, ModelRegistry};
+use crate::wire::{Broken, Connection};
 use crate::{BackendKind, Result, ServeError};
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -92,18 +93,6 @@ use tdc_gpu_sim::DeviceSpec;
 use tdc_nn::models::ModelDescriptor;
 use tdc_tensor::Tensor;
 
-/// Longest accepted request head (request line + headers), bytes.
-const MAX_HEAD_BYTES: usize = 16 * 1024;
-/// Longest accepted request body, bytes.
-const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
-/// Longest a started request may take to arrive in full.
-const READ_TIMEOUT: Duration = Duration::from_secs(10);
-/// Longest a keep-alive connection may sit idle between requests.
-const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
-/// Granularity of socket reads: each blocking read wakes at least this
-/// often so handlers notice server shutdown and enforce the two timeouts
-/// above without parking on a dead socket.
-const READ_SLICE: Duration = Duration::from_millis(250);
 /// Most requests one keep-alive connection may issue before the server
 /// closes it (bounds per-connection resource lifetime).
 const MAX_REQUESTS_PER_CONNECTION: usize = 1024;
@@ -947,21 +936,6 @@ fn status_for(error: &ServeError) -> u16 {
     }
 }
 
-fn reason_phrase(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        413 => "Payload Too Large",
-        429 => "Too Many Requests",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Internal Server Error",
-    }
-}
-
 fn bad_body(e: serde::Error) -> ServeError {
     ServeError::BadConfig {
         reason: format!("malformed infer body: {}", e.message),
@@ -1158,6 +1132,60 @@ impl<'a> FastScan<'a> {
         Some(key)
     }
 
+    /// Skip one string, escapes included.
+    fn skip_string(&mut self) -> Option<()> {
+        if !self.eat(b'"') {
+            return None;
+        }
+        loop {
+            match self.bytes.get(self.pos)? {
+                b'"' => {
+                    self.pos += 1;
+                    return Some(());
+                }
+                b'\\' => self.pos += 2,
+                _ => self.pos += 1,
+            }
+        }
+    }
+
+    /// Skip one value of any type without materialising it: containers by
+    /// bracket depth (stepping over strings), scalars by their token. A
+    /// skip, not a validator — whoever parses the body is the authority on
+    /// what is malformed inside a container.
+    fn skip_value(&mut self) -> Option<()> {
+        match self.peek()? {
+            b'"' => self.skip_string(),
+            b'[' | b'{' => {
+                let mut depth = 0usize;
+                loop {
+                    match self.bytes.get(self.pos)? {
+                        b'"' => {
+                            self.skip_string()?;
+                            continue;
+                        }
+                        b'[' | b'{' => depth += 1,
+                        b']' | b'}' => depth -= 1,
+                        _ => {}
+                    }
+                    self.pos += 1;
+                    if depth == 0 {
+                        return Some(());
+                    }
+                }
+            }
+            b'-' | b'0'..=b'9' => self.number().map(|_| ()),
+            _ => {
+                let rest = &self.bytes[self.pos..];
+                let literal = ["true", "false", "null"]
+                    .into_iter()
+                    .find(|literal| rest.starts_with(literal.as_bytes()))?;
+                self.pos += literal.len();
+                Some(())
+            }
+        }
+    }
+
     /// `[n, n, ...]` appended onto `out` via `f(value)`.
     fn number_array<T>(&mut self, out: &mut Vec<T>, f: impl Fn(f64) -> T) -> Option<()> {
         if !self.eat(b'[') {
@@ -1277,6 +1305,49 @@ fn parse_infer_fast_into(
         return None;
     }
     Some((dims, deadline_ms))
+}
+
+/// Byte range of the value of the first top-level member `key` in a JSON
+/// object body, found by scanning — no `Value` tree, and a large `input`
+/// array costs one pass over its bytes. `None` when the body is not one
+/// well-delimited object or has no such member; a key spelled with escapes
+/// is not recognised. This is what lets the router read and rewrite
+/// `deadline_ms` on a forwarded body without parsing the sample.
+pub fn top_level_value(body: &str, key: &str) -> Option<Range<usize>> {
+    let mut scan = FastScan::new(body);
+    if !scan.eat(b'{') {
+        return None;
+    }
+    let mut found = None;
+    if !scan.eat(b'}') {
+        loop {
+            scan.skip_ws();
+            let key_start = scan.pos + 1;
+            scan.skip_string()?;
+            let matches = body[key_start..scan.pos - 1] == *key;
+            if !scan.eat(b':') {
+                return None;
+            }
+            scan.skip_ws();
+            let value_start = scan.pos;
+            scan.skip_value()?;
+            // First key wins, as in the generic path's `get`.
+            if matches && found.is_none() {
+                found = Some(value_start..scan.pos);
+            }
+            if scan.eat(b'}') {
+                break;
+            }
+            if !scan.eat(b',') {
+                return None;
+            }
+        }
+    }
+    scan.skip_ws();
+    if scan.pos != scan.bytes.len() {
+        return None;
+    }
+    found
 }
 
 fn infer(registry: &ModelRegistry, model: &str, body: &str) -> Result<String> {
@@ -1510,263 +1581,41 @@ pub fn route(registry: &ModelRegistry, method: &str, path: &str, body: &str) -> 
     (routed.status, routed.body)
 }
 
-struct ParsedRequest {
-    method: String,
-    path: String,
-    body: String,
-    /// Whether the connection may serve another request after this one,
-    /// per the request's `Connection:` header and HTTP version defaults.
-    keep_alive: bool,
-}
-
-enum ParseOutcome {
-    Request(ParsedRequest),
-    /// The peer closed (or went idle past the timeout) between requests —
-    /// nothing to answer, close quietly. Also covers the shutdown nudge.
-    Empty,
-    /// Malformed or over-limit input, with the status to answer. The
-    /// connection closes after the reply: the read buffer can no longer be
-    /// trusted to start at a request boundary.
-    Reject(u16, String),
-}
-
-/// One slice of a socket read: distinguishes data, EOF and a timeout wake.
-enum SocketRead {
-    Data(usize),
-    Closed,
-    TimedOut,
-}
-
-fn read_slice(stream: &mut TcpStream, chunk: &mut [u8]) -> std::io::Result<SocketRead> {
-    match stream.read(chunk) {
-        Ok(0) => Ok(SocketRead::Closed),
-        Ok(n) => Ok(SocketRead::Data(n)),
-        Err(e)
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) =>
-        {
-            Ok(SocketRead::TimedOut)
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Ok(SocketRead::TimedOut),
-        Err(e) => Err(e),
-    }
-}
-
-/// Parse one request from the connection. `buffer` persists across requests
-/// on the same connection: bytes past the current request's body (pipelined
-/// requests) stay in it for the next call. The socket must be configured
-/// with a [`READ_SLICE`] read timeout so the wait loop can enforce
-/// [`IDLE_TIMEOUT`] / [`READ_TIMEOUT`] and notice `stop`.
-fn parse_request(
-    stream: &mut TcpStream,
-    buffer: &mut Vec<u8>,
-    stop: &AtomicBool,
-) -> std::io::Result<ParseOutcome> {
-    // Two independent clocks: the idle phase (no request bytes yet) is
-    // bounded by IDLE_TIMEOUT from entry; the request phase is bounded by
-    // READ_TIMEOUT from its *first byte* — an almost-idled-out connection
-    // that then starts a large upload still gets the full request budget.
-    let idle_since = Instant::now();
-    let mut request_since = if buffer.is_empty() {
-        None
-    } else {
-        Some(idle_since)
-    };
-    let mut chunk = [0u8; 4096];
-    let mut wait = |stream: &mut TcpStream,
-                    buffer: &mut Vec<u8>|
-     -> std::io::Result<Option<ParseOutcome>> {
-        match read_slice(stream, &mut chunk)? {
-            SocketRead::Data(n) => {
-                buffer.extend_from_slice(&chunk[..n]);
-                if request_since.is_none() {
-                    request_since = Some(Instant::now());
-                }
-                Ok(None)
-            }
-            SocketRead::Closed => Ok(Some(if request_since.is_some() {
-                ParseOutcome::Reject(400, "connection closed mid-request".to_string())
-            } else {
-                ParseOutcome::Empty
-            })),
-            SocketRead::TimedOut => {
-                if stop.load(Ordering::SeqCst) {
-                    // Server shutting down: abandon idle connections quietly.
-                    return Ok(Some(ParseOutcome::Empty));
-                }
-                match request_since {
-                    Some(since) if since.elapsed() >= READ_TIMEOUT => Ok(Some(
-                        ParseOutcome::Reject(408, "request timed out".to_string()),
-                    )),
-                    None if idle_since.elapsed() >= IDLE_TIMEOUT => Ok(Some(ParseOutcome::Empty)),
-                    _ => Ok(None),
-                }
-            }
-        }
-    };
-
-    // Read until the blank line terminating the head.
-    let head_end = loop {
-        if let Some(pos) = find_head_end(buffer) {
-            break pos;
-        }
-        if buffer.len() > MAX_HEAD_BYTES {
-            return Ok(ParseOutcome::Reject(
-                413,
-                format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
-            ));
-        }
-        if let Some(outcome) = wait(stream, buffer)? {
-            return Ok(outcome);
-        }
-    };
-
-    let head = String::from_utf8_lossy(&buffer[..head_end]).to_string();
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or_default();
-    let mut parts = request_line.split_whitespace();
-    let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v)) => (m.to_string(), p.to_string(), v.to_string()),
-        _ => {
-            return Ok(ParseOutcome::Reject(
-                400,
-                format!("malformed request line {request_line:?}"),
-            ))
-        }
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Ok(ParseOutcome::Reject(
-            400,
-            format!("unsupported protocol {version:?}"),
-        ));
-    }
-    let mut content_length = 0usize;
-    let mut connection: Option<String> = None;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = match value.trim().parse() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        return Ok(ParseOutcome::Reject(
-                            400,
-                            format!("bad content-length {:?}", value.trim()),
-                        ))
-                    }
-                };
-            } else if name.eq_ignore_ascii_case("connection") {
-                connection = Some(value.trim().to_ascii_lowercase());
-            }
-        }
-    }
-    // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close; an explicit
-    // `Connection:` header wins either way.
-    let keep_alive = match connection.as_deref() {
-        Some(value) if value.contains("close") => false,
-        Some(value) if value.contains("keep-alive") => true,
-        _ => version != "HTTP/1.0",
-    };
-    if content_length > MAX_BODY_BYTES {
-        return Ok(ParseOutcome::Reject(
-            413,
-            format!("request body exceeds {MAX_BODY_BYTES} bytes"),
-        ));
-    }
-
-    let body_start = head_end + 4;
-    while buffer.len() < body_start + content_length {
-        if let Some(outcome) = wait(stream, buffer)? {
-            return Ok(outcome);
-        }
-    }
-    let body = buffer[body_start..body_start + content_length].to_vec();
-    // Keep any pipelined follow-up request for the next parse.
-    buffer.drain(..body_start + content_length);
-    let body = match String::from_utf8(body) {
-        Ok(body) => body,
-        Err(_) => {
-            return Ok(ParseOutcome::Reject(
-                400,
-                "request body is not UTF-8".to_string(),
-            ))
-        }
-    };
-    Ok(ParseOutcome::Request(ParsedRequest {
-        method,
-        path,
-        body,
-        keep_alive,
-    }))
-}
-
-fn find_head_end(buffer: &[u8]) -> Option<usize> {
-    buffer.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    close: bool,
-    retry_after: Option<u64>,
-) -> std::io::Result<()> {
-    let retry_after = retry_after
-        .map(|secs| format!("Retry-After: {secs}\r\n"))
-        .unwrap_or_default();
-    write!(
-        stream,
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{retry_after}Connection: {}\r\n\r\n{body}",
-        reason_phrase(status),
-        body.len(),
-        if close { "close" } else { "keep-alive" },
-    )?;
-    stream.flush()
-}
-
 /// The per-connection request loop: parse → route → respond, until the
 /// client asks to close, the request budget runs out, the connection idles
 /// past the timeout, or the server stops.
 fn handle_connection(
     handler: &dyn HttpHandler,
-    mut stream: TcpStream,
+    stream: TcpStream,
     stop: &AtomicBool,
     max_requests: usize,
 ) {
-    let _ = stream.set_read_timeout(Some(READ_SLICE));
-    let mut buffer: Vec<u8> = Vec::with_capacity(1024);
+    let Ok(mut connection) = Connection::accepted(stream) else {
+        return;
+    };
     let mut served = 0usize;
     loop {
-        let outcome = match parse_request(&mut stream, &mut buffer, stop) {
-            Ok(outcome) => outcome,
-            // Socket-level failure (reset): nothing sensible to answer.
-            Err(_) => return,
-        };
-        match outcome {
-            ParseOutcome::Empty => return,
-            ParseOutcome::Reject(status, message) => {
-                let rejected = error_routed(status, message);
-                let _ = write_response(&mut stream, rejected.status, &rejected.body, true, None);
-                return;
-            }
-            ParseOutcome::Request(request) => {
+        let (routed, close) = match connection.read_request(stop) {
+            Ok(request) => {
                 served += 1;
-                let routed = handler.handle(&request.method, &request.path, &request.body);
+                let routed = handler.handle(request.method, request.path, request.body);
                 let close =
                     !request.keep_alive || served >= max_requests || stop.load(Ordering::SeqCst);
-                let written = write_response(
-                    &mut stream,
-                    routed.status,
-                    &routed.body,
-                    close,
-                    routed.retry_after,
-                );
-                if written.is_err() || close {
-                    return;
-                }
+                (routed, close)
             }
+            // Malformed, over-limit or stalled mid-request: say so, then
+            // close — the inbox can no longer be trusted to start at a
+            // request boundary.
+            Err(Broken::Reject(status, message)) => (error_routed(status, message), true),
+            Err(Broken::TimedOut(true)) => (error_routed(408, "request timed out"), true),
+            // The peer closed or idled out between requests (also the
+            // shutdown nudge), or the socket failed: nothing to answer.
+            Err(_) => return,
+        };
+        let written =
+            connection.write_response(routed.status, &routed.body, close, routed.retry_after);
+        if written.is_err() || close {
+            return;
         }
     }
 }
@@ -1970,102 +1819,8 @@ impl Drop for HttpServer {
     }
 }
 
-/// Read one HTTP response from `stream`, honoring `Content-Length` instead
-/// of assuming an EOF-terminated body — mandatory on a keep-alive
-/// connection, where EOF never comes between responses. `buffer` carries
-/// bytes already read past the previous response (e.g. when the peer
-/// pipelines) and keeps any surplus for the next call.
-pub fn read_response(
-    stream: &mut TcpStream,
-    buffer: &mut Vec<u8>,
-) -> std::io::Result<(u16, String)> {
-    let (status, _, body) = read_response_with_headers(stream, buffer)?;
-    Ok((status, body))
-}
-
 /// One parsed HTTP response: status, headers (lower-cased names) and body.
 pub type HttpResponseParts = (u16, Vec<(String, String)>, String);
-
-/// [`read_response`], additionally returning every response header as
-/// lower-cased `(name, value)` pairs — the way tests assert `Retry-After`
-/// on shed-load responses.
-pub fn read_response_with_headers(
-    stream: &mut TcpStream,
-    buffer: &mut Vec<u8>,
-) -> std::io::Result<HttpResponseParts> {
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = find_head_end(buffer) {
-            break pos;
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "connection closed before a full response head",
-            ));
-        }
-        buffer.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&buffer[..head_end]).to_string();
-    let mut lines = head.split("\r\n");
-    let status = lines
-        .next()
-        .unwrap_or_default()
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "response without a status")
-        })?;
-    let mut content_length = 0usize;
-    let mut headers = Vec::new();
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if name == "content-length" {
-                content_length = value.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "bad content-length")
-                })?;
-            }
-            headers.push((name, value));
-        }
-    }
-    let body_start = head_end + 4;
-    while buffer.len() < body_start + content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "connection closed mid-body",
-            ));
-        }
-        buffer.extend_from_slice(&chunk[..n]);
-    }
-    let body =
-        String::from_utf8_lossy(&buffer[body_start..body_start + content_length]).to_string();
-    buffer.drain(..body_start + content_length);
-    Ok((status, headers, body))
-}
-
-fn write_request(
-    stream: &mut TcpStream,
-    addr: &SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let body = body.unwrap_or("");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{body}",
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    )?;
-    stream.flush()
-}
 
 /// Minimal blocking HTTP/1.1 client for tests, smoke checks and examples:
 /// open a fresh connection, send one `Connection: close` request, read the
@@ -2089,30 +1844,16 @@ pub fn http_request_with_headers(
     path: &str,
     body: Option<&str>,
 ) -> std::io::Result<HttpResponseParts> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    write_request(&mut stream, addr, method, path, body, false)?;
-    read_response_with_headers(&mut stream, &mut Vec::new())
+    let mut connection = Connection::connect(addr, None)?;
+    connection.write_request(addr, method, path, body.unwrap_or(""), false)?;
+    connection.read_response()
 }
 
-/// Re-type a raw socket timeout (`WouldBlock` on Unix) as the conventional
-/// [`TimedOut`](std::io::ErrorKind::TimedOut); other errors pass through.
-fn map_timeout(error: std::io::Error) -> std::io::Error {
-    if is_timeout(&error) && error.kind() != std::io::ErrorKind::TimedOut {
-        std::io::Error::new(
-            std::io::ErrorKind::TimedOut,
-            format!("HTTP request timed out: {error}"),
-        )
-    } else {
-        error
-    }
-}
-
-/// Whether an I/O error is a timeout — either the typed
-/// [`TimedOut`](std::io::ErrorKind::TimedOut) a deadline-bounded
-/// [`HttpClient`] raises, or the raw
-/// [`WouldBlock`](std::io::ErrorKind::WouldBlock) a socket read timeout
-/// surfaces as on Unix.
+/// Whether an I/O error is a timeout — the typed
+/// [`TimedOut`](std::io::ErrorKind::TimedOut) every [`HttpClient`] and
+/// [`http_request`] operation raises, or the raw
+/// [`WouldBlock`](std::io::ErrorKind::WouldBlock) a socket timeout surfaces
+/// as on Unix.
 pub fn is_timeout(error: &std::io::Error) -> bool {
     matches!(
         error.kind(),
@@ -2134,9 +1875,8 @@ pub fn is_timeout(error: &std::io::Error) -> bool {
 /// without ever blocking the prober. After a timeout the connection is no
 /// longer at a response boundary; drop the client and reconnect.
 pub struct HttpClient {
-    stream: TcpStream,
+    connection: Connection,
     addr: SocketAddr,
-    buffer: Vec<u8>,
     requests_sent: u64,
     timeout: Option<Duration>,
 }
@@ -2144,12 +1884,9 @@ pub struct HttpClient {
 impl HttpClient {
     /// Open one connection to `addr`.
     pub fn connect(addr: &SocketAddr) -> std::io::Result<HttpClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(READ_TIMEOUT))?;
         Ok(HttpClient {
-            stream,
+            connection: Connection::connect(addr, None)?,
             addr: *addr,
-            buffer: Vec::with_capacity(1024),
             requests_sent: 0,
             timeout: None,
         })
@@ -2161,27 +1898,23 @@ impl HttpClient {
         addr: &SocketAddr,
         timeout: Duration,
     ) -> std::io::Result<HttpClient> {
-        let stream = TcpStream::connect_timeout(addr, timeout).map_err(map_timeout)?;
-        let mut client = HttpClient {
-            stream,
+        Ok(HttpClient {
+            connection: Connection::connect(addr, Some(timeout))?,
             addr: *addr,
-            buffer: Vec::with_capacity(1024),
             requests_sent: 0,
-            timeout: None,
-        };
-        client.set_request_timeout(Some(timeout))?;
-        Ok(client)
+            timeout: Some(timeout),
+        })
     }
 
     /// Bound (or, with `None`, unbound back to the 10 s read default)
     /// every subsequent socket operation on this connection.
     pub fn set_request_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.set_read_timeout(Some(
-            timeout.filter(|t| !t.is_zero()).unwrap_or(READ_TIMEOUT),
-        ))?;
-        self.stream
-            .set_write_timeout(timeout.filter(|t| !t.is_zero()))?;
-        self.timeout = timeout;
+        // A pooled connection is re-armed before every request, nearly
+        // always with the value it already has.
+        if timeout != self.timeout {
+            self.connection.set_timeout(timeout)?;
+            self.timeout = timeout;
+        }
         Ok(())
     }
 
@@ -2206,29 +1939,28 @@ impl HttpClient {
         path: &str,
         body: Option<&str>,
     ) -> std::io::Result<HttpResponseParts> {
-        let result = (|| -> std::io::Result<HttpResponseParts> {
-            write_request(&mut self.stream, &self.addr, method, path, body, true)?;
-            self.requests_sent += 1;
-            read_response_with_headers(&mut self.stream, &mut self.buffer)
-        })();
-        // With a configured deadline, surface the socket's WouldBlock as the
-        // typed timeout this client promises.
-        match result {
-            Err(e) if self.timeout.is_some() && is_timeout(&e) => Err(map_timeout(e)),
-            other => other,
-        }
+        self.send(method, path, body)?;
+        self.receive()
+    }
+
+    /// Write one keep-alive request without waiting for its response — the
+    /// first half of [`request`](HttpClient::request), for pipelining:
+    /// several `send`s, then as many [`receive`](HttpClient::receive)s.
+    pub fn send(&mut self, method: &str, path: &str, body: Option<&str>) -> std::io::Result<()> {
+        self.connection
+            .write_request(&self.addr, method, path, body.unwrap_or(""), true)?;
+        self.requests_sent += 1;
+        Ok(())
+    }
+
+    /// Read the next response on the connection, in request order.
+    pub fn receive(&mut self) -> std::io::Result<HttpResponseParts> {
+        self.connection.read_response()
     }
 
     /// How many requests were sent over this single connection.
     pub fn requests_sent(&self) -> u64 {
         self.requests_sent
-    }
-
-    /// The underlying stream and read buffer, for raw-bytes tests (e.g.
-    /// writing two pipelined requests in one syscall before reading either
-    /// response).
-    pub fn raw_parts(&mut self) -> (&mut TcpStream, &mut Vec<u8>) {
-        (&mut self.stream, &mut self.buffer)
     }
 }
 
@@ -2340,6 +2072,36 @@ mod tests {
         assert_eq!(pool.stats().allocated_buffers, before.allocated_buffers);
     }
 
+    /// The router runs `top_level_value` on bodies it did not choose: on
+    /// any string of JSON-ish characters it must not panic, and a range it
+    /// answers must slice the body at a scalar the JSON parser accepts (or
+    /// a container, which the scan does not validate).
+    #[test]
+    fn top_level_scan_survives_arbitrary_bodies() {
+        use rand::{Rng, SeedableRng};
+        let alphabet: Vec<char> = "{}[]\",:\\ \n-+.0123456789eEtruefalsné".chars().collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for _ in 0..20_000 {
+            let len = rng.gen_range(0..24);
+            let mut body: String = (0..len)
+                .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                .collect();
+            if rng.gen_range(0..2) == 0 {
+                body.insert_str(0, "{\"deadline_ms\":");
+            }
+            if let Some(token) = top_level_value(&body, "deadline_ms") {
+                let value = body.get(token.clone()).expect("a range inside the body");
+                assert!(
+                    value.starts_with(['[', '{']) || serde_json::parse_value(value).is_ok(),
+                    "{value:?} of {body:?}"
+                );
+            }
+        }
+        let body = r#"{"a": {"deadline_ms": 1}, "deadline_ms": [2, "]"], "b": "x"}"#;
+        let token = top_level_value(body, "deadline_ms").unwrap();
+        assert_eq!(&body[token], r#"[2, "]"]"#);
+    }
+
     #[test]
     fn serves_the_four_routes_over_a_real_socket() {
         let server = HttpServer::bind("127.0.0.1:0", test_registry()).unwrap();
@@ -2414,44 +2176,116 @@ mod tests {
         assert_eq!(status, 200, "{reply}");
         assert_eq!(client.requests_sent(), 4);
 
-        // Two pipelined requests written back-to-back before reading either
+        // Two pipelined requests written in ONE write before reading either
         // response: the server must answer both, in order, from its
         // connection buffer.
-        {
-            let (stream, _) = client.raw_parts();
-            let addr_text = addr.to_string();
-            let one = format!(
-                "GET /healthz HTTP/1.1\r\nHost: {addr_text}\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n"
-            );
-            stream.write_all(format!("{one}{one}").as_bytes()).unwrap();
-            stream.flush().unwrap();
-        }
-        let (stream, buffer) = client.raw_parts();
-        let (status_a, _) = read_response(stream, buffer).unwrap();
-        let (status_b, _) = read_response(stream, buffer).unwrap();
+        let mut raw = Connection::connect(&addr, None).unwrap();
+        let one = format!(
+            "GET /healthz HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n"
+        );
+        raw.write_raw(format!("{one}{one}").as_bytes()).unwrap();
+        let (status_a, _, _) = raw.read_response().unwrap();
+        let (status_b, _, _) = raw.read_response().unwrap();
         assert_eq!((status_a, status_b), (200, 200));
+        // The client's own pipelining: two sends, then two receives.
+        client.send("GET", "/healthz", None).unwrap();
+        client.send("GET", "/v1/models", None).unwrap();
+        let (status_a, _, body_a) = client.receive().unwrap();
+        let (status_b, _, body_b) = client.receive().unwrap();
+        assert_eq!((status_a, status_b), (200, 200));
+        assert!(body_a.contains("\"ok\"") && body_b.contains("\"mini\""));
 
         // An explicit `Connection: close` request ends the loop: the server
         // answers, then closes, so the next read sees EOF.
-        let (stream, buffer) = client.raw_parts();
-        let addr_text = addr.to_string();
-        stream
-            .write_all(
-                format!(
-                    "GET /healthz HTTP/1.1\r\nHost: {addr_text}\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
-                )
-                .as_bytes(),
+        raw.write_raw(
+            format!(
+                "GET /healthz HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
             )
-            .unwrap();
-        let (status, _) = read_response(stream, buffer).unwrap();
+            .as_bytes(),
+        )
+        .unwrap();
+        let (status, headers, _) = raw.read_response().unwrap();
         assert_eq!(status, 200);
-        let mut probe = [0u8; 1];
-        assert_eq!(
-            stream.read(&mut probe).unwrap(),
-            0,
-            "server must close after Connection: close"
-        );
+        assert!(headers.contains(&("connection".to_string(), "close".to_string())));
+        assert!(raw.at_eof(), "server must close after Connection: close");
 
+        server.shutdown();
+    }
+
+    /// `curl -d @body.json` sends `Expect: 100-continue` for any body over
+    /// 1 KB and holds the body back until the interim reply (or its 1 s
+    /// timer) — so the server must answer the head at once.
+    #[test]
+    fn expect_100_continue_is_answered_before_the_body_is_read() {
+        let server = HttpServer::bind("127.0.0.1:0", test_registry()).unwrap();
+        let addr = server.local_addr();
+        let body = infer_body(&[8, 8, 4]);
+        let mut raw = Connection::connect(&addr, None).unwrap();
+        raw.write_raw(
+            format!(
+                "POST /v1/models/mini/infer HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nExpect: 100-continue\r\n\r\n",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+        let (status, headers, interim) = raw.read_response().unwrap();
+        assert_eq!((status, interim.as_str()), (100, ""));
+        assert!(headers.is_empty(), "{headers:?}");
+        raw.write_raw(body.as_bytes()).unwrap();
+        let (status, _, reply) = raw.read_response().unwrap();
+        assert_eq!(status, 200, "{reply}");
+        // A request that arrives whole needs no interim reply.
+        raw.write_raw(
+            format!(
+                "POST /v1/models/mini/infer HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nExpect: 100-continue\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+        let (status, _, reply) = raw.read_response().unwrap();
+        assert_eq!(status, 200, "{reply}");
+        server.shutdown();
+    }
+
+    /// One raw request that the framer must refuse: the status it answers,
+    /// on a connection it then closes.
+    fn refused(request: &str) -> (u16, String) {
+        let server = HttpServer::bind("127.0.0.1:0", test_registry()).unwrap();
+        let mut raw = Connection::connect(&server.local_addr(), None).unwrap();
+        raw.write_raw(request.as_bytes()).unwrap();
+        let (status, headers, body) = raw.read_response().unwrap();
+        assert!(headers.contains(&("connection".to_string(), "close".to_string())));
+        assert!(raw.at_eof(), "a refused request must close the connection");
+        server.shutdown();
+        (status, body)
+    }
+
+    #[test]
+    fn chunked_uploads_answer_501_instead_of_desynchronising() {
+        // Unframed, the chunk bytes would be parsed as the next request.
+        let (status, body) = refused(
+            "POST /v1/models/mini/infer HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+             2\r\n{}\r\n0\r\n\r\n",
+        );
+        assert_eq!(status, 501, "{body}");
+        assert!(body.contains("Content-Length"), "{body}");
+    }
+
+    #[test]
+    fn conflicting_content_lengths_answer_400() {
+        let (status, body) = refused(
+            "POST /v1/models/mini/infer HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\n{}{}",
+        );
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("conflicting"), "{body}");
+        // The same length stated twice is not a conflict.
+        let server = HttpServer::bind("127.0.0.1:0", test_registry()).unwrap();
+        let mut raw = Connection::connect(&server.local_addr(), None).unwrap();
+        raw.write_raw(b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 0\r\n\r\n")
+            .unwrap();
+        assert_eq!(raw.read_response().unwrap().0, 200);
         server.shutdown();
     }
 

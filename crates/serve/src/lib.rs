@@ -87,6 +87,7 @@ pub mod options;
 pub mod plan_cache;
 pub mod registry;
 pub mod server;
+mod wire;
 
 pub use arena::{BufferPool, PoolStats, ScratchArena};
 pub use backend::{

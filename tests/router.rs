@@ -111,6 +111,38 @@ fn routed_inference_matches_a_direct_engine_bit_for_bit() {
     }
 }
 
+/// The routed hop must not reintroduce the delayed-ACK stall on either of
+/// its sockets (front door and replica pool): 40 ms per leg when a message
+/// leaves in pieces, ~0.3 ms healthy.
+#[test]
+fn routed_round_trips_do_not_wait_out_a_delayed_ack() {
+    let (servers, router, front) = bind_fleet(2, manual_probe_options(RoutingPolicy::LeastLoaded));
+    let addr = front.local_addr();
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let mut samples: Vec<f64> = (0..40)
+        .map(|_| {
+            let started = Instant::now();
+            // Proxied to a replica over the router's keep-alive pool.
+            let (status, reply) = client.request("GET", "/v1/models", None).unwrap();
+            assert_eq!(status, 200, "{reply}");
+            started.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    let median = samples[samples.len() / 2];
+    assert!(
+        median < 10.0,
+        "routed round trips stall: median {median:.2} ms"
+    );
+
+    drop(client);
+    router.stop();
+    front.stop();
+    for server in servers {
+        drain_replica(server);
+    }
+}
+
 #[test]
 fn killing_a_replica_under_load_is_invisible_and_ejection_readmission_observable() {
     let (mut servers, router, front) =

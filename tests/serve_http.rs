@@ -412,6 +412,51 @@ fn admin_shutdown_surfaces_on_the_signal_and_answers_before_teardown() {
     registry.shutdown();
 }
 
+/// Median of `n` timed calls, ms. A median ignores scheduling noise on a
+/// busy box but not a stall every request pays.
+fn median_ms(n: usize, mut call: impl FnMut()) -> f64 {
+    let mut samples: Vec<f64> = (0..n)
+        .map(|_| {
+            let started = Instant::now();
+            call();
+            started.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[n / 2]
+}
+
+/// A message that leaves in several small writes has its last segment held
+/// back for the peer's delayed ACK — 40 ms per round trip on Linux, against
+/// ~0.1 ms healthy. Pins one write per message + `TCP_NODELAY` on both the
+/// keep-alive client and the one-shot helper.
+#[test]
+fn loopback_round_trips_do_not_wait_out_a_delayed_ack() {
+    let server = HttpServer::bind("127.0.0.1:0", Arc::new(ModelRegistry::new(1))).unwrap();
+    let addr = server.local_addr();
+
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let keep_alive = median_ms(40, || {
+        let (status, _) = client.request("GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200);
+    });
+    assert!(
+        keep_alive < 10.0,
+        "keep-alive round trips stall: median {keep_alive:.2} ms"
+    );
+
+    let one_shot = median_ms(40, || {
+        let (status, _) = http_request(&addr, "GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200);
+    });
+    assert!(
+        one_shot < 10.0,
+        "Connection: close round trips stall: median {one_shot:.2} ms"
+    );
+    drop(client);
+    server.shutdown();
+}
+
 #[test]
 fn client_request_timeout_is_typed_and_a_fresh_connection_recovers() {
     // A reply that cannot arrive within 150 ms: the single worker holds the
