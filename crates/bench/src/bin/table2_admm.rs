@@ -3,8 +3,8 @@
 //!
 //! The paper uses ResNet-20 on CIFAR-10 (91.25% baseline, 87.41% direct,
 //! 91.02% ADMM at 60% FLOPs reduction). This reproduction uses a reduced-width
-//! ResNet of the same family on a synthetic separable dataset (see DESIGN.md
-//! for the substitution); the comparison to reproduce is the *ordering*:
+//! ResNet of the same family on a synthetic separable dataset (README.md,
+//! "Substitutions"); the comparison to reproduce is the *ordering*:
 //! baseline ≥ ADMM > direct, with ADMM recovering most of the gap.
 
 use rand::{rngs::StdRng, SeedableRng};
@@ -20,7 +20,7 @@ use tdc_tucker::admm::AdmmConfig;
 fn main() {
     println!("Table 2 — Direct training vs. ADMM-based compression (ResNet-20 family)\n");
 
-    // Synthetic CIFAR-like task (see DESIGN.md: CIFAR-10 is not available here).
+    // Synthetic CIFAR-like task (CIFAR-10 is not available here).
     let data = SyntheticDataset::generate(SyntheticConfig::cifar_like(24, 7)).expect("dataset");
     let (train_set, test_set) = data.split(0.8);
 

@@ -4,7 +4,7 @@
 //! The paper's Table 3 covers five ImageNet models against published pruning /
 //! CPD / TT / TKD baselines. Neither ImageNet nor those checkpoints are
 //! available here, so this harness reproduces the comparisons that can be
-//! computed from scratch (see DESIGN.md): for each trainable model family it
+//! computed from scratch (README.md, "Substitutions"): for each trainable model family it
 //! reports the uncompressed baseline, the standard-TKD analogue (decompose the
 //! pre-trained model, then retrain), and TDC's ADMM-based compression, at the
 //! same FLOPs budget. The ordering to reproduce is

@@ -1,8 +1,8 @@
 //! Shared figure/table generators used by the `src/bin/*` harness binaries.
 //!
 //! Each function prints the rows the corresponding paper figure plots and
-//! returns the underlying numbers so tests (and EXPERIMENTS.md tooling) can
-//! assert the qualitative shape without re-parsing stdout.
+//! returns the underlying numbers so tests can assert the qualitative shape
+//! without re-parsing stdout.
 
 use crate::{fmt_ms, fmt_x, geomean, TextTable};
 use tdc::inference::Backend;

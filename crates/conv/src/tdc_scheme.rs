@@ -101,7 +101,7 @@ impl Tiling {
     /// structure of Eq. (16)–(18). Unlike the paper's Eq. (16) we include the
     /// `R·S` factor in the kernel volume, since each block physically streams
     /// `TC·R·S·N` weights; the omission in the paper reads as a typo and the
-    /// selection behaviour is unaffected (see DESIGN.md).
+    /// selection behaviour is unaffected.
     pub fn traffic_bytes(&self, shape: &ConvShape) -> (f64, f64, f64) {
         let tiles_hw = (shape.out_h().div_ceil(self.th) * shape.out_w().div_ceil(self.tw)) as f64;
         let halo = ((self.th + shape.r - 1) * (self.tw + shape.s - 1)) as f64;

@@ -1,12 +1,10 @@
 //! `tdc-ctrl` — the closed-loop SLO controller for `tdc-serve`.
 //!
-//! The serving layer's built-in autotuner bisects exactly one knob (the
-//! FLOPs budget) against a simulated p99. Real SLO tuning is a *joint*
-//! problem: the budget trades model quality against kernel time, the batch
-//! size trades throughput against service time, the batch delay trades
-//! batching efficiency against queueing tail, and the fair-share weight
-//! trades one model's throughput against its neighbours'. This crate
-//! supplies the missing search: [`Controller`] is a
+//! SLO tuning is a *joint* problem: the budget trades model quality against
+//! kernel time, the batch size trades throughput against service time, the
+//! batch delay trades batching efficiency against queueing tail, and the
+//! fair-share weight trades one model's throughput against its neighbours'.
+//! This crate supplies the search: [`Controller`] is a
 //! [`TuneDriver`] running **coordinate descent over
 //! all four knobs at once**, scoring every candidate on the control plane's
 //! probe-and-replay wave simulator
@@ -448,6 +446,36 @@ mod tests {
     }
 
     #[test]
+    fn a_tune_rejects_degenerate_requests() {
+        let registry = registry_with_model("strict", config(4, Duration::from_millis(1)));
+        for bad in [f64::NAN, 0.0, -1.0] {
+            let request = TuneRequest {
+                target_p99_ms: Some(bad),
+                ..TuneRequest::default()
+            };
+            assert!(matches!(
+                registry.tune("strict", &request),
+                Err(ServeError::BadConfig { .. })
+            ));
+        }
+        let no_rounds = TuneRequest {
+            max_rounds: 0,
+            ..TuneRequest::default()
+        };
+        assert!(matches!(
+            registry.tune("strict", &no_rounds),
+            Err(ServeError::BadConfig { .. })
+        ));
+        assert!(matches!(
+            registry.tune("ghost", &TuneRequest::default()),
+            Err(ServeError::UnknownModel { .. })
+        ));
+        // Nothing above touched the served model.
+        assert_eq!(registry.engine("strict").unwrap().info().generation, 1);
+        Arc::try_unwrap(registry).ok().unwrap().shutdown();
+    }
+
+    #[test]
     fn a_tune_meets_the_target_and_applies_the_winning_knobs() {
         // Start deliberately mis-provisioned for a tight SLO: an 8 ms
         // batching delay alone already busts a 5 ms target, so the search
@@ -488,6 +516,76 @@ mod tests {
         let model = &status.models[0];
         assert_eq!(model.tuning_generation, 1);
         assert!(model.expected_p99_ms > 0.0);
+        Arc::try_unwrap(registry).ok().unwrap().shutdown();
+    }
+
+    #[test]
+    fn a_tune_walks_an_over_provisioned_budget_down_to_the_slo() {
+        // Budget 0.9 demands more FLOPs reduction than the layers can
+        // deliver, so rank selection falls back to dense (slower) and the
+        // plan misses what a mid-range, feasible budget serves at — the
+        // search must move the budget knob to the feasible side of the
+        // cliff. (`registry_with_model`'s 8×8×4 model has no such cliff.)
+        let mut over_provisioned = sim_config(4, Duration::from_millis(1));
+        over_provisioned.planning.budget = 0.9;
+        let registry = Arc::new(ModelRegistry::new(8));
+        registry.set_tune_driver(Arc::new(Controller::new()));
+        registry
+            .register(
+                "tune",
+                &serving_descriptor("ctl-tune", 12, 8, 10),
+                over_provisioned,
+            )
+            .unwrap();
+        let handle = registry.engine("tune").unwrap();
+        let start = KnobSet::of(handle.config());
+        drop(handle);
+        let target = registry
+            .estimate_knobs(
+                "tune",
+                &KnobSet {
+                    flops_budget: 0.45,
+                    ..start
+                },
+            )
+            .unwrap()
+            .p99_ms;
+        assert!(
+            registry.estimate_knobs("tune", &start).unwrap().p99_ms > target,
+            "the over-provisioned start must miss the target"
+        );
+
+        let report = registry
+            .tune(
+                "tune",
+                &TuneRequest {
+                    target_p99_ms: Some(target),
+                    ..TuneRequest::default()
+                },
+            )
+            .unwrap();
+        assert!(report.converged, "{report:?}");
+        assert!(report.applied, "{report:?}");
+        assert!(
+            report.after.flops_budget < 0.9,
+            "the search must walk down from the over-provisioned start: {report:?}"
+        );
+        assert!(report.estimated_p99_ms <= target, "{report:?}");
+        assert_eq!(report.generation, 2, "the winning knobs were hot-swapped");
+        assert_eq!(
+            registry.metrics().replans_total,
+            1,
+            "an applied search is exactly one hot-swap"
+        );
+
+        // The served model now carries the tuned budget and keeps serving.
+        let handle = registry.engine("tune").unwrap();
+        assert_eq!(handle.info().budget, report.after.flops_budget);
+        drop(handle);
+        let out = registry
+            .infer("tune", Tensor::zeros(vec![12, 12, 8]))
+            .unwrap();
+        assert_eq!(out.output.dims(), &[10]);
         Arc::try_unwrap(registry).ok().unwrap().shutdown();
     }
 

@@ -1,8 +1,7 @@
 //! # tdc-lab
 //!
 //! The serving stack's laboratory tier: reproducible trace-driven
-//! workloads, scripted chaos with invariant checks, and the benchmark
-//! regression gate CI runs on every change.
+//! workloads and scripted chaos with invariant checks.
 //!
 //! ## Pieces
 //!
@@ -28,21 +27,7 @@
 //!   asserting the same contract: *clients only ever see typed errors,
 //!   counters reconcile, and after the fault heals, outputs are
 //!   bit-identical to a fault-free run*.
-//! * [`artifact`] — `BENCH_serve.json` schema validation across every
-//!   version the benchmark has ever written (1..=8).
-//!
-//! ## Bins
-//!
-//! * `serve_bench` — the serving benchmark (moved up from the router
-//!   tier so one binary drives engines, registries, fleets *and*
-//!   traces): `--trace <spec.json>` replays a workload spec and records
-//!   the outcome in the artifact's `trace` section.
-//! * `lab_gate` — the CI regression gate: compares a fresh artifact
-//!   against the committed baseline — deterministic fields (trace and
-//!   output fingerprints, event/outcome counts) must match exactly,
-//!   wall-clock metrics (throughput, p99) within wide tolerance bands.
 
-pub mod artifact;
 pub mod chaos;
 pub mod fault;
 pub mod runner;

@@ -48,7 +48,7 @@ pub struct ReplayOptions {
     pub max_batch_delay: Duration,
     /// Admission bound per model. `None` sizes the queue to the whole
     /// trace, so a conforming replay never sheds — the right setting for
-    /// determinism-sensitive runs (the regression gate, bit-parity
+    /// determinism-sensitive runs (the replay pin, bit-parity
     /// checks). Chaos scenarios set it low on purpose.
     pub max_queue_depth: Option<usize>,
     /// Trace-time multiplier: wall-clock gap = virtual gap × scale.

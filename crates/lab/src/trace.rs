@@ -4,10 +4,11 @@
 //! The generator draws every random quantity from one `StdRng` seeded
 //! with the spec's seed, in a fixed order (inter-arrival gap, then model,
 //! then request size, per event), so the same spec + seed always yields
-//! the same [`Trace`] — the foundation both for the bench-regression gate
-//! (the committed baseline and a fresh CI run describe the *same*
-//! request stream) and for the chaos harness's bit-parity checks (a
-//! post-heal replay re-issues exactly the fault run's requests).
+//! the same [`Trace`] — the foundation both for the replay pin
+//! (`tests/replay_pin.rs`: the committed fingerprints and a fresh run
+//! describe the *same* request stream) and for the chaos harness's
+//! bit-parity checks (a post-heal replay re-issues exactly the fault run's
+//! requests).
 //!
 //! Timestamps are virtual microseconds from trace start and strictly
 //! increasing: every gap is clamped to at least 1 µs, so event order is

@@ -1,11 +1,11 @@
 //! Property tests for the lab's trace engine: the reproducibility and
 //! shape guarantees every other lab piece (the replay runner, the chaos
-//! scenarios, the CI gate) builds on.
+//! scenarios, the replay pin) builds on.
 //!
 //! * same seed + same spec ⇒ byte-identical canonical trace and equal
 //!   fingerprint, across independent `generate` calls;
 //! * timestamps are strictly monotone (the runner replays in order, the
-//!   artifact's per-phase counts depend on it);
+//!   per-phase counts depend on it);
 //! * every drawn request size respects the declared size-mix bounds and
 //!   every model index points into the zoo;
 //! * the fingerprint commits to the seed — two seeds never collide on

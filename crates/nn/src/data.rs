@@ -8,7 +8,7 @@
 //! vs. direct Tucker compression vs. ADMM compression; aggressive budgets
 //! hurting accuracy) transfer to this setting because they are statements
 //! about how much task-relevant structure survives the compression, not about
-//! the dataset itself. DESIGN.md records this substitution.
+//! the dataset itself. README.md's "Substitutions" section records this.
 
 use crate::{NnError, Result};
 use rand::rngs::StdRng;

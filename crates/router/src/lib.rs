@@ -20,8 +20,8 @@
 //!   traffic fails over across replicas on 429/503/connect errors,
 //!   honouring `Retry-After` hints via [`backoff_decision`] and never
 //!   retrying past the request's `deadline_ms`; control-plane calls
-//!   (`PUT`/`DELETE /v1/models/{name}`, `/replan`, `/autotune`, `/tune`,
-//!   `PUT /v1/controller`) fan out to the fleet, with replan/autotune/tune
+//!   (`PUT`/`DELETE /v1/models/{name}`, `/replan`, `/tune`,
+//!   `PUT /v1/controller`) fan out to the fleet, with replan/tune
 //!   applied rolling — one replica at a time — so serving capacity never
 //!   drops below N−1; `GET /v1/controller` aggregates every replica's own
 //!   controller status block into one [`FleetReply`].
@@ -40,10 +40,6 @@
 //!   end-to-end self-test CI runs (fleet register → routed inference
 //!   bit-identical to a direct engine call → kill one replica under load
 //!   with zero client-visible failures → rolling replan under fire).
-//!
-//! The serving benchmark (`serve_bench`) lives in `tdc-lab`, one tier up,
-//! so it can drive single engines, registries, routed fleets *and* the
-//! lab's trace/chaos machinery from one binary.
 
 pub mod replica;
 pub mod router;

@@ -9,8 +9,8 @@
 //! features, output tensors, even the parsed HTTP input — is a pool hit, and
 //! steady-state serving performs **zero** per-request f32 allocations. The
 //! pool's telemetry ([`PoolStats`], surfaced per engine via
-//! [`crate::ServeEngine::pool_stats`] and recorded in `serve_bench`'s
-//! `kernels` artifact section) pins that property in tests: a warm pool shows
+//! [`crate::ServeEngine::pool_stats`] and read by the benchmark's `arena.*`
+//! per-layer metrics) pins that property in tests: a warm pool shows
 //! stable `allocated_buffers` / `high_water_f32` across batches.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -19,7 +19,7 @@
 //! Backends are selected with [`BackendKind`] on
 //! [`RuntimeOptions`](crate::options::RuntimeOptions) and their identity
 //! travels end-to-end: through the plan-cache key, the per-request responses,
-//! the metrics snapshot and the `serve_bench` artifact.
+//! and the metrics snapshot.
 
 use crate::model::CompressedModel;
 use crate::{Result, ServeError};
@@ -104,8 +104,7 @@ pub struct LayerSimLatency {
 ///
 /// For [`SimGpuBackend`] this is measured in simulation by replaying the
 /// lowered plan on the wave engine; for [`CpuBackend`] it is the planning
-/// oracle's closed-form prediction. Serialized into `BENCH_serve.json`
-/// (schema 2) so the artifact records the backend's own account of where the
+/// oracle's closed-form prediction — the backend's own account of where the
 /// time goes.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BackendLatencyReport {

@@ -36,18 +36,18 @@
 //!   table makes the registry shareable (`&self` registration/retirement
 //!   behind an `Arc`; readers never block on writers), with graceful
 //!   retire, atomic plan hot-swap ([`ControlPlane::replan`]) and the
-//!   SLO-driven budget autotuner ([`ControlPlane::autotune`]).
+//!   substrate the `tdc-ctrl` SLO controller tunes through
+//!   ([`ControlPlane::tune`]).
 //! * [`http`] — a dependency-free HTTP/1.1 front end on
 //!   `std::net::TcpListener` exposing the registry at
 //!   `POST /v1/models/{name}/infer`, `GET /v1/models`, `GET /metrics` and
 //!   `GET /healthz`, plus the admin routes `PUT`/`DELETE /v1/models/{name}`,
-//!   `POST /v1/models/{name}/replan` and `POST /v1/models/{name}/autotune`.
+//!   `POST /v1/models/{name}/replan` and `POST /v1/models/{name}/tune`.
 //!
-//! The `serve_http` binary is the HTTP daemon; the `serve_bench` binary
-//! (hosted by the `tdc-router` crate so it can also benchmark routed
-//! fleets) drives a synthetic open-loop workload and records a versioned
-//! `BENCH_serve.json` artifact; `examples/serve_demo.rs` at the repository
-//! root is the minimal end-to-end tour. For horizontal scale-out — N
+//! The `serve_http` binary (in `tdc-ctrl`) is the HTTP daemon; the
+//! stand-alone `benchmark/` package measures the stack end to end;
+//! `examples/serve_demo.rs` at the repository root is the minimal
+//! end-to-end tour. For horizontal scale-out — N
 //! replica `serve_http` processes behind one routing front door — see the
 //! `tdc-router` crate, which reuses this crate's [`HttpServer`] via the
 //! [`HttpHandler`] trait and its keep-alive [`HttpClient`].
@@ -98,10 +98,9 @@ pub use batcher::{
     BatchQueue, DequeuedBatch, InferenceRequest, InferenceResponse, PendingResponse,
 };
 pub use control::{
-    AutotuneProbe, AutotuneReport, AutotuneRequest, ControlPlane, ControllerConfig,
-    ControllerStatus, ControllerWatch, EngineHandle, EpochSwap, KnobEstimate, KnobSet,
-    LifecycleCounters, MeasuredSlo, ModelControllerStatus, ReplanReport, TickReport, TuneDriver,
-    TuneProbe, TuneReport, TuneRequest,
+    ControlPlane, ControllerConfig, ControllerStatus, ControllerWatch, EngineHandle, EpochSwap,
+    KnobEstimate, KnobSet, LifecycleCounters, MeasuredSlo, ModelControllerStatus, ReplanReport,
+    TickReport, TuneDriver, TuneProbe, TuneReport, TuneRequest,
 };
 pub use http::{HealthReply, HttpClient, HttpHandler, HttpServer, RoutedResponse, ShutdownSignal};
 pub use metrics::{LatencySummary, ServeMetrics};

@@ -151,7 +151,7 @@ impl<'a> ServeEngineBuilder<'a> {
     /// call recording): the engine executes on whatever
     /// [`BackendWrapper::wrap`] returns, and the warmup probe runs through
     /// the wrapped chain. [`ModelConfig`](crate::ModelConfig) can carry a
-    /// wrapper so registry rebuilds (replan, autotune) re-apply it.
+    /// wrapper so registry rebuilds (replan, tune) re-apply it.
     pub fn wrap_backend(mut self, wrapper: Arc<dyn BackendWrapper>) -> Self {
         self.wrapper = Some(wrapper);
         self
@@ -790,8 +790,8 @@ impl ServeEngine {
     /// Cumulative telemetry of the engine's f32 buffer pool: fresh
     /// allocations, high-water checkout, and hit rate. A warm steady-state
     /// engine shows `allocated_buffers` and `high_water_f32` frozen while
-    /// `hits` climbs — the zero-allocation property `serve_bench` records in
-    /// its `kernels` section.
+    /// `hits` climbs — the zero-allocation property the benchmark's
+    /// `arena.hit_rate` / `arena.fresh_allocs_per_op` metrics record.
     pub fn pool_stats(&self) -> PoolStats {
         self.core.pool.stats()
     }

@@ -15,8 +15,8 @@
 //!   (`tdc-serve`)
 //! * [`router`] — the replica-fleet router tier: health-driven ejection,
 //!   Retry-After-aware failover, fleet control-plane fan-out (`tdc-router`)
-//! * [`lab`] — the trace-driven workload engine, chaos harness and bench
-//!   regression gate (`tdc-lab`)
+//! * [`lab`] — the trace-driven workload engine and chaos harness
+//!   (`tdc-lab`)
 //!
 //! See `README.md` for a quickstart.
 
@@ -43,6 +43,6 @@ mod tests {
         let _ = crate::core::tiling::TilingStrategy::Model;
         let _ = crate::serve::PlanCache::new(2);
         let _ = crate::router::RoutingPolicy::parse("least-loaded");
-        let _ = crate::lab::artifact::CURRENT_SCHEMA_VERSION;
+        let _ = crate::lab::ReplayOptions::default();
     }
 }

@@ -9,6 +9,19 @@
 //!   accounted as completed, expired, or failed;
 //! * after the fault budget drains, a replay on the **same** deployment
 //!   produces outputs bit-identical to a never-faulted run.
+//!
+//! A second drill covers the latency fault: a backend brown-out on a tuned
+//! model must be caught by the controller's live-metrics tick and re-tuned.
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use tdc_repro::lab::FaultInjector;
+use tdc_repro::serve::{
+    serving_descriptor, BackendKind, BackendWrapper, BatchingOptions, ControllerConfig,
+    ModelConfig, ModelRegistry, RuntimeOptions, TuneRequest,
+};
+use tdc_repro::tensor::Tensor;
 
 use tdc_repro::lab::runner::{deploy, reconcile, replay, ReplayOptions};
 use tdc_repro::lab::spec::WorkloadSpec;
@@ -83,4 +96,91 @@ fn burst_trace_with_mid_trace_worker_panic_heals_bit_identically() {
         drill.completed + drill.expired + drill.failed + healed.completed
     );
     assert_eq!(totals.rejected, 0);
+}
+
+#[test]
+fn a_backend_brown_out_drifts_a_tuned_model_and_the_live_tick_retunes_it() {
+    let registry = ModelRegistry::new(2);
+    tdc_ctrl::install(&registry);
+    registry
+        .set_controller_config(ControllerConfig {
+            min_samples: 16,
+            ..ControllerConfig::default()
+        })
+        .expect("controller config");
+    let injector = FaultInjector::new();
+    let config = ModelConfig {
+        batching: BatchingOptions {
+            max_batch_size: 8,
+            // Sluggish on purpose: closed-loop traffic never fills a batch,
+            // so every request eats the whole window and the tune has
+            // latency to claw back.
+            max_batch_delay: Duration::from_millis(12),
+            ..BatchingOptions::default()
+        },
+        runtime: RuntimeOptions {
+            backend: BackendKind::SimGpu,
+            ..RuntimeOptions::default()
+        },
+        backend_wrapper: Some(Arc::new(injector.clone()) as Arc<dyn BackendWrapper>),
+        ..ModelConfig::default()
+    };
+    registry
+        .register(
+            "brown",
+            &serving_descriptor("drill-brown", 12, 8, 10),
+            config,
+        )
+        .expect("register");
+    let serve = |requests: usize| {
+        for _ in 0..requests {
+            registry
+                .infer("brown", Tensor::zeros(vec![12, 12, 8]))
+                .expect("closed-loop inference");
+        }
+    };
+
+    // Tune against half the 12 ms window: reachable only by moving knobs.
+    // The 24 untuned samples calibrate the search.
+    serve(24);
+    let tuned = registry
+        .tune(
+            "brown",
+            &TuneRequest {
+                target_p99_ms: Some(6.0),
+                ..TuneRequest::default()
+            },
+        )
+        .expect("tune");
+    assert!(tuned.applied, "{tuned:?}");
+    assert!(
+        tuned.after.max_batch_delay_us < 12_000,
+        "the delay knob must move: {tuned:?}"
+    );
+
+    // A quiet tick on the freshly swapped engine finds nothing to do (no
+    // samples yet), then the brown-out stalls every batch 40 ms — far
+    // outside the drift band around any expectation the tune could have
+    // recorded — and the next live tick must both record and re-tune it.
+    let quiet = registry.controller_tick();
+    assert!(quiet.drifted.is_empty() && quiet.retuned.is_empty());
+    injector.arm_delays(10_000, Duration::from_millis(40));
+    serve(16);
+    let started = std::time::Instant::now();
+    let tick = registry.controller_tick();
+    assert_eq!(tick.drifted, vec!["brown".to_string()]);
+    assert_eq!(tick.retuned, vec!["brown".to_string()]);
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the tick's own table snapshot was the re-tune drain's holdout"
+    );
+    assert!(injector.injected_delays() >= 16);
+    injector.disarm();
+
+    let status = registry.controller_status();
+    assert_eq!(status.drift_events_total, 1);
+    assert_eq!(status.models[0].tuning_generation, 2);
+    // The re-tuned engine still serves, wrapper intact.
+    serve(1);
+    registry.shutdown();
 }
