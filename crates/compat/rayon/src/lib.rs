@@ -7,12 +7,6 @@
 //! only the data parallelism is gone. The serving subsystem gets its real
 //! concurrency from its own thread pool, not from these adapters, so the
 //! hot paths that matter for throughput are still multi-threaded.
-//!
-//! The [`deque`] module additionally provides the work-stealing
-//! `Worker`/`Stealer`/`Injector` primitives (in the `crossbeam-deque`
-//! style) that the fleet executor crate `tdc-exec` schedules on.
-
-pub mod deque;
 
 pub mod prelude {
     //! Drop-in replacement for `rayon::prelude::*`.

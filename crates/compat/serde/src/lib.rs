@@ -167,8 +167,15 @@ impl Deserialize for bool {
     }
 }
 
+// `$holds(n, MIN, MAX)` says whether `n` is one of the type's values.
+// Floats take any number (the cast rounds). Integers arrive from outside the
+// program (request bodies), so a number the type cannot hold is an error,
+// never a silent truncation or saturation; their bounds are inclusive in
+// `f64` because `MAX as f64` rounds up to a power of two for the 64-bit
+// types, which is exactly what `MAX` serializes to — `usize::MAX` still
+// round-trips (the cast saturates it back).
 macro_rules! impl_serde_number {
-    ($($t:ty),*) => {$(
+    ($holds:expr; $($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::Number(*self as f64)
@@ -178,13 +185,20 @@ macro_rules! impl_serde_number {
         impl Deserialize for $t {
             fn from_value(value: &Value) -> Result<Self, Error> {
                 let n = value.as_f64().ok_or_else(|| Error::mismatch("number", value))?;
+                let holds: fn(f64, f64, f64) -> bool = $holds;
+                if !holds(n, <$t>::MIN as f64, <$t>::MAX as f64) {
+                    let expected = concat!("a number that fits ", stringify!($t));
+                    return Err(Error::mismatch(expected, value));
+                }
                 Ok(n as $t)
             }
         }
     )*};
 }
 
-impl_serde_number!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+impl_serde_number!(|_, _, _| true; f32, f64);
+impl_serde_number!(|n, min, max| n.fract() == 0.0 && min <= n && n <= max;
+    u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Serialize for String {
     fn to_value(&self) -> Value {
@@ -305,6 +319,28 @@ mod tests {
             Option::<usize>::from_value(&7usize.to_value()).unwrap(),
             Some(7)
         );
+    }
+
+    #[test]
+    fn integers_reject_what_they_cannot_hold_and_floats_keep_casting() {
+        for bad in [-5.0, 2.7, 1e30, f64::NAN, f64::INFINITY] {
+            let err = u64::from_value(&Value::Number(bad)).unwrap_err();
+            assert!(err.message.contains("fits u64"), "{bad}: {err}");
+            assert!(usize::from_value(&Value::Number(bad)).is_err(), "{bad}");
+        }
+        assert!(u8::from_value(&Value::Number(256.0)).is_err());
+        assert!(i8::from_value(&Value::Number(-129.0)).is_err());
+        assert_eq!(i8::from_value(&Value::Number(-128.0)).unwrap(), -128);
+        assert_eq!(i64::from_value(&Value::Number(-5.0)).unwrap(), -5);
+        assert_eq!(u64::from_value(&Value::Number(0.0)).unwrap(), 0);
+        // The extremes survive their own serialization.
+        assert_eq!(
+            usize::from_value(&usize::MAX.to_value()).unwrap(),
+            usize::MAX
+        );
+        assert_eq!(i64::from_value(&i64::MIN.to_value()).unwrap(), i64::MIN);
+        assert_eq!(f32::from_value(&Value::Number(2.7)).unwrap(), 2.7f32);
+        assert!(f64::from_value(&Value::Number(f64::NAN)).unwrap().is_nan());
     }
 
     #[test]

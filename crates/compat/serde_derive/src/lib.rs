@@ -6,18 +6,27 @@
 //! `proc_macro` token stream — no `syn`, no `quote`. Supported shapes are the
 //! ones this workspace derives on:
 //!
-//! * structs with named fields (any visibility, `#[serde(skip)]` honoured),
+//! * structs with named fields (any visibility),
 //! * enums with unit variants and struct variants.
+//!
+//! Two field attributes are honoured: `#[serde(skip)]` (not written,
+//! `Default::default()` on read) and `#[serde(skip_serializing_if = "path")]`
+//! (not written when `path(&field)` is true — in practice
+//! `"Option::is_none"`). As in upstream serde, a field whose type is written
+//! `Option<...>` may be absent on read and then decodes as `None`; without
+//! the attribute a `None` is still written as `null`.
 //!
 //! Generics, tuple structs and tuple variants are rejected with a clear
 //! compile-time panic rather than silently mis-serialized.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// One parsed field: its name and whether `#[serde(skip)]` was present.
+/// One parsed field.
 struct Field {
     name: String,
-    skip: bool,
+    attrs: FieldAttrs,
+    /// The type is spelled `Option<...>`: the key may be absent on read.
+    optional: bool,
 }
 
 /// One parsed enum variant: unit (`fields == None`) or struct-like.
@@ -38,34 +47,54 @@ enum Item {
     },
 }
 
-/// True when the attribute body (the tokens inside `#[...]`) is
-/// `serde(... skip ...)`.
-fn attr_is_serde_skip(body: &[TokenTree]) -> bool {
-    match body {
-        [TokenTree::Ident(tag), TokenTree::Group(args)] if tag.to_string() == "serde" => args
-            .stream()
-            .into_iter()
-            .any(|t| matches!(&t, TokenTree::Ident(i) if i.to_string() == "skip")),
-        _ => false,
+/// What the `#[serde(...)]` attributes in front of a field asked for.
+#[derive(Default)]
+struct FieldAttrs {
+    /// `skip` was present.
+    skip: bool,
+    /// The predicate path of `skip_serializing_if = "path"`.
+    skip_serializing_if: Option<String>,
+}
+
+impl FieldAttrs {
+    /// Fold in one attribute body (the tokens inside `#[...]`); anything
+    /// but `serde(...)` is someone else's.
+    fn absorb(&mut self, body: &[TokenTree]) {
+        let [TokenTree::Ident(tag), TokenTree::Group(args)] = body else {
+            return;
+        };
+        if tag.to_string() != "serde" {
+            return;
+        }
+        let args: Vec<String> = args.stream().into_iter().map(|t| t.to_string()).collect();
+        self.skip |= args.iter().any(|arg| arg == "skip");
+        if let Some(key) = args.iter().position(|arg| arg == "skip_serializing_if") {
+            match &args[key + 1..] {
+                [eq, path, ..] if eq == "=" && path.starts_with('"') => {
+                    self.skip_serializing_if = Some(path.trim_matches('"').to_string());
+                }
+                _ => panic!("serde_derive stub: expected `skip_serializing_if = \"path\"`"),
+            }
+        }
     }
 }
 
-/// Skip leading attributes, reporting whether any was `#[serde(skip)]`.
-fn skip_attributes(tokens: &[TokenTree], mut pos: usize) -> (usize, bool) {
-    let mut skip = false;
+/// Skip leading attributes, collecting what the `#[serde(...)]` ones say.
+fn skip_attributes(tokens: &[TokenTree], mut pos: usize) -> (usize, FieldAttrs) {
+    let mut attrs = FieldAttrs::default();
     while pos + 1 < tokens.len() {
         match (&tokens[pos], &tokens[pos + 1]) {
             (TokenTree::Punct(p), TokenTree::Group(g))
                 if p.as_char() == '#' && g.delimiter() == Delimiter::Bracket =>
             {
                 let body: Vec<TokenTree> = g.stream().into_iter().collect();
-                skip |= attr_is_serde_skip(&body);
+                attrs.absorb(&body);
                 pos += 2;
             }
             _ => break,
         }
     }
-    (pos, skip)
+    (pos, attrs)
 }
 
 /// Skip a visibility qualifier (`pub`, `pub(crate)`, ...).
@@ -111,13 +140,16 @@ fn split_top_level(tokens: Vec<TokenTree>) -> Vec<Vec<TokenTree>> {
 fn parse_named_fields(body: TokenStream, context: &str) -> Vec<Field> {
     let mut fields = Vec::new();
     for chunk in split_top_level(body.into_iter().collect()) {
-        let (pos, skip) = skip_attributes(&chunk, 0);
+        let (pos, attrs) = skip_attributes(&chunk, 0);
         let pos = skip_visibility(&chunk, pos);
         match &chunk[pos..] {
-            [TokenTree::Ident(name), TokenTree::Punct(colon), ..] if colon.as_char() == ':' => {
+            [TokenTree::Ident(name), TokenTree::Punct(colon), ty @ ..]
+                if colon.as_char() == ':' =>
+            {
                 fields.push(Field {
                     name: name.to_string(),
-                    skip,
+                    attrs,
+                    optional: matches!(ty, [TokenTree::Ident(head), ..] if head.to_string() == "Option"),
                 });
             }
             _ => panic!("serde_derive stub: {context} must use named `ident: Type` fields"),
@@ -177,15 +209,27 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
+/// The statement that appends field `f` (reachable by reference as
+/// `{access}`) to the `Vec` named `{target}`, guarded by its
+/// `skip_serializing_if` predicate when it has one.
+fn field_push(f: &Field, target: &str, access: &str) -> String {
+    let fname = &f.name;
+    let push = format!(
+        "{target}.push((\"{fname}\".to_string(), ::serde::Serialize::to_value({access})));\n"
+    );
+    match &f.attrs.skip_serializing_if {
+        Some(predicate) => format!("if !{predicate}({access}) {{ {push} }}\n"),
+        None => push,
+    }
+}
+
 fn serialize_impl(item: &Item) -> String {
     match item {
         Item::Struct { name, fields } => {
             let mut pushes = String::new();
-            for f in fields.iter().filter(|f| !f.skip) {
+            for f in fields.iter().filter(|f| !f.attrs.skip) {
                 let fname = &f.name;
-                pushes.push_str(&format!(
-                    "fields.push((\"{fname}\".to_string(), ::serde::Serialize::to_value(&self.{fname})));\n"
-                ));
+                pushes.push_str(&field_push(f, "fields", &format!("&self.{fname}")));
             }
             format!(
                 "#[automatically_derived]\n\
@@ -211,11 +255,8 @@ fn serialize_impl(item: &Item) -> String {
                         let bindings: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
                         let pattern = bindings.join(", ");
                         let mut pushes = String::new();
-                        for f in fields.iter().filter(|f| !f.skip) {
-                            let fname = &f.name;
-                            pushes.push_str(&format!(
-                                "inner.push((\"{fname}\".to_string(), ::serde::Serialize::to_value({fname})));\n"
-                            ));
+                        for f in fields.iter().filter(|f| !f.attrs.skip) {
+                            pushes.push_str(&field_push(f, "inner", &f.name));
                         }
                         arms.push_str(&format!(
                             "{name}::{vname} {{ {pattern} }} => {{\n\
@@ -246,8 +287,12 @@ fn field_initializers(fields: &[Field], context: &str, source: &str) -> String {
     let mut out = String::new();
     for f in fields {
         let fname = &f.name;
-        if f.skip {
+        if f.attrs.skip {
             out.push_str(&format!("{fname}: Default::default(),\n"));
+        } else if f.optional {
+            out.push_str(&format!(
+                "{fname}: match {source}.get(\"{fname}\") {{ Some(v) => ::serde::Deserialize::from_value(v)?, None => None }},\n"
+            ));
         } else {
             out.push_str(&format!(
                 "{fname}: ::serde::Deserialize::from_value({source}.get(\"{fname}\").ok_or_else(|| ::serde::Error::custom(\"missing field `{fname}` in {context}\"))?)?,\n"

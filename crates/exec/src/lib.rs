@@ -1,33 +1,36 @@
-//! # tdc-exec — the fleet-wide work-stealing batch executor
+//! # tdc-exec — the fleet-wide batch executor
 //!
 //! One worker pool shared by every serving engine in the process, replacing
 //! the per-engine statically sized pools that let a hot model starve while
 //! idle models held threads. Work arrives as *sources* (anything
 //! implementing [`BatchSource`], e.g. one engine's batch queue); the
 //! executor schedules **tokens** — lightweight dispatch rights for one
-//! source — through three structures:
+//! source — and its whole scheduling state is one plain struct behind one
+//! mutex:
 //!
-//! * a **sharded injector queue per QoS band** ([`QosClass::Interactive`] >
-//!   [`QosClass::Standard`] > [`QosClass::Batch`]): the global, fair end.
-//!   A source holds at most `ceil(pending / weight)` tokens (clamped to the
-//!   pool size), and a token that still has work after its quantum goes back
-//!   to the *tail* of its band — deficit-round-robin between sources, so a
-//!   flooded source cannot push a sibling's token arbitrarily far back;
-//! * a **per-worker local deque** (the compat `rayon::deque` primitive):
-//!   ramp-up tokens for a backlogged source land here so the worker that
-//!   observed the backlog keeps serving it without a trip through the
-//!   global queue;
-//! * **work stealing**: an idle worker first sweeps the injector bands in
-//!   priority order (with a periodic lowest-first sweep so `Batch` work
-//!   cannot starve), then its own deque, then steals the oldest token from
-//!   a sibling's deque — capacity follows load.
+//! * a **FIFO of tokens per QoS band** ([`QosClass::Interactive`] >
+//!   [`QosClass::Standard`] > [`QosClass::Batch`]). A worker takes the head
+//!   of the highest-priority non-empty band (with a periodic lowest-first
+//!   sweep so `Batch` work cannot starve). A source holds at most
+//!   `ceil(pending / weight)` tokens (clamped to the pool size), and a
+//!   token that still has work after its quantum goes back to the *tail*
+//!   of its band — deficit-round-robin between sources, so a flooded source
+//!   cannot push a sibling's token arbitrarily far back;
+//! * a **formation-timer heap**: sources never block a worker. A source
+//!   whose next batch is still forming returns [`SourceState::NotReady`]
+//!   with a poll instant, and its token parks on the heap until that
+//!   instant or the source's next notify, whichever comes first;
+//! * **one slot per registered source** holding its token count, parked
+//!   and closed flags and counters as plain fields.
 //!
-//! Each token dispatch runs up to `weight` batches (`weight` is the
-//! source's fair-share quantum, what `RuntimeOptions::workers` became).
-//! Sources never block a worker: a source whose next batch is still
-//! forming returns [`SourceState::NotReady`] with a poll instant, and the
-//! executor re-arms the token on a timer instead of parking a thread in
-//! the batcher.
+//! A unit of work is a whole batch (hundreds of microseconds at least), so
+//! one lock is nowhere near contended: a worker holds it to pick a token,
+//! releases it to run up to `weight` batches (`weight` is the source's
+//! fair-share quantum, what `RuntimeOptions::workers` became), retakes it
+//! to account the outcome, and idles on a condvar *under that same lock* —
+//! so a push and its wake-up can never fall between a worker's "nothing
+//! queued" and its going to sleep, and a token is always in exactly one
+//! place.
 //!
 //! # Example
 //!
@@ -63,9 +66,8 @@
 //! exec.shutdown();
 //! ```
 
-use rayon::deque::{Injector, Steal, Stealer, Worker};
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -74,6 +76,10 @@ use std::time::{Duration, Instant};
 /// due timers cut the park short.
 const IDLE_PARK: Duration = Duration::from_millis(20);
 
+/// Shortest timed park: a timer due sooner than this is waited out in full
+/// rather than spun on.
+const MIN_PARK: Duration = Duration::from_micros(100);
+
 /// Every `ANTI_STARVATION_PERIOD`-th dispatch of a worker sweeps the QoS
 /// bands lowest-priority-first, bounding how long `Batch` work can wait
 /// behind a sustained `Interactive` flood.
@@ -81,10 +87,8 @@ const ANTI_STARVATION_PERIOD: u64 = 4;
 
 /// Scheduling priority class of a source, chosen at registration.
 ///
-/// Workers sweep injector bands in `Interactive` → `Standard` → `Batch`
-/// order (with a periodic reversed sweep for anti-starvation), and the
-/// admission-shed knob ([`ExecutorOptions::batch_shed_backlog`]) only ever
-/// sheds `Batch`-class work.
+/// Workers sweep the bands in `Interactive` → `Standard` → `Batch` order
+/// (with a periodic reversed sweep for anti-starvation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QosClass {
     /// Latency-sensitive traffic; always swept first.
@@ -92,8 +96,7 @@ pub enum QosClass {
     /// The default class.
     #[default]
     Standard,
-    /// Throughput traffic that tolerates waiting behind the other classes
-    /// and may be shed at admission under interactive backlog.
+    /// Throughput traffic that tolerates waiting behind the other classes.
     Batch,
 }
 
@@ -101,7 +104,7 @@ impl QosClass {
     /// Every class, in band (priority) order.
     pub const ALL: [QosClass; 3] = [QosClass::Interactive, QosClass::Standard, QosClass::Batch];
 
-    /// Index of this class's injector band (0 is highest priority).
+    /// Index of this class's band (0 is highest priority).
     pub fn band(self) -> usize {
         match self {
             QosClass::Interactive => 0,
@@ -168,6 +171,10 @@ pub trait BatchSource: Send + Sync {
 
     /// Work items currently awaiting dispatch (for this crate's scheduling
     /// and telemetry; for a serving engine this is the request queue depth).
+    ///
+    /// Called with the scheduler lock held (lock order: scheduler → source
+    /// queue), so it must be quick and must **not call back into the
+    /// executor** — no [`SourceHandle`] or [`Executor`] method.
     fn pending(&self) -> usize;
 }
 
@@ -176,14 +183,6 @@ pub trait BatchSource: Send + Sync {
 pub struct ExecutorOptions {
     /// Worker threads in the shared pool.
     pub workers: usize,
-    /// Injector shards per QoS band (pushes round-robin across shards).
-    pub injector_shards: usize,
-    /// Admission-shed knob: when the summed `pending()` of
-    /// `Interactive`/`Standard` sources exceeds this, [`SourceHandle::
-    /// should_shed`](SourceHandle::should_shed) turns true for
-    /// `Batch`-class sources so callers can reject their work at admission.
-    /// `usize::MAX` (the default) disables shedding.
-    pub batch_shed_backlog: usize,
     /// Start with every worker quiesced (as if [`Executor::pause`] had been
     /// called); used by deterministic scheduling tests.
     pub start_paused: bool,
@@ -197,8 +196,6 @@ impl Default for ExecutorOptions {
             .clamp(2, 8);
         ExecutorOptions {
             workers,
-            injector_shards: 2,
-            batch_shed_backlog: usize::MAX,
             start_paused: false,
         }
     }
@@ -217,8 +214,6 @@ pub struct SourceMetrics {
     pub queued: usize,
     /// Token dispatches currently executing on workers.
     pub running: usize,
-    /// Batches executed from tokens a worker stole off a sibling's deque.
-    pub stolen_batches: u64,
     /// Batches executed in total by the pool for this source.
     pub executed_batches: u64,
 }
@@ -230,7 +225,7 @@ pub struct BandMetrics {
     pub qos: String,
     /// Summed `pending()` of the band's sources (work items).
     pub queued: usize,
-    /// Dispatch tokens currently queued in the band's injector shards.
+    /// Dispatch tokens currently queued in the band.
     pub tokens: usize,
 }
 
@@ -239,7 +234,10 @@ pub struct BandMetrics {
 pub struct ExecutorMetrics {
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Tokens taken from sibling deques since start.
+    /// Always 0: every worker takes tokens from the same three queues, so
+    /// there is nothing to steal. The field stays only because the
+    /// benchmark crate still reads it; it leaves with the next benchmark
+    /// change.
     pub steals_total: u64,
     /// Fraction of pool time spent dispatching since start, `0.0..=1.0`.
     pub utilization: f64,
@@ -249,324 +247,313 @@ pub struct ExecutorMetrics {
     pub sources: Vec<SourceMetrics>,
 }
 
-type Token = Arc<SourceEntry>;
+/// A dispatch right for one source: the key of its [`Slot`]. Keys are never
+/// reused, so a token that outlives its slot is recognisably stale.
+type Token = u64;
 
-struct SourceEntry {
-    id: u64,
+/// One registered source's scheduling state.
+struct Slot {
     label: String,
     weight: usize,
     qos: QosClass,
     source: Arc<dyn BatchSource>,
-    /// Tokens in flight (queued, parked on a timer, or dispatching).
-    outstanding: AtomicUsize,
-    /// The token is parked on the formation timer; a notify or the timer
-    /// firing claims it (CAS to false) and re-queues it.
-    parked: AtomicBool,
-    closed: AtomicBool,
-    running: AtomicUsize,
-    executed: AtomicU64,
-    stolen: AtomicU64,
+    /// Tokens in flight: queued in a band, parked on the timer, or
+    /// dispatching.
+    outstanding: usize,
+    /// One of the outstanding tokens is parked on the formation timer; a
+    /// notify or the timer firing claims it and re-queues it.
+    parked: bool,
+    /// The source reported [`SourceState::Closed`]: its tokens are dropped
+    /// as they surface and it is never replenished.
+    closed: bool,
+    running: usize,
+    executed: u64,
 }
 
-struct Band {
-    shards: Vec<Injector<Token>>,
-    next: AtomicUsize,
-}
-
-impl Band {
-    fn queued_tokens(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+impl Slot {
+    fn metrics(&self) -> SourceMetrics {
+        SourceMetrics {
+            label: self.label.clone(),
+            qos: self.qos.label().to_string(),
+            weight: self.weight,
+            queued: self.source.pending(),
+            running: self.running,
+            executed_batches: self.executed,
+        }
     }
 }
 
-/// Min-heap entry (via reversed `Ord`) for parked formation timers.
-struct TimerEntry {
-    at: Instant,
+/// What a worker needs to run one popped token with the lock released.
+struct Dispatch {
     token: Token,
+    source: Arc<dyn BatchSource>,
+    quantum: usize,
 }
 
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.token.id == other.token.id
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest deadline.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.token.id.cmp(&self.token.id))
+impl Dispatch {
+    /// Run up to `quantum` batches; returns how many ran and the state that
+    /// ended the dispatch (`Ran` when the quantum was used up). Consumes the
+    /// dispatch, so its hold on the source is gone before the worker retakes
+    /// the lock — a source is never dropped under it.
+    fn run(self) -> (u64, SourceState) {
+        let mut ran = 0;
+        let mut last = SourceState::Ran;
+        while last == SourceState::Ran && ran < self.quantum as u64 {
+            last = self.source.run_one();
+            ran += u64::from(last == SourceState::Ran);
+        }
+        (ran, last)
     }
 }
 
-struct SignalState {
-    seq: u64,
+/// The whole scheduler, as plain data. Every method is an ordinary
+/// `&mut self` state transition that neither blocks, spawns nor reads a
+/// clock, and returns `true` when it queued a token (so the caller, which
+/// holds the lock, knows to wake idle workers).
+struct Sched {
+    /// Queued tokens, one FIFO per QoS band.
+    bands: [VecDeque<Token>; 3],
+    /// Min-heap of `(poll instant, parked token)`. Entries are never
+    /// removed early: one whose token a notify already claimed is stale and
+    /// is skipped when it comes due.
+    timers: BinaryHeap<Reverse<(Instant, Token)>>,
+    slots: BTreeMap<Token, Slot>,
+    next_token: Token,
+    workers: usize,
     paused: bool,
     shutdown: bool,
     paused_workers: usize,
+    /// Summed time workers spent dispatching.
+    busy: Duration,
 }
 
-struct Inner {
-    bands: [Band; 3],
-    stealers: Vec<Stealer<Token>>,
-    sources: Mutex<Vec<Token>>,
-    timers: Mutex<BinaryHeap<TimerEntry>>,
-    signal: Mutex<SignalState>,
-    cond: Condvar,
-    steals_total: AtomicU64,
-    busy_ns: Vec<AtomicU64>,
-    started_at: Instant,
-    worker_count: usize,
-    batch_shed_backlog: usize,
-    next_source_id: AtomicU64,
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-impl Inner {
-    /// Bump the wake sequence and wake every parked worker.
-    fn wake_all(&self) {
-        let mut st = lock(&self.signal);
-        st.seq = st.seq.wrapping_add(1);
-        self.cond.notify_all();
-    }
-
-    fn push_token_to_band(&self, token: Token) {
-        let band = &self.bands[token.qos.band()];
-        let shard = band.next.fetch_add(1, Ordering::Relaxed) % band.shards.len();
-        band.shards[shard].push(token);
-    }
-
-    /// Top the source's token count up toward `ceil(pending / weight)`
-    /// (clamped to the pool size), re-checking `pending()` *after* any
-    /// `outstanding` decrement so a push racing a finishing dispatch can
-    /// never be stranded without a token. The first token goes to the
-    /// source's QoS band (the fair tail position); ramp-up extras go to the
-    /// calling worker's local deque where idle siblings can steal them.
-    fn replenish(&self, entry: &Token, local: Option<&Worker<Token>>) {
-        let pending = entry.source.pending();
-        if pending == 0 || entry.closed.load(Ordering::Acquire) {
-            return;
+impl Sched {
+    fn new(workers: usize, paused: bool) -> Sched {
+        Sched {
+            bands: Default::default(),
+            timers: BinaryHeap::new(),
+            slots: BTreeMap::new(),
+            next_token: 0,
+            workers,
+            paused,
+            shutdown: false,
+            paused_workers: 0,
+            busy: Duration::ZERO,
         }
-        let quantum = entry.weight.max(1);
-        let target = pending.div_ceil(quantum).clamp(1, self.worker_count);
-        let mut added = false;
-        let mut first = true;
-        loop {
-            let current = entry.outstanding.load(Ordering::Acquire);
-            if current >= target {
+    }
+
+    fn register(
+        &mut self,
+        label: String,
+        weight: usize,
+        qos: QosClass,
+        source: Arc<dyn BatchSource>,
+    ) -> Token {
+        let token = self.next_token;
+        self.next_token += 1;
+        self.slots.insert(
+            token,
+            Slot {
+                label,
+                weight,
+                qos,
+                source,
+                outstanding: 0,
+                parked: false,
+                closed: false,
+                running: 0,
+                executed: 0,
+            },
+        );
+        token
+    }
+
+    /// The source has (possibly) new work: claim its token off the
+    /// formation timer — the forming batch may have just become full, or
+    /// the queue closed — or top its token count up.
+    fn notify(&mut self, token: Token) -> bool {
+        let Some(slot) = self.slots.get_mut(&token) else {
+            return false;
+        };
+        if slot.parked {
+            slot.parked = false;
+            self.bands[slot.qos.band()].push_back(token);
+            return true;
+        }
+        self.replenish(token)
+    }
+
+    /// Top the source's token count up to `ceil(pending / weight)`, clamped
+    /// to the pool size. New tokens join the tail of the source's own band.
+    fn replenish(&mut self, token: Token) -> bool {
+        let Some(slot) = self.slots.get_mut(&token) else {
+            return false;
+        };
+        let pending = slot.source.pending();
+        if pending == 0 || slot.closed {
+            return false;
+        }
+        let target = pending.div_ceil(slot.weight).clamp(1, self.workers);
+        let added = target.saturating_sub(slot.outstanding);
+        slot.outstanding += added;
+        self.bands[slot.qos.band()].extend(std::iter::repeat_n(token, added));
+        added > 0
+    }
+
+    /// Move parked tokens whose formation timer has come due by `now` back
+    /// to their band.
+    fn fire_due_timers(&mut self, now: Instant) -> bool {
+        let mut fired = false;
+        while let Some(&Reverse((at, token))) = self.timers.peek() {
+            if at > now {
                 break;
             }
-            if entry
-                .outstanding
-                .compare_exchange(current, current + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                match (first, local) {
-                    (false, Some(local)) => local.push(entry.clone()),
-                    _ => self.push_token_to_band(entry.clone()),
-                }
-                added = true;
-                first = false;
+            self.timers.pop();
+            if let Some(slot) = self.slots.get_mut(&token).filter(|slot| slot.parked) {
+                slot.parked = false;
+                self.bands[slot.qos.band()].push_back(token);
+                fired = true;
             }
         }
-        if added {
-            self.wake_all();
-        }
+        fired
     }
 
-    /// Move parked tokens whose formation timer has come due back to their
-    /// QoS band. Stale heap entries (token already claimed by a notify)
-    /// are skipped.
-    fn fire_due_timers(&self) {
-        let now = Instant::now();
-        let mut due = Vec::new();
-        {
-            let mut timers = lock(&self.timers);
-            while timers.peek().is_some_and(|t| t.at <= now) {
-                due.push(timers.pop().expect("peeked").token);
-            }
-        }
-        let mut woke = false;
-        for token in due {
-            if token
-                .parked
-                .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.push_token_to_band(token);
-                woke = true;
-            }
-        }
-        if woke {
-            self.wake_all();
-        }
-    }
-
-    fn next_timer_at(&self) -> Option<Instant> {
-        lock(&self.timers).peek().map(|t| t.at)
-    }
-
-    /// One worker's token acquisition: QoS bands priority-first (with the
-    /// periodic reversed sweep), then the local deque, then steal from a
-    /// sibling.
-    fn find_token(
-        &self,
-        local: &Worker<Token>,
-        index: usize,
-        dispatches: u64,
-    ) -> Option<(Token, bool)> {
-        let order: [usize; 3] = if dispatches % ANTI_STARVATION_PERIOD == ANTI_STARVATION_PERIOD - 1
-        {
+    /// Take the next token for a worker that has made `dispatches`
+    /// dispatches so far: the head of the highest-priority non-empty band,
+    /// lowest-priority on every [`ANTI_STARVATION_PERIOD`]-th. Tokens of a
+    /// removed or closed source are dropped on the way.
+    fn pop(&mut self, dispatches: u64) -> Option<Dispatch> {
+        let order = if dispatches % ANTI_STARVATION_PERIOD == ANTI_STARVATION_PERIOD - 1 {
             [2, 1, 0]
         } else {
             [0, 1, 2]
         };
-        for band_index in order {
-            let band = &self.bands[band_index];
-            let shard_count = band.shards.len();
-            // Rotate the shard starting point per dispatch: a token
-            // re-enqueued into one shard must not shadow a sibling's token
-            // sitting in another.
-            for offset in 0..shard_count {
-                let shard = &band.shards[(index + dispatches as usize + offset) % shard_count];
-                if let Steal::Success(token) = shard.steal() {
-                    return Some((token, false));
+        for band in order {
+            while let Some(token) = self.bands[band].pop_front() {
+                let Some(slot) = self.slots.get_mut(&token) else {
+                    continue;
+                };
+                if slot.closed {
+                    slot.outstanding -= 1;
+                    continue;
                 }
-            }
-        }
-        if let Some(token) = local.pop() {
-            return Some((token, false));
-        }
-        for offset in 1..self.stealers.len() {
-            let victim = (index + offset) % self.stealers.len();
-            if let Steal::Success(token) = self.stealers[victim].steal() {
-                self.steals_total.fetch_add(1, Ordering::Relaxed);
-                return Some((token, true));
+                slot.running += 1;
+                return Some(Dispatch {
+                    token,
+                    source: Arc::clone(&slot.source),
+                    quantum: slot.weight,
+                });
             }
         }
         None
     }
 
-    /// Run one token: up to `weight` batches, then hand the token back to
-    /// the band tail (or park it on the formation timer, or drop it).
-    fn dispatch(&self, index: usize, entry: &Token, local: &Worker<Token>, via_steal: bool) {
-        if entry.closed.load(Ordering::Acquire) {
-            entry.outstanding.fetch_sub(1, Ordering::AcqRel);
-            return;
-        }
-        let quantum = entry.weight.max(1);
-        let started = Instant::now();
-        entry.running.fetch_add(1, Ordering::AcqRel);
-        let mut ran = 0u64;
-        let mut retry_at = None;
-        while (ran as usize) < quantum {
-            match entry.source.run_one() {
-                SourceState::Ran => ran += 1,
-                SourceState::Idle => break,
-                SourceState::NotReady { retry_at: at } => {
-                    retry_at = Some(at);
-                    break;
-                }
-                SourceState::Closed => {
-                    entry.closed.store(true, Ordering::Release);
-                    break;
-                }
+    /// Account a finished dispatch — `ran` batches, then `last` ended it —
+    /// and decide where its token goes: back to the band tail along with
+    /// any ramp-up tokens the backlog calls for, onto the formation timer,
+    /// or away.
+    fn finish(&mut self, token: Token, ran: u64, last: SourceState) -> bool {
+        let Some(slot) = self.slots.get_mut(&token) else {
+            return false;
+        };
+        slot.running -= 1;
+        slot.executed += ran;
+        slot.closed |= last == SourceState::Closed;
+        match last {
+            // A forming batch needs exactly one poller: the first token to
+            // see it parks on the timer, still counted in `outstanding`; a
+            // sibling token that sees the same batch lets go.
+            SourceState::NotReady { retry_at } if !slot.parked && !slot.closed => {
+                slot.parked = true;
+                self.timers.push(Reverse((retry_at, token)));
+                false
+            }
+            SourceState::NotReady { .. } => {
+                slot.outstanding -= 1;
+                false
+            }
+            // `pending()` is read after the decrement and under the lock
+            // every `notify` takes, so a push racing this dispatch is seen
+            // here or by its own notify — never by neither.
+            _ => {
+                slot.outstanding -= 1;
+                self.replenish(token)
             }
         }
-        entry.running.fetch_sub(1, Ordering::AcqRel);
-        entry.executed.fetch_add(ran, Ordering::Relaxed);
-        if via_steal {
-            entry.stolen.fetch_add(ran, Ordering::Relaxed);
-        }
-        self.busy_ns[index].fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if entry.closed.load(Ordering::Acquire) {
-            entry.outstanding.fetch_sub(1, Ordering::AcqRel);
-            return;
-        }
-        if let Some(at) = retry_at {
-            // The batch is still forming. A forming batch needs exactly one
-            // poller: the first token to get here parks on the timer (still
-            // holding its outstanding slot); any sibling token observing the
-            // same NotReady is redundant and releases its slot — otherwise
-            // two parked tokens would share the single `parked` flag and the
-            // loser's slot would leak, starving the source of tokens for
-            // good. A notify() racing the successful park simply re-polls
-            // the source early — run_one is idempotent on a not-ready batch.
-            if entry
-                .parked
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                lock(&self.timers).push(TimerEntry {
-                    at,
-                    token: entry.clone(),
-                });
-            } else {
-                entry.outstanding.fetch_sub(1, Ordering::AcqRel);
-            }
-            return;
-        }
-        entry.outstanding.fetch_sub(1, Ordering::AcqRel);
-        self.replenish(entry, Some(local));
+    }
+
+    fn next_timer_at(&self) -> Option<Instant> {
+        self.timers.peek().map(|Reverse((at, _))| *at)
     }
 }
 
-fn worker_loop(inner: Arc<Inner>, index: usize, local: Worker<Token>) {
+struct Shared {
+    sched: Mutex<Sched>,
+    /// Workers wait here — under `sched`'s lock — for a token, a due timer,
+    /// resume or shutdown.
+    work: Condvar,
+    /// [`Executor::pause`] waits here for every worker to quiesce.
+    quiesced: Condvar,
+    started_at: Instant,
+}
+
+impl Shared {
+    /// A worker panicking inside a source never holds this lock (sources
+    /// run with it released), so a poisoned guard still holds valid state.
+    fn lock(&self) -> MutexGuard<'_, Sched> {
+        self.sched.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+fn worker_loop(shared: Arc<Shared>) {
     let mut dispatches: u64 = 0;
+    let mut sched = shared.lock();
     loop {
-        let seen = {
-            let mut st = lock(&inner.signal);
-            if st.paused && !st.shutdown {
-                st.paused_workers += 1;
-                inner.cond.notify_all();
-                while st.paused && !st.shutdown {
-                    st = match inner.cond.wait(st) {
-                        Ok(guard) => guard,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                }
-                st.paused_workers -= 1;
+        if sched.shutdown {
+            return;
+        }
+        if sched.paused {
+            sched.paused_workers += 1;
+            shared.quiesced.notify_all();
+            while sched.paused && !sched.shutdown {
+                sched = shared.work.wait(sched).unwrap_or_else(|e| e.into_inner());
             }
-            if st.shutdown {
-                return;
-            }
-            st.seq
-        };
-        inner.fire_due_timers();
-        if let Some((token, via_steal)) = inner.find_token(&local, index, dispatches) {
-            dispatches += 1;
-            inner.dispatch(index, &token, &local, via_steal);
+            sched.paused_workers -= 1;
             continue;
         }
-        let timeout = inner
-            .next_timer_at()
-            .map(|at| at.saturating_duration_since(Instant::now()))
-            .unwrap_or(IDLE_PARK)
-            .min(IDLE_PARK)
-            .max(Duration::from_micros(100));
-        let st = lock(&inner.signal);
-        if st.seq == seen && !st.shutdown && !st.paused {
-            let _ = inner.cond.wait_timeout(st, timeout);
+        let now = Instant::now();
+        if sched.fire_due_timers(now) {
+            shared.work.notify_all();
+        }
+        let Some(job) = sched.pop(dispatches) else {
+            let timeout = sched
+                .next_timer_at()
+                .map_or(IDLE_PARK, |at| at.saturating_duration_since(now))
+                .clamp(MIN_PARK, IDLE_PARK);
+            sched = shared
+                .work
+                .wait_timeout(sched, timeout)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+            continue;
+        };
+        dispatches += 1;
+        drop(sched);
+        let token = job.token;
+        let started = Instant::now();
+        let (ran, last) = job.run();
+        let busy = started.elapsed();
+        sched = shared.lock();
+        sched.busy += busy;
+        if sched.finish(token, ran, last) {
+            shared.work.notify_all();
         }
     }
 }
 
 /// The shared worker pool. See the crate docs for the scheduling model.
 pub struct Executor {
-    inner: Arc<Inner>,
+    shared: Arc<Shared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -574,63 +561,34 @@ impl Executor {
     /// Spawn the pool. Fails only if a worker thread cannot be spawned.
     pub fn new(options: ExecutorOptions) -> std::io::Result<Executor> {
         let workers = options.workers.max(1);
-        let shards = options.injector_shards.max(1);
-        let locals: Vec<Worker<Token>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-        let stealers = locals.iter().map(|w| w.stealer()).collect();
-        let make_band = || Band {
-            shards: (0..shards).map(|_| Injector::new()).collect(),
-            next: AtomicUsize::new(0),
-        };
-        let inner = Arc::new(Inner {
-            bands: [make_band(), make_band(), make_band()],
-            stealers,
-            sources: Mutex::new(Vec::new()),
-            timers: Mutex::new(BinaryHeap::new()),
-            signal: Mutex::new(SignalState {
-                seq: 0,
-                paused: options.start_paused,
-                shutdown: false,
-                paused_workers: 0,
+        let executor = Executor {
+            shared: Arc::new(Shared {
+                sched: Mutex::new(Sched::new(workers, options.start_paused)),
+                work: Condvar::new(),
+                quiesced: Condvar::new(),
+                started_at: Instant::now(),
             }),
-            cond: Condvar::new(),
-            steals_total: AtomicU64::new(0),
-            busy_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            started_at: Instant::now(),
-            worker_count: workers,
-            batch_shed_backlog: options.batch_shed_backlog,
-            next_source_id: AtomicU64::new(0),
-        });
-        let mut handles = Vec::with_capacity(workers);
-        for (index, local) in locals.into_iter().enumerate() {
-            let worker_inner = Arc::clone(&inner);
-            let spawned = std::thread::Builder::new()
+            handles: Mutex::new(Vec::with_capacity(workers)),
+        };
+        for index in 0..workers {
+            let shared = Arc::clone(&executor.shared);
+            // On failure `executor` drops here, which stops and joins the
+            // workers already running.
+            let handle = std::thread::Builder::new()
                 .name(format!("tdc-exec-worker-{index}"))
-                .spawn(move || worker_loop(worker_inner, index, local));
-            match spawned {
-                Ok(handle) => handles.push(handle),
-                Err(e) => {
-                    // Unwind cleanly: stop the workers already running.
-                    {
-                        let mut st = lock(&inner.signal);
-                        st.shutdown = true;
-                        inner.cond.notify_all();
-                    }
-                    for handle in handles {
-                        let _ = handle.join();
-                    }
-                    return Err(e);
-                }
-            }
+                .spawn(move || worker_loop(shared))?;
+            executor
+                .handles
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(handle);
         }
-        Ok(Executor {
-            inner,
-            handles: Mutex::new(handles),
-        })
+        Ok(executor)
     }
 
     /// Worker threads in the pool.
     pub fn workers(&self) -> usize {
-        self.inner.worker_count
+        self.shared.lock().workers
     }
 
     /// Register a source under `label` with fair-share `weight` (batches
@@ -643,23 +601,16 @@ impl Executor {
         qos: QosClass,
         source: Arc<dyn BatchSource>,
     ) -> SourceHandle {
-        let entry = Arc::new(SourceEntry {
-            id: self.inner.next_source_id.fetch_add(1, Ordering::Relaxed),
-            label: label.into(),
-            weight: weight.max(1),
-            qos,
-            source,
-            outstanding: AtomicUsize::new(0),
-            parked: AtomicBool::new(false),
-            closed: AtomicBool::new(false),
-            running: AtomicUsize::new(0),
-            executed: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
-        });
-        lock(&self.inner.sources).push(Arc::clone(&entry));
+        let weight = weight.max(1);
+        let token = self
+            .shared
+            .lock()
+            .register(label.into(), weight, qos, source);
         SourceHandle {
-            inner: Arc::clone(&self.inner),
-            entry,
+            shared: Arc::clone(&self.shared),
+            token,
+            qos,
+            weight,
         }
     }
 
@@ -667,87 +618,66 @@ impl Executor {
     /// parks; queued tokens stay queued. Returns once all workers are
     /// parked. Used by deterministic scheduling tests.
     pub fn pause(&self) {
-        let mut st = lock(&self.inner.signal);
-        st.paused = true;
-        st.seq = st.seq.wrapping_add(1);
-        self.inner.cond.notify_all();
-        while st.paused_workers < self.inner.worker_count && !st.shutdown {
-            st = match self.inner.cond.wait_timeout(st, Duration::from_millis(5)) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
+        let mut sched = self.shared.lock();
+        sched.paused = true;
+        self.shared.work.notify_all();
+        while sched.paused_workers < sched.workers && !sched.shutdown {
+            sched = self
+                .shared
+                .quiesced
+                .wait(sched)
+                .unwrap_or_else(|e| e.into_inner());
         }
     }
 
     /// Restart a paused pool.
     pub fn resume(&self) {
-        let mut st = lock(&self.inner.signal);
-        st.paused = false;
-        st.seq = st.seq.wrapping_add(1);
-        self.inner.cond.notify_all();
+        self.shared.lock().paused = false;
+        self.shared.work.notify_all();
     }
 
     /// Pool-wide telemetry snapshot.
     pub fn metrics(&self) -> ExecutorMetrics {
-        let sources: Vec<Token> = lock(&self.inner.sources).clone();
+        let sched = self.shared.lock();
         let mut bands: Vec<BandMetrics> = QosClass::ALL
             .iter()
             .map(|qos| BandMetrics {
                 qos: qos.label().to_string(),
                 queued: 0,
-                tokens: self.inner.bands[qos.band()].queued_tokens(),
+                tokens: sched.bands[qos.band()].len(),
             })
             .collect();
-        let source_metrics: Vec<SourceMetrics> = sources
-            .iter()
-            .map(|entry| {
-                let queued = entry.source.pending();
-                bands[entry.qos.band()].queued += queued;
-                SourceMetrics {
-                    label: entry.label.clone(),
-                    qos: entry.qos.label().to_string(),
-                    weight: entry.weight,
-                    queued,
-                    running: entry.running.load(Ordering::Relaxed),
-                    stolen_batches: entry.stolen.load(Ordering::Relaxed),
-                    executed_batches: entry.executed.load(Ordering::Relaxed),
-                }
+        let sources: Vec<SourceMetrics> = sched
+            .slots
+            .values()
+            .map(|slot| {
+                let metrics = slot.metrics();
+                bands[slot.qos.band()].queued += metrics.queued;
+                metrics
             })
             .collect();
-        let busy_ns: u64 = self
-            .inner
-            .busy_ns
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum();
-        let elapsed_ns =
-            self.inner.started_at.elapsed().as_nanos() as f64 * self.inner.worker_count as f64;
+        let pool_secs = self.shared.started_at.elapsed().as_secs_f64() * sched.workers as f64;
         ExecutorMetrics {
-            workers: self.inner.worker_count,
-            steals_total: self.inner.steals_total.load(Ordering::Relaxed),
-            utilization: if elapsed_ns > 0.0 {
-                (busy_ns as f64 / elapsed_ns).clamp(0.0, 1.0)
+            workers: sched.workers,
+            steals_total: 0,
+            utilization: if pool_secs > 0.0 {
+                (sched.busy.as_secs_f64() / pool_secs).clamp(0.0, 1.0)
             } else {
                 0.0
             },
             bands,
-            sources: source_metrics,
+            sources,
         }
     }
 
     /// Stop and join every worker. Idempotent; sources should be drained
     /// first (any still-queued tokens are dropped).
     pub fn shutdown(&self) {
-        {
-            let mut st = lock(&self.inner.signal);
-            if st.shutdown {
-                return;
-            }
-            st.shutdown = true;
-            st.seq = st.seq.wrapping_add(1);
-            self.inner.cond.notify_all();
-        }
-        for handle in lock(&self.handles).drain(..) {
+        self.shared.lock().shutdown = true;
+        self.shared.work.notify_all();
+        self.shared.quiesced.notify_all();
+        let handles = std::mem::take(&mut *self.handles.lock().unwrap_or_else(|e| e.into_inner()));
+        for handle in handles {
             let _ = handle.join();
         }
     }
@@ -760,12 +690,13 @@ impl Drop for Executor {
 }
 
 /// One registered source's scheduling interface: notify on new work, query
-/// counters, consult the admission-shed knob. Dropping the handle
-/// deregisters the source (outstanding tokens are discarded as workers
-/// encounter them).
+/// counters. Dropping the handle deregisters the source (its queued tokens
+/// are discarded as workers encounter them).
 pub struct SourceHandle {
-    inner: Arc<Inner>,
-    entry: Token,
+    shared: Arc<Shared>,
+    token: Token,
+    qos: QosClass,
+    weight: usize,
 }
 
 impl SourceHandle {
@@ -775,97 +706,53 @@ impl SourceHandle {
     /// — and after closing the source's queue, so drains are dispatched
     /// promptly.
     pub fn notify(&self) {
-        if self
-            .entry
-            .parked
-            .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            // The parked batch may have just become full (or the queue
-            // closed): poll now instead of at the formation timer.
-            self.inner.push_token_to_band(Arc::clone(&self.entry));
-            self.inner.wake_all();
-            return;
+        if self.shared.lock().notify(self.token) {
+            self.shared.work.notify_all();
         }
-        self.inner.replenish(&self.entry, None);
     }
 
     /// QoS class the source registered under.
     pub fn qos(&self) -> QosClass {
-        self.entry.qos
+        self.qos
     }
 
     /// Fair-share weight the source registered under.
     pub fn weight(&self) -> usize {
-        self.entry.weight
-    }
-
-    /// Batches executed from stolen tokens.
-    pub fn stolen_batches(&self) -> u64 {
-        self.entry.stolen.load(Ordering::Relaxed)
+        self.weight
     }
 
     /// Batches executed in total.
     pub fn executed_batches(&self) -> u64 {
-        self.entry.executed.load(Ordering::Relaxed)
+        self.shared.lock().slots[&self.token].executed
     }
 
     /// Token dispatches currently executing.
     pub fn running(&self) -> usize {
-        self.entry.running.load(Ordering::Relaxed)
+        self.shared.lock().slots[&self.token].running
     }
 
     /// Telemetry snapshot for this source.
     pub fn metrics(&self) -> SourceMetrics {
-        SourceMetrics {
-            label: self.entry.label.clone(),
-            qos: self.entry.qos.label().to_string(),
-            weight: self.entry.weight,
-            queued: self.entry.source.pending(),
-            running: self.entry.running.load(Ordering::Relaxed),
-            stolen_batches: self.entry.stolen.load(Ordering::Relaxed),
-            executed_batches: self.entry.executed.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Admission-shed check for `Batch`-class sources: true when the pool's
-    /// higher-priority backlog (summed `Interactive`/`Standard` `pending()`)
-    /// exceeds [`ExecutorOptions::batch_shed_backlog`]. Always false for
-    /// the other classes and when shedding is disabled.
-    pub fn should_shed(&self) -> bool {
-        if self.entry.qos != QosClass::Batch {
-            return false;
-        }
-        let limit = self.inner.batch_shed_backlog;
-        if limit == usize::MAX {
-            return false;
-        }
-        let higher: usize = lock(&self.inner.sources)
-            .iter()
-            .filter(|s| s.qos.band() < QosClass::Batch.band())
-            .map(|s| s.source.pending())
-            .sum();
-        higher > limit
-    }
-
-    /// The configured [`ExecutorOptions::batch_shed_backlog`].
-    pub fn shed_backlog_limit(&self) -> usize {
-        self.inner.batch_shed_backlog
+        self.shared.lock().slots[&self.token].metrics()
     }
 }
 
 impl Drop for SourceHandle {
     fn drop(&mut self) {
-        self.entry.closed.store(true, Ordering::Release);
-        let id = self.entry.id;
-        lock(&self.inner.sources).retain(|s| s.id != id);
-        self.inner.wake_all();
+        // Bound, so the slot (and with it possibly the source) is dropped
+        // after the lock is released.
+        let _slot = self.shared.lock().slots.remove(&self.token);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+        mutex.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     /// A source that pops closures off a queue; `NotReady`/`Closed` can be
     /// scripted by the closure return.
@@ -958,14 +845,12 @@ mod tests {
 
     #[test]
     fn weighted_round_robin_interleaves_a_flood_with_a_sibling() {
-        // One worker and one injector shard, paused while the queues fill:
+        // One worker, paused while the queues fill:
         // dispatch order is then purely the scheduler's, so the assertion
         // is deterministic.
         let exec = Executor::new(ExecutorOptions {
             workers: 1,
-            injector_shards: 1,
             start_paused: true,
-            ..ExecutorOptions::default()
         })
         .unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));
@@ -1010,7 +895,6 @@ mod tests {
         let exec = Executor::new(ExecutorOptions {
             workers: 1,
             start_paused: true,
-            ..ExecutorOptions::default()
         })
         .unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));
@@ -1115,51 +999,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_class_sheds_under_interactive_backlog() {
-        let exec = Executor::new(ExecutorOptions {
-            workers: 1,
-            batch_shed_backlog: 4,
-            start_paused: true,
-            ..ExecutorOptions::default()
-        })
-        .unwrap();
-        let hot = Arc::new(ScriptSource::new());
-        for _ in 0..8 {
-            hot.push(|| SourceState::Ran);
-        }
-        let _hot_handle = exec.register(
-            "hot",
-            1,
-            QosClass::Interactive,
-            hot.clone() as Arc<dyn BatchSource>,
-        );
-        let bulk = Arc::new(ScriptSource::new());
-        let bulk_handle = exec.register(
-            "bulk",
-            1,
-            QosClass::Batch,
-            bulk.clone() as Arc<dyn BatchSource>,
-        );
-        assert!(
-            bulk_handle.should_shed(),
-            "8 interactive pending > limit 4 must shed batch admission"
-        );
-        assert_eq!(bulk_handle.shed_backlog_limit(), 4);
-        // Drain the interactive backlog; shedding stops.
-        _hot_handle.notify();
-        exec.resume();
-        assert!(wait_until(5000, || hot.pending() == 0
-            && _hot_handle.executed_batches() == 8));
-        assert!(!bulk_handle.should_shed());
-        exec.shutdown();
-    }
-
-    #[test]
     fn dropping_the_handle_deregisters_and_discards_tokens() {
         let exec = Executor::new(ExecutorOptions {
             workers: 1,
             start_paused: true,
-            ..ExecutorOptions::default()
         })
         .unwrap();
         let src = Arc::new(ScriptSource::new());
@@ -1220,5 +1063,215 @@ mod tests {
         assert_eq!(QosClass::parse("bogus"), None);
         assert_eq!(QosClass::default(), QosClass::Standard);
         assert!(QosClass::Interactive.band() < QosClass::Batch.band());
+    }
+
+    /// A [`ScriptSource`] of `items` plain batches registered straight on a
+    /// [`Sched`]: the policy tests below need no executor, threads or sleeps.
+    fn backlog(
+        sched: &mut Sched,
+        items: usize,
+        weight: usize,
+        qos: QosClass,
+    ) -> (Token, Arc<ScriptSource>) {
+        let source = Arc::new(ScriptSource::new());
+        (0..items).for_each(|_| source.push(|| SourceState::Ran));
+        let token = sched.register(String::new(), weight, qos, source.clone());
+        (token, source)
+    }
+
+    /// One worker's loop without the thread: pop, run, finish until nothing
+    /// is queued. Returns one tag (indexed by token) per batch run.
+    fn drain(sched: &mut Sched, tags: &[char]) -> String {
+        let mut order = String::new();
+        let mut dispatches = 0;
+        while let Some(job) = sched.pop(dispatches) {
+            dispatches += 1;
+            let token = job.token;
+            let (ran, last) = job.run();
+            order.extend(std::iter::repeat_n(tags[token as usize], ran as usize));
+            sched.finish(token, ran, last);
+        }
+        order
+    }
+
+    #[test]
+    fn sched_round_robins_a_flood_with_its_sibling() {
+        let mut sched = Sched::new(1, false);
+        let (flood, _) = backlog(&mut sched, 6, 1, QosClass::Standard);
+        let (sibling, _) = backlog(&mut sched, 2, 1, QosClass::Standard);
+        assert!(sched.notify(flood));
+        assert!(sched.notify(sibling));
+        assert_eq!(drain(&mut sched, &['a', 'b']), "ababaaaa");
+    }
+
+    #[test]
+    fn sched_sweeps_bands_highest_first_and_lowest_first_every_fourth_dispatch() {
+        let mut sched = Sched::new(1, false);
+        let (bulk, _) = backlog(&mut sched, 2, 1, QosClass::Batch);
+        let (standard, _) = backlog(&mut sched, 2, 1, QosClass::Standard);
+        let (hot, _) = backlog(&mut sched, 4, 1, QosClass::Interactive);
+        // Lowest band notified first: queueing order must not matter.
+        for token in [bulk, standard, hot] {
+            assert!(sched.notify(token));
+        }
+        // Dispatches 3 and 7 are the reversed sweeps.
+        assert_eq!(drain(&mut sched, &['b', 's', 'i']), "iiibissb");
+    }
+
+    #[test]
+    fn sched_bounds_tokens_by_backlog_over_weight_and_by_the_pool_size() {
+        let mut sched = Sched::new(3, false);
+        let (token, source) = backlog(&mut sched, 7, 2, QosClass::Standard);
+        // ceil(7 / 2) = 4 tokens wanted, 3 workers: 3 tokens, never more.
+        assert!(sched.notify(token));
+        assert!(!sched.notify(token));
+        assert_eq!(sched.bands[1].len(), 3);
+        // A dispatch that leaves backlog behind puts exactly its own token back.
+        let job = sched.pop(0).unwrap();
+        assert_eq!(job.run(), (2, SourceState::Ran));
+        assert!(sched.finish(token, 2, SourceState::Ran));
+        assert_eq!(sched.slots[&token].outstanding, 3);
+        // As the backlog shrinks the bound follows it down to nothing.
+        assert_eq!(drain(&mut sched, &['x']), "xxxxx");
+        assert_eq!(source.pending(), 0);
+        assert_eq!(sched.slots[&token].outstanding, 0);
+    }
+
+    #[test]
+    fn sched_parks_one_poller_per_forming_batch() {
+        let mut sched = Sched::new(2, false);
+        let (token, _) = backlog(&mut sched, 2, 1, QosClass::Standard);
+        assert!(sched.notify(token));
+        let (first, second) = (sched.pop(0).unwrap(), sched.pop(0).unwrap());
+        let t0 = Instant::now();
+        let at = |ms| t0 + Duration::from_millis(ms);
+        let not_ready = |ms| SourceState::NotReady { retry_at: at(ms) };
+        // The first token to see the forming batch parks, keeping its slot…
+        assert!(!sched.finish(first.token, 0, not_ready(5)));
+        assert!(sched.slots[&token].parked);
+        assert_eq!(sched.slots[&token].outstanding, 2);
+        // …its sibling lets go.
+        assert!(!sched.finish(second.token, 0, not_ready(5)));
+        assert_eq!(sched.slots[&token].outstanding, 1);
+        assert!(sched.bands[1].is_empty());
+        // A notify claims the parked token rather than minting another…
+        assert!(sched.notify(token));
+        assert!(!sched.slots[&token].parked);
+        assert_eq!(
+            (sched.slots[&token].outstanding, sched.bands[1].len()),
+            (1, 1)
+        );
+        // …and the heap entry it left behind is skipped when it comes due.
+        assert!(!sched.fire_due_timers(at(6)));
+        assert!(sched.timers.is_empty());
+        assert_eq!(sched.bands[1].len(), 1);
+        // Left alone, a parked token comes back exactly when its timer is due.
+        let job = sched.pop(0).unwrap();
+        assert!(!sched.finish(job.token, 0, not_ready(10)));
+        assert!(!sched.fire_due_timers(at(9)));
+        assert!(sched.bands[1].is_empty());
+        assert!(sched.fire_due_timers(at(10)));
+        assert_eq!(
+            (sched.slots[&token].outstanding, sched.bands[1].len()),
+            (1, 1)
+        );
+    }
+
+    #[test]
+    fn sched_queues_ramp_up_tokens_in_their_own_band_ahead_of_lower_bands() {
+        let mut sched = Sched::new(2, false);
+        let (hot, hot_source) = backlog(&mut sched, 1, 1, QosClass::Interactive);
+        let (bulk, _) = backlog(&mut sched, 4, 1, QosClass::Batch);
+        assert!(sched.notify(hot));
+        assert!(sched.notify(bulk));
+        let job = sched.pop(0).unwrap();
+        assert_eq!((job.token, job.run()), (hot, (1, SourceState::Ran)));
+        // Three more items arrived while the batch ran (their notifies are
+        // still waiting for the lock this finish holds): the dispatch hands
+        // back two tokens, and both outrank the queued batch-class tokens.
+        (0..3).for_each(|_| hot_source.push(|| SourceState::Ran));
+        assert!(sched.finish(hot, 1, SourceState::Ran));
+        assert_eq!((sched.bands[0].len(), sched.bands[2].len()), (2, 2));
+        let next: Vec<Token> = (1..=3).map(|d| sched.pop(d).unwrap().token).collect();
+        assert_eq!(next, [hot, hot, bulk]);
+    }
+
+    #[test]
+    fn sched_pop_drops_the_tokens_of_a_removed_slot() {
+        let mut sched = Sched::new(2, false);
+        let (gone, _) = backlog(&mut sched, 2, 1, QosClass::Standard);
+        let (kept, _) = backlog(&mut sched, 1, 1, QosClass::Standard);
+        assert!(sched.notify(gone));
+        assert!(sched.notify(kept));
+        assert_eq!(sched.bands[1].len(), 3);
+        sched.slots.remove(&gone); // what dropping the handle does
+        assert_eq!(sched.pop(0).unwrap().token, kept);
+        assert!(sched.bands[1].is_empty());
+        assert!(!sched.notify(gone), "a stale token mints nothing");
+    }
+
+    #[test]
+    fn stress_every_item_runs_once_and_no_token_is_lost_leaked_or_stranded() {
+        const ITEMS: usize = 10_000;
+        const PRODUCERS: usize = 4;
+        for round in 0..20 {
+            let exec = Executor::new(ExecutorOptions {
+                workers: 4,
+                ..ExecutorOptions::default()
+            })
+            .unwrap();
+            let seen: Arc<Vec<AtomicUsize>> =
+                Arc::new((0..ITEMS).map(|_| AtomicUsize::new(0)).collect());
+            let sources: Vec<(Arc<ScriptSource>, SourceHandle)> = QosClass::ALL
+                .iter()
+                .enumerate()
+                .map(|(i, &qos)| {
+                    let source = Arc::new(ScriptSource::new());
+                    let handle = exec.register(format!("s{i}"), 1 + i, qos, source.clone());
+                    (source, handle)
+                })
+                .collect();
+            std::thread::scope(|scope| {
+                for producer in 0..PRODUCERS {
+                    let (sources, seen) = (&sources, &seen);
+                    scope.spawn(move || {
+                        for item in (producer..ITEMS).step_by(PRODUCERS) {
+                            let (source, handle) = &sources[item % sources.len()];
+                            if item % 64 == 63 {
+                                // A batch "still forming": the formation
+                                // timer and notify-claims-the-parked-token
+                                // are in the mix.
+                                source.push(|| SourceState::NotReady {
+                                    retry_at: Instant::now() + Duration::from_micros(200),
+                                });
+                            }
+                            let seen = Arc::clone(seen);
+                            source.push(move || {
+                                seen[item].fetch_add(1, Ordering::SeqCst);
+                                SourceState::Ran
+                            });
+                            handle.notify();
+                        }
+                    });
+                }
+            });
+            // Nothing notifies from here on: whatever is still queued must
+            // already have a token that reaches a worker. A lost wake-up or
+            // a stranded token leaves `pending` above 0 for good; a leaked
+            // one leaves `outstanding` there.
+            let idle = || {
+                let sched = exec.shared.lock();
+                sched.bands.iter().all(|band| band.is_empty())
+                    && sched.slots.values().all(|slot| {
+                        slot.outstanding == 0 && slot.running == 0 && slot.source.pending() == 0
+                    })
+            };
+            assert!(wait_until(10_000, idle), "round {round}: pool never idled");
+            let ran_once = seen.iter().all(|n| n.load(Ordering::SeqCst) == 1);
+            assert!(ran_once, "round {round}: an item ran twice or never");
+            let executed: u64 = sources.iter().map(|(_, h)| h.executed_batches()).sum();
+            assert_eq!(executed, ITEMS as u64, "round {round}");
+            exec.shutdown();
+        }
     }
 }

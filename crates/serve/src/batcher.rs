@@ -1,12 +1,14 @@
 //! The request queue and dynamic batcher.
 //!
-//! Requests enter a FIFO protected by a mutex + condvar. Worker threads pull
-//! *batches*: a worker blocks until at least one request is queued, then
-//! keeps collecting until either `max_batch_size` requests are in hand or
-//! the **oldest** request in the batch has been waiting `max_batch_delay`.
-//! Small batches therefore cost at most the configured delay in added
-//! latency, while bursts immediately fill whole batches with no waiting —
-//! the standard dynamic-batching contract of serving systems.
+//! Requests enter a FIFO protected by a mutex. The executor's workers poll
+//! it for *batches* through [`BatchQueue::try_next_batch`] and never block
+//! in here: a batch is handed out once `max_batch_size` requests are queued
+//! or the **oldest** queued request has been waiting `max_batch_delay`;
+//! until then the poll reports when to come back and the executor parks the
+//! dispatch token on a timer. Small batches therefore cost at most the
+//! configured delay in added latency, while bursts immediately fill whole
+//! batches with no waiting — the standard dynamic-batching contract of
+//! serving systems.
 //!
 //! Requests may carry a **deadline**. The batcher enforces it twice:
 //!
@@ -30,9 +32,9 @@
 //! finishing after its request's deadline is replaced by the typed error.)
 //!
 //! Shutdown is graceful by construction: closing the queue stops new
-//! submissions, but [`BatchQueue::next_batch`] keeps handing out queued
-//! requests until the FIFO is drained, and only then returns `None` to
-//! terminate the workers.
+//! submissions and releases whatever is queued at once, and
+//! [`BatchQueue::try_next_batch`] keeps handing out queued requests until
+//! the FIFO is drained; only then does it report [`TryBatch::Closed`].
 //!
 //! Admission is bounded: the queue holds at most `max_queue_depth` requests,
 //! and a push beyond the bound fails with [`ServeError::Overloaded`] instead
@@ -113,9 +115,8 @@ pub struct DequeuedBatch {
     pub expired: Vec<InferenceRequest>,
 }
 
-/// Outcome of the non-blocking [`BatchQueue::try_next_batch`], the dequeue
-/// form the shared executor's workers use (they must never park inside the
-/// batcher).
+/// Outcome of [`BatchQueue::try_next_batch`], the queue's one dequeue
+/// method (executor workers must never park inside the batcher).
 pub enum TryBatch {
     /// A batch was taken (live and/or expired requests).
     Batch(DequeuedBatch),
@@ -136,7 +137,6 @@ struct QueueState {
 /// The shared request queue with dynamic batch formation.
 pub struct BatchQueue {
     state: Mutex<QueueState>,
-    not_empty: Condvar,
     /// Notified whenever a dispatch empties the FIFO — what
     /// [`BatchQueue::wait_drained`] blocks on during a graceful retire.
     drained: Condvar,
@@ -173,7 +173,6 @@ impl BatchQueue {
                 fifo: VecDeque::new(),
                 closed: false,
             }),
-            not_empty: Condvar::new(),
             drained: Condvar::new(),
             max_batch_size: max_batch_size.max(1),
             max_batch_delay,
@@ -234,8 +233,6 @@ impl BatchQueue {
             });
         }
         state.fifo.push_back(request);
-        drop(state);
-        self.not_empty.notify_one();
         Ok(())
     }
 
@@ -261,8 +258,6 @@ impl BatchQueue {
             });
         }
         state.fifo.extend(requests);
-        drop(state);
-        self.not_empty.notify_all();
         Ok(())
     }
 
@@ -274,7 +269,6 @@ impl BatchQueue {
     /// Stop accepting new requests; queued ones will still be served.
     pub fn close(&self) {
         self.state().closed = true;
-        self.not_empty.notify_all();
     }
 
     /// Whether [`BatchQueue::close`] has been called.
@@ -347,10 +341,6 @@ impl BatchQueue {
         })
     }
 
-    fn release_at(&self, state: &QueueState) -> Option<Instant> {
-        self.release_verdict(state).map(|verdict| verdict.at)
-    }
-
     /// Count a dispatch as an early release when it ships an under-full
     /// batch on an open queue because a deadline (minus the execution
     /// estimate) pulled the release in ahead of the delay horizon.
@@ -365,73 +355,13 @@ impl BatchQueue {
         }
     }
 
-    /// Pull the next batch, blocking until one is available. Returns `None`
-    /// once the queue is closed **and** drained. Never returns an empty
-    /// dispatch: if another worker drains the queue between the wake-up and
-    /// the drain (two workers racing on one request), this worker goes back
-    /// to waiting. Requests whose deadline passed while queued come back in
-    /// [`DequeuedBatch::expired`] instead of the live set.
-    pub fn next_batch(&self) -> Option<DequeuedBatch> {
-        let mut state = self.state();
-        loop {
-            // Phase 1: wait for the first request (or shutdown).
-            loop {
-                if !state.fifo.is_empty() {
-                    break;
-                }
-                if state.closed {
-                    return None;
-                }
-                state = match self.not_empty.wait(state) {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-            }
-            // Phase 2: batch formation, bounded by the release instant
-            // (recomputed each wake-up — a newly arrived request may carry
-            // an earlier deadline than anything already queued).
-            while state.fifo.len() < self.max_batch_size && !state.closed {
-                let Some(release) = self.release_at(&state) else {
-                    break;
-                };
-                let now = Instant::now();
-                if now >= release {
-                    break;
-                }
-                let (guard, timeout) =
-                    self.timed_wait(state, release.saturating_duration_since(now));
-                state = guard;
-                if timeout {
-                    break;
-                }
-            }
-            let take = state.fifo.len().min(self.max_batch_size);
-            if take > 0 {
-                let now = Instant::now();
-                self.note_early_release(&state, take, now);
-                let (expired, live): (Vec<_>, Vec<_>) = state
-                    .fifo
-                    .drain(..take)
-                    .partition(|request| request.expired_at(now));
-                if state.fifo.is_empty() {
-                    // Wake a retire blocked in `wait_drained`: every admitted
-                    // request is now in some worker's hands.
-                    self.drained.notify_all();
-                }
-                return Some(DequeuedBatch { live, expired });
-            }
-            // A sibling worker took everything while we slept; wait again.
-        }
-    }
-
-    /// Non-blocking batch take for the shared-executor dispatch path: a
-    /// pool worker must never park inside the batcher, so instead of
-    /// waiting out batch formation this returns [`TryBatch::NotReady`] with
-    /// the release instant (`release_at`'s verdict) and the executor
-    /// re-polls on a timer. A full batch, a
-    /// reached release instant, or a closed queue dispatches immediately,
-    /// exactly as the blocking [`next_batch`](BatchQueue::next_batch)
-    /// would.
+    /// Take the next batch without blocking: a pool worker must never park
+    /// inside the batcher, so instead of waiting out batch formation this
+    /// returns [`TryBatch::NotReady`] with the release instant and the
+    /// executor re-polls on a timer. A full batch, a reached release
+    /// instant, or a closed queue dispatches immediately. Never returns an
+    /// empty dispatch, and requests whose deadline passed while queued come
+    /// back in [`DequeuedBatch::expired`] instead of the live set.
     pub fn try_next_batch(&self) -> TryBatch {
         let mut state = self.state();
         if state.fifo.is_empty() {
@@ -442,10 +372,9 @@ impl BatchQueue {
             };
         }
         if state.fifo.len() < self.max_batch_size && !state.closed {
-            if let Some(release) = self.release_at(&state) {
-                let now = Instant::now();
-                if now < release {
-                    return TryBatch::NotReady(release);
+            if let Some(verdict) = self.release_verdict(&state) {
+                if Instant::now() < verdict.at {
+                    return TryBatch::NotReady(verdict.at);
                 }
             }
         }
@@ -462,20 +391,6 @@ impl BatchQueue {
             self.drained.notify_all();
         }
         TryBatch::Batch(DequeuedBatch { live, expired })
-    }
-
-    fn timed_wait<'a>(
-        &'a self,
-        guard: MutexGuard<'a, QueueState>,
-        duration: Duration,
-    ) -> (MutexGuard<'a, QueueState>, bool) {
-        match self.not_empty.wait_timeout(guard, duration) {
-            Ok((guard, timeout)) => (guard, timeout.timed_out()),
-            Err(poisoned) => {
-                let (guard, timeout) = poisoned.into_inner();
-                (guard, timeout.timed_out())
-            }
-        }
     }
 }
 
@@ -532,6 +447,22 @@ mod tests {
         (req, rx)
     }
 
+    /// Drive the queue the way an executor worker does, minus the executor:
+    /// poll, and sleep a forming batch out until its release instant. `None`
+    /// once the queue is closed and drained.
+    fn next_batch(queue: &BatchQueue) -> Option<DequeuedBatch> {
+        loop {
+            match queue.try_next_batch() {
+                TryBatch::Batch(batch) => return Some(batch),
+                TryBatch::NotReady(at) => {
+                    std::thread::sleep(at.saturating_duration_since(Instant::now()));
+                }
+                TryBatch::Empty => std::thread::yield_now(),
+                TryBatch::Closed => return None,
+            }
+        }
+    }
+
     #[test]
     fn full_batches_form_without_waiting_for_the_deadline() {
         let queue = BatchQueue::new(4, Duration::from_secs(60), usize::MAX);
@@ -539,7 +470,7 @@ mod tests {
             queue.push(request(id).0).unwrap();
         }
         let started = Instant::now();
-        let batch = queue.next_batch().unwrap();
+        let batch = next_batch(&queue).unwrap();
         assert_eq!(batch.live.len(), 4);
         assert!(batch.expired.is_empty());
         assert!(
@@ -554,7 +485,7 @@ mod tests {
         let queue = BatchQueue::new(8, Duration::from_millis(30), usize::MAX);
         queue.push(request(1).0).unwrap();
         let started = Instant::now();
-        let batch = queue.next_batch().unwrap();
+        let batch = next_batch(&queue).unwrap();
         assert_eq!(batch.live.len(), 1);
         let waited = started.elapsed();
         assert!(
@@ -570,7 +501,7 @@ mod tests {
             queue.push(request(id).0).unwrap();
         }
         let sizes: Vec<usize> = (0..3)
-            .map(|_| queue.next_batch().unwrap().live.len())
+            .map(|_| next_batch(&queue).unwrap().live.len())
             .collect();
         assert_eq!(sizes, vec![3, 3, 1]);
     }
@@ -584,7 +515,7 @@ mod tests {
         assert!(matches!(rejected, Err(ServeError::Overloaded { limit: 2 })));
         assert_eq!(queue.depth(), 2, "the rejected request was not enqueued");
         // Draining the queue re-opens admission.
-        assert_eq!(queue.next_batch().unwrap().live.len(), 2);
+        assert_eq!(next_batch(&queue).unwrap().live.len(), 2);
         queue.push(request(3).0).unwrap();
     }
 
@@ -603,8 +534,7 @@ mod tests {
         let group: Vec<InferenceRequest> = (1..4).map(|id| request(id).0).collect();
         queue.push_many(group).unwrap();
         assert_eq!(queue.depth(), 4);
-        let ids: Vec<u64> = queue
-            .next_batch()
+        let ids: Vec<u64> = next_batch(&queue)
             .unwrap()
             .live
             .iter()
@@ -630,7 +560,7 @@ mod tests {
         queue.push(expired).unwrap();
         let (live, _rx2) = request_with_deadline(1, Some(Duration::from_secs(60)));
         queue.push(live).unwrap();
-        let batch = queue.next_batch().unwrap();
+        let batch = next_batch(&queue).unwrap();
         assert_eq!(
             batch.expired.iter().map(|r| r.id).collect::<Vec<_>>(),
             vec![0]
@@ -649,7 +579,7 @@ mod tests {
         let (req, _rx) = request_with_deadline(7, Some(Duration::from_millis(20)));
         queue.push(req).unwrap();
         let started = Instant::now();
-        let batch = queue.next_batch().unwrap();
+        let batch = next_batch(&queue).unwrap();
         let waited = started.elapsed();
         assert!(
             waited < Duration::from_secs(5),
@@ -667,21 +597,9 @@ mod tests {
         }
         queue.close();
         assert!(queue.push(request(9).0).is_err());
-        assert_eq!(queue.next_batch().unwrap().live.len(), 2);
-        assert_eq!(queue.next_batch().unwrap().live.len(), 1);
-        assert!(queue.next_batch().is_none());
-    }
-
-    #[test]
-    fn blocked_worker_wakes_on_close() {
-        let queue = Arc::new(BatchQueue::new(2, Duration::from_secs(60), usize::MAX));
-        let waiter = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.next_batch().is_none())
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        queue.close();
-        assert!(waiter.join().unwrap(), "worker should see the shutdown");
+        assert_eq!(next_batch(&queue).unwrap().live.len(), 2);
+        assert_eq!(next_batch(&queue).unwrap().live.len(), 1);
+        assert!(next_batch(&queue).is_none());
     }
 
     #[test]
@@ -698,7 +616,7 @@ mod tests {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
-                while queue.next_batch().is_some() {
+                while next_batch(&queue).is_some() {
                     if queue.depth() == 0 {
                         break;
                     }
@@ -720,8 +638,7 @@ mod tests {
         for id in 0..5 {
             queue.push(request(id).0).unwrap();
         }
-        let ids: Vec<u64> = queue
-            .next_batch()
+        let ids: Vec<u64> = next_batch(&queue)
             .unwrap()
             .live
             .iter()

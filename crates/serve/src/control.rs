@@ -694,8 +694,8 @@ pub struct ControlPlane {
     /// Memoizes tune probe plans, separately from the serving cache
     /// (see [`PROBE_CACHE_CAPACITY`]).
     probe_cache: PlanCache,
-    /// The fleet-wide work-stealing executor every registered engine runs
-    /// its batches on. `None` only if the pool's worker threads could not be
+    /// The fleet-wide executor every registered engine runs its batches
+    /// on. `None` only if the pool's worker threads could not be
     /// spawned at construction — engines then fall back to private pools,
     /// the pre-executor topology.
     executor: Option<Arc<Executor>>,
@@ -798,8 +798,8 @@ impl ControlPlane {
         self.executor.as_ref()
     }
 
-    /// Telemetry snapshot of the fleet executor: workers, steals,
-    /// utilization, per-QoS-band queue depth and per-source counters. An
+    /// Telemetry snapshot of the fleet executor: workers, utilization,
+    /// per-QoS-band queue depth and per-source counters. An
     /// all-zero snapshot when the fleet pool is absent.
     pub fn executor_metrics(&self) -> ExecutorMetrics {
         match &self.executor {

@@ -5,13 +5,13 @@
 //! external HTTP crate. One acceptor thread hands each connection to a
 //! handler thread; requests and responses are JSON through the workspace's
 //! `serde_json` stand-in. Handler threads only *submit* into the per-model
-//! engines; batches execute on the process-wide work-stealing executor
+//! engines; batches execute on the process-wide executor
 //! (`tdc_exec`), which schedules every model by QoS band and fair-share
 //! weight. A registration body may pick the class (`"qos"`) and weight
 //! (`"workers"`), and `GET /metrics` reports the executor fleet-wide
-//! (`"executor"`: worker utilization, steal totals, per-band queue depths)
-//! and per model (each model row's `"executor"`: queued/running dispatch
-//! tokens and stolen-batch counts).
+//! (`"executor"`: worker utilization, per-band queue depths)
+//! and per model (each model row's `"executor"`: queued work, running
+//! dispatches and executed batches).
 //!
 //! Connections are **persistent** (HTTP/1.1 keep-alive): a handler runs a
 //! per-connection request loop, honoring the `Connection:` header
@@ -80,7 +80,7 @@ use crate::options::{BatchingOptions, PlanningOptions, RuntimeOptions};
 use crate::registry::{ModelConfig, ModelRegistry};
 use crate::wire::{Broken, Connection};
 use crate::{BackendKind, Result, ServeError};
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -102,127 +102,79 @@ const MAX_REQUESTS_PER_CONNECTION: usize = 1024;
 const MAX_HANDLER_THREADS: usize = 64;
 
 /// JSON body of `POST /v1/models/{name}/infer` (single-sample form).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct InferBody {
     /// Flat input sample, row-major.
     pub input: Vec<f32>,
     /// HWC dims of `input`; defaults to the model's expected input dims.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub dims: Option<Vec<usize>>,
     /// Per-request deadline in milliseconds, overriding the model's default
     /// ([`BatchingOptions::default_deadline`](crate::BatchingOptions)); a
     /// request not served within the deadline answers `504`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub deadline_ms: Option<u64>,
 }
 
-impl Serialize for InferBody {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![("input".to_string(), self.input.to_value())];
-        if let Some(dims) = &self.dims {
-            fields.push(("dims".to_string(), dims.to_value()));
-        }
-        if let Some(deadline_ms) = &self.deadline_ms {
-            fields.push(("deadline_ms".to_string(), deadline_ms.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-// Hand-written so optional fields may be absent entirely (the derive macro
-// requires every field, including `Option`s, to be present as a key).
-impl Deserialize for InferBody {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let input = value
-            .get("input")
-            .ok_or_else(|| serde::Error::custom("missing field `input` in infer body"))?;
-        Ok(InferBody {
-            input: Vec::<f32>::from_value(input)?,
-            dims: optional_field(value, "dims")?,
-            deadline_ms: optional_field(value, "deadline_ms")?,
-        })
-    }
-}
-
 /// JSON body of the batched infer form: N samples riding one submission.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BatchInferBody {
     /// Flat input samples, row-major, all sharing one `dims`.
     pub inputs: Vec<Vec<f32>>,
     /// HWC dims of each sample; defaults to the model's expected input dims.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub dims: Option<Vec<usize>>,
     /// Per-request deadline in milliseconds shared by every sample in the
     /// group, overriding the model's default.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub deadline_ms: Option<u64>,
-}
-
-impl Serialize for BatchInferBody {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![("inputs".to_string(), self.inputs.to_value())];
-        if let Some(dims) = &self.dims {
-            fields.push(("dims".to_string(), dims.to_value()));
-        }
-        if let Some(deadline_ms) = &self.deadline_ms {
-            fields.push(("deadline_ms".to_string(), deadline_ms.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for BatchInferBody {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let inputs = value
-            .get("inputs")
-            .ok_or_else(|| serde::Error::custom("missing field `inputs` in batched infer body"))?;
-        Ok(BatchInferBody {
-            inputs: Vec::<Vec<f32>>::from_value(inputs)?,
-            dims: optional_field(value, "dims")?,
-            deadline_ms: optional_field(value, "deadline_ms")?,
-        })
-    }
-}
-
-fn optional_field<T: Deserialize>(
-    value: &serde::Value,
-    key: &str,
-) -> std::result::Result<Option<T>, serde::Error> {
-    match value.get(key) {
-        None | Some(serde::Value::Null) => Ok(None),
-        Some(field) => Ok(Some(T::from_value(field)?)),
-    }
 }
 
 /// JSON body of `PUT /v1/models/{name}`: the model descriptor plus optional
 /// planning / batching / runtime knobs (defaults match
 /// [`ModelConfig::default`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RegisterBody {
     /// The network to serve (`{"name", "convs": [...], "fc": [[in, out]]}`).
     pub descriptor: ModelDescriptor,
     /// FLOPs-reduction budget for rank selection, in `[0, 1)`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub budget: Option<f64>,
     /// Rank-candidate step.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub rank_step: Option<usize>,
     /// θ skip threshold for rank selection.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub theta: Option<f64>,
     /// Planning/simulation device: `"a100"` (default) or `"rtx2080ti"`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub device: Option<String>,
     /// Execution backend: `"cpu"` (default) or `"sim-gpu"`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub backend: Option<String>,
     /// Maximum requests per executed batch.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_batch_size: Option<usize>,
     /// Longest the oldest queued request waits for batch-mates, ms.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_batch_delay_ms: Option<u64>,
     /// Admission bound of the model's queue.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_queue_depth: Option<usize>,
     /// Default per-request deadline, ms.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub default_deadline_ms: Option<u64>,
     /// Fair-share weight on the fleet executor (historically the size of a
     /// per-model worker pool; the executor is now shared, so this scales the
     /// model's scheduling quantum instead).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub workers: Option<usize>,
     /// QoS class on the fleet executor: `"interactive"`, `"standard"`
     /// (default) or `"batch"`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub qos: Option<String>,
     /// Seed for weight materialization.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub seed: Option<u64>,
 }
 
@@ -309,117 +261,34 @@ impl RegisterBody {
     }
 }
 
-impl Serialize for RegisterBody {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![("descriptor".to_string(), self.descriptor.to_value())];
-        let mut push_opt = |name: &str, value: Option<serde::Value>| {
-            if let Some(value) = value {
-                fields.push((name.to_string(), value));
-            }
-        };
-        push_opt("budget", self.budget.as_ref().map(Serialize::to_value));
-        push_opt(
-            "rank_step",
-            self.rank_step.as_ref().map(Serialize::to_value),
-        );
-        push_opt("theta", self.theta.as_ref().map(Serialize::to_value));
-        push_opt("device", self.device.as_ref().map(Serialize::to_value));
-        push_opt("backend", self.backend.as_ref().map(Serialize::to_value));
-        push_opt(
-            "max_batch_size",
-            self.max_batch_size.as_ref().map(Serialize::to_value),
-        );
-        push_opt(
-            "max_batch_delay_ms",
-            self.max_batch_delay_ms.as_ref().map(Serialize::to_value),
-        );
-        push_opt(
-            "max_queue_depth",
-            self.max_queue_depth.as_ref().map(Serialize::to_value),
-        );
-        push_opt(
-            "default_deadline_ms",
-            self.default_deadline_ms.as_ref().map(Serialize::to_value),
-        );
-        push_opt("workers", self.workers.as_ref().map(Serialize::to_value));
-        push_opt("qos", self.qos.as_ref().map(Serialize::to_value));
-        push_opt("seed", self.seed.as_ref().map(Serialize::to_value));
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for RegisterBody {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let descriptor = value
-            .get("descriptor")
-            .ok_or_else(|| serde::Error::custom("missing field `descriptor` in register body"))?;
-        Ok(RegisterBody {
-            descriptor: ModelDescriptor::from_value(descriptor)?,
-            budget: optional_field(value, "budget")?,
-            rank_step: optional_field(value, "rank_step")?,
-            theta: optional_field(value, "theta")?,
-            device: optional_field(value, "device")?,
-            backend: optional_field(value, "backend")?,
-            max_batch_size: optional_field(value, "max_batch_size")?,
-            max_batch_delay_ms: optional_field(value, "max_batch_delay_ms")?,
-            max_queue_depth: optional_field(value, "max_queue_depth")?,
-            default_deadline_ms: optional_field(value, "default_deadline_ms")?,
-            workers: optional_field(value, "workers")?,
-            qos: optional_field(value, "qos")?,
-            seed: optional_field(value, "seed")?,
-        })
-    }
-}
-
 /// JSON body of `POST /v1/models/{name}/replan`: the new budget, plus
 /// optional rank-step / θ overrides (everything else keeps the model's
 /// current planning options).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ReplanBody {
     /// The new FLOPs-reduction budget, in `[0, 1)`.
     pub budget: f64,
     /// Optional rank-candidate step override.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub rank_step: Option<usize>,
     /// Optional θ override.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub theta: Option<f64>,
-}
-
-impl Serialize for ReplanBody {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![("budget".to_string(), self.budget.to_value())];
-        if let Some(rank_step) = &self.rank_step {
-            fields.push(("rank_step".to_string(), rank_step.to_value()));
-        }
-        if let Some(theta) = &self.theta {
-            fields.push(("theta".to_string(), theta.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for ReplanBody {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let budget = value
-            .get("budget")
-            .ok_or_else(|| serde::Error::custom("missing field `budget` in replan body"))?;
-        Ok(ReplanBody {
-            budget: f64::from_value(budget)?,
-            rank_step: optional_field(value, "rank_step")?,
-            theta: optional_field(value, "theta")?,
-        })
-    }
 }
 
 /// JSON body of `POST /v1/models/{name}/tune`: every field optional (an
 /// empty body tunes against the model's recorded target with defaults).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TuneBody {
     /// Target p99 end-to-end latency, ms (default: the model's recorded
     /// target, or one derived from its current operating point).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub target_p99_ms: Option<f64>,
     /// Whether to hot-swap the winning knobs in (default true).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub apply: Option<bool>,
     /// Coordinate-descent round budget (default 3).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_rounds: Option<u64>,
 }
 
@@ -436,50 +305,23 @@ impl TuneBody {
     }
 }
 
-impl Serialize for TuneBody {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = Vec::new();
-        let mut push_opt = |name: &str, value: Option<serde::Value>| {
-            if let Some(value) = value {
-                fields.push((name.to_string(), value));
-            }
-        };
-        push_opt(
-            "target_p99_ms",
-            self.target_p99_ms.as_ref().map(Serialize::to_value),
-        );
-        push_opt("apply", self.apply.as_ref().map(Serialize::to_value));
-        push_opt(
-            "max_rounds",
-            self.max_rounds.as_ref().map(Serialize::to_value),
-        );
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for TuneBody {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        Ok(TuneBody {
-            target_p99_ms: optional_field(value, "target_p99_ms")?,
-            apply: optional_field(value, "apply")?,
-            max_rounds: optional_field(value, "max_rounds")?,
-        })
-    }
-}
-
 /// JSON body of `PUT /v1/controller`: a partial [`ControllerConfig`] —
 /// present fields override the live config, absent ones keep their current
 /// values, so `{"enabled": true}` flips the watch loop on without
 /// re-stating the interval or band.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ControllerBody {
     /// Whether the watch loop acts on its ticks.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub enabled: Option<bool>,
     /// Milliseconds between watch ticks.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub interval_ms: Option<u64>,
     /// Re-tune when measured p99 drifts beyond this fraction of expected.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub drift_band_frac: Option<f64>,
     /// Minimum latency samples before a model's p99 is drift-checked.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub min_samples: Option<u64>,
 }
 
@@ -499,42 +341,6 @@ impl ControllerBody {
             config.min_samples = min_samples;
         }
         config
-    }
-}
-
-impl Serialize for ControllerBody {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = Vec::new();
-        let mut push_opt = |name: &str, value: Option<serde::Value>| {
-            if let Some(value) = value {
-                fields.push((name.to_string(), value));
-            }
-        };
-        push_opt("enabled", self.enabled.as_ref().map(Serialize::to_value));
-        push_opt(
-            "interval_ms",
-            self.interval_ms.as_ref().map(Serialize::to_value),
-        );
-        push_opt(
-            "drift_band_frac",
-            self.drift_band_frac.as_ref().map(Serialize::to_value),
-        );
-        push_opt(
-            "min_samples",
-            self.min_samples.as_ref().map(Serialize::to_value),
-        );
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for ControllerBody {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        Ok(ControllerBody {
-            enabled: optional_field(value, "enabled")?,
-            interval_ms: optional_field(value, "interval_ms")?,
-            drift_band_frac: optional_field(value, "drift_band_frac")?,
-            min_samples: optional_field(value, "min_samples")?,
-        })
     }
 }
 
@@ -1113,8 +919,9 @@ impl<'a> FastScan<'a> {
         }
     }
 
-    /// `[n, n, ...]` appended onto `out` via `f(value)`.
-    fn number_array<T>(&mut self, out: &mut Vec<T>, f: impl Fn(f64) -> T) -> Option<()> {
+    /// `[n, n, ...]` appended onto `out` via `f(value)`; bails when `f`
+    /// refuses a number.
+    fn number_array<T>(&mut self, out: &mut Vec<T>, f: impl Fn(f64) -> Option<T>) -> Option<()> {
         if !self.eat(b'[') {
             return None;
         }
@@ -1122,7 +929,7 @@ impl<'a> FastScan<'a> {
             return Some(());
         }
         loop {
-            out.push(f(self.number()?));
+            out.push(f(self.number()?)?);
             if self.eat(b']') {
                 return Some(());
             }
@@ -1161,6 +968,13 @@ fn parse_infer_fast(body: &str, pool: &BufferPool, expected_len: usize) -> Optio
     }
 }
 
+/// An integer field off the fast path, by the generic path's own rule: a
+/// negative, fractional or out-of-range number bails, so the generic parse
+/// reports it.
+fn strict_int<T: Deserialize>(n: f64) -> Option<T> {
+    T::from_value(&serde::Value::Number(n)).ok()
+}
+
 #[allow(clippy::type_complexity)]
 fn parse_infer_fast_into(
     body: &str,
@@ -1190,7 +1004,7 @@ fn parse_infer_fast_into(
                     let mut buf = pool.take_full(expected_len);
                     buf.clear();
                     *input = Some(buf);
-                    scan.number_array(input.as_mut()?, |n| n as f32)?;
+                    scan.number_array(input.as_mut()?, |n| Some(n as f32))?;
                 }
                 "dims" if !seen_dims => {
                     seen_dims = true;
@@ -1202,7 +1016,7 @@ fn parse_infer_fast_into(
                         scan.pos += 4;
                     } else {
                         let mut out = Vec::new();
-                        scan.number_array(&mut out, |n| n as usize)?;
+                        scan.number_array(&mut out, strict_int)?;
                         dims = Some(out);
                     }
                 }
@@ -1214,7 +1028,7 @@ fn parse_infer_fast_into(
                         }
                         scan.pos += 4;
                     } else {
-                        deadline_ms = Some(scan.number()? as u64);
+                        deadline_ms = Some(strict_int(scan.number()?)?);
                     }
                 }
                 _ => return None,
@@ -1924,6 +1738,8 @@ mod tests {
             r#"{"input": [], "dims": null, "deadline_ms": null}"#,
             r#"{"input": [3]}"#,
             r#"{"input": [1e999, -1e999]}"#,
+            // Integral numbers in float spelling are integers to both.
+            r#"{"input": [1], "dims": [1.0, 2e0], "deadline_ms": 1e3}"#,
         ];
         for body in bodies {
             let fast = parse_infer_fast(body, &pool, 4)
@@ -1968,6 +1784,13 @@ mod tests {
             r#"{"input": [1]}x"#,                           // trailing chars
             r#"{"input": [1],}"#,                           // trailing comma
             r#"["input"]"#,                                 // not an object
+            // Numbers an integer field cannot hold: the generic path they
+            // fall to rejects them (400) instead of truncating.
+            r#"{"input": [1], "deadline_ms": -5}"#,
+            r#"{"input": [1], "deadline_ms": 2.7}"#,
+            r#"{"input": [1], "deadline_ms": 1e30}"#,
+            r#"{"input": [1], "dims": [1.5]}"#,
+            r#"{"input": [1], "dims": [1, -1]}"#,
         ];
         for body in bodies {
             assert!(
@@ -2254,6 +2077,18 @@ mod tests {
             "POST",
             "/v1/models/mini/infer",
             Some("{\"inputs\": []}"),
+        )
+        .unwrap();
+        assert_eq!(status, 400, "{body}");
+
+        // A well-shaped sample under a deadline no `u64` holds is malformed
+        // (400) — not "deadline 0", which would answer 504.
+        let negative_deadline = infer_body(&[8, 8, 4]).replace('}', ",\"deadline_ms\":-5}");
+        let (status, body) = http_request(
+            &addr,
+            "POST",
+            "/v1/models/mini/infer",
+            Some(&negative_deadline),
         )
         .unwrap();
         assert_eq!(status, 400, "{body}");

@@ -23,11 +23,11 @@
 //! * [`options`] + [`server`] — the typed engine builder:
 //!   [`ServeEngine::builder`] takes [`PlanningOptions`], [`BatchingOptions`]
 //!   and [`RuntimeOptions`], validates them at build, and registers the
-//!   engine on a `tdc-exec` work-stealing executor (shared fleet-wide when
+//!   engine on a `tdc-exec` executor (shared fleet-wide when
 //!   attached via [`ServeEngineBuilder::executor`], private otherwise) with
 //!   a [`QosClass`] and fair-share weight, graceful drain on shutdown and
 //!   [`metrics`] (throughput, latency percentiles, batch-size distribution,
-//!   stolen batches, predicted and simulated GPU totals).
+//!   predicted and simulated GPU totals).
 //! * [`registry`] — N named models behind one router, each with its own
 //!   engine and a per-model admission bound (typed [`ServeError::Overloaded`]
 //!   rejection instead of unbounded queues), sharing one plan cache and

@@ -88,11 +88,6 @@ pub struct ServeMetrics {
     pub deadline_exceeded: u64,
     /// Batches executed.
     pub batches: u64,
-    /// Batches dispatched via executor work stealing — the engine's token
-    /// was taken from another worker's local deque rather than its own
-    /// injector. `0` until the engine's handle fills it in
-    /// ([`MetricsRecorder`] itself does not see the executor).
-    pub stolen_batches: u64,
     /// Batches released early at `deadline − estimated_exec_time` (the
     /// batcher's deadline-aware early release). `0` until the engine's
     /// handle fills it in from the batch queue ([`MetricsRecorder`] itself
@@ -248,7 +243,6 @@ impl MetricsRecorder {
             failed_requests: self.failed.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             batches,
-            stolen_batches: 0,
             early_releases: 0,
             mean_batch_size: if batches > 0 {
                 completed as f64 / batches as f64

@@ -205,10 +205,7 @@ pub struct RuntimeOptions {
     pub workers: usize,
     /// QoS class the model registers under on the shared executor:
     /// [`QosClass::Interactive`](tdc_exec::QosClass) work is dispatched
-    /// before `Standard`, which is dispatched before `Batch`; `Batch`-class
-    /// submits can additionally be shed at admission under interactive
-    /// backlog (see
-    /// [`ExecutorOptions::batch_shed_backlog`](tdc_exec::ExecutorOptions)).
+    /// before `Standard`, which is dispatched before `Batch`.
     pub qos: QosClass,
     /// Seed for weight materialization.
     pub seed: u64,

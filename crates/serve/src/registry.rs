@@ -124,7 +124,7 @@ pub struct ModelInfo {
     pub default_deadline_ms: Option<u64>,
     /// QoS class the model was registered under (`"interactive"`,
     /// `"standard"` or `"batch"`): which executor priority band dispatches
-    /// its batches and whether overload shedding applies at admission.
+    /// its batches.
     pub qos: String,
     /// Fair-share weight on the fleet executor: the model's deficit
     /// round-robin quantum (batches per scheduling turn) and concurrent
@@ -157,8 +157,7 @@ pub struct ModelMetricsEntry {
     /// misattribute tail behaviour).
     pub metrics: ServeMetrics,
     /// The model's row on the fleet executor: QoS class, fair-share weight,
-    /// queued/running dispatch tokens, and how many of its batches ran on a
-    /// stolen token.
+    /// queued work, running dispatches and batches executed.
     pub executor: tdc_exec::SourceMetrics,
     /// The engine's scratch-arena buffer pool: allocation high-water mark
     /// and take/hit counters. Per plan generation (a hot-swap builds a
@@ -201,7 +200,7 @@ pub struct RegistryMetrics {
     /// Shared plan cache counters, per-key hit counts and the evicted-key
     /// log.
     pub plan_cache: PlanCacheStats,
-    /// Fleet executor snapshot: worker count and utilization, total steals,
+    /// Fleet executor snapshot: worker count and utilization,
     /// per-QoS-band queue depths and every registered source's row. All
     /// zeros (with empty bands) when the registry fell back to per-engine
     /// private pools.

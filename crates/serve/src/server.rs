@@ -7,7 +7,7 @@
 //! validated at [`build`](ServeEngineBuilder::build), the plan is obtained
 //! through the [`PlanCache`], and execution goes through a pluggable
 //! [`ExecutionBackend`] — the real CPU executor or the wave-level GPU
-//! simulation. Batches are dispatched by a `tdc-exec` work-stealing pool:
+//! simulation. Batches are dispatched by a `tdc-exec` worker pool:
 //! attach the process-wide pool with
 //! [`executor`](ServeEngineBuilder::executor) (what
 //! [`ModelRegistry`](crate::ModelRegistry) does for every model it
@@ -157,7 +157,7 @@ impl<'a> ServeEngineBuilder<'a> {
         self
     }
 
-    /// Run batches on `executor` — the process-wide work-stealing pool —
+    /// Run batches on `executor` — the process-wide worker pool —
     /// instead of spawning a private per-engine pool. The engine registers
     /// as one executor source under its fair-share weight
     /// ([`RuntimeOptions::workers`]) and QoS class ([`RuntimeOptions::qos`]);
@@ -611,7 +611,7 @@ impl ServeEngine {
     }
 
     /// The engine's scheduling state on its executor: queue depth, running
-    /// dispatches, batches stolen across workers, batches executed.
+    /// dispatches, batches executed.
     pub fn executor_source(&self) -> tdc_exec::SourceMetrics {
         self.handle.metrics()
     }
@@ -643,19 +643,6 @@ impl ServeEngine {
             return Err(ServeError::BadInput {
                 expected: self.core.backend.input_dims().to_vec(),
                 actual: input.dims().to_vec(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Batch-class admission shed: when the executor reports interactive
-    /// backlog above its configured threshold, `Batch`-class submits are
-    /// rejected at the door instead of queueing behind traffic that will
-    /// always outrank them.
-    fn check_shed(&self) -> Result<()> {
-        if self.handle.should_shed() {
-            return Err(ServeError::Overloaded {
-                limit: self.handle.shed_backlog_limit(),
             });
         }
         Ok(())
@@ -696,7 +683,6 @@ impl ServeEngine {
         deadline: Option<Duration>,
     ) -> Result<PendingResponse> {
         self.check_input(&input)?;
-        self.check_shed()?;
         let (request, pending) = self.request_for(input, Instant::now(), deadline);
         self.core.queue.push(request)?;
         self.core.metrics.record_submitted(1);
@@ -720,7 +706,6 @@ impl ServeEngine {
         for input in &inputs {
             self.check_input(input)?;
         }
-        self.check_shed()?;
         let enqueued_at = Instant::now();
         let (requests, handles): (Vec<_>, Vec<_>) = inputs
             .into_iter()
@@ -757,11 +742,9 @@ impl ServeEngine {
         self.core.metrics.reset();
     }
 
-    /// Metrics snapshot of the work completed so far, including how many of
-    /// this engine's batches were dispatched via executor work stealing.
+    /// Metrics snapshot of the work completed so far.
     pub fn metrics(&self) -> ServeMetrics {
         let mut snapshot = self.core.metrics.snapshot();
-        snapshot.stolen_batches = self.handle.stolen_batches();
         snapshot.early_releases = self.core.queue.early_releases();
         snapshot
     }

@@ -284,7 +284,7 @@ fn registering_and_retiring_siblings_does_not_disturb_a_loaded_model() {
 }
 
 /// The QoS fairness pin, made deterministic by controlling the executor:
-/// a single-worker, single-shard pool starts **paused**, a batch-class
+/// a single-worker pool starts **paused**, a batch-class
 /// model's queue is pre-loaded with a flood, an interactive sibling's two
 /// requests are enqueued *after* the whole flood, and only then does the
 /// pool resume. Injection-order (FIFO) scheduling would serve every flood
@@ -295,9 +295,7 @@ fn batch_class_flood_on_a_paused_shared_pool_does_not_starve_interactive() {
     let executor = Arc::new(
         Executor::new(ExecutorOptions {
             workers: 1,
-            injector_shards: 1,
             start_paused: true,
-            ..ExecutorOptions::default()
         })
         .unwrap(),
     );
