@@ -6,11 +6,11 @@
 //! fair-share weight trades one model's throughput against its neighbours'.
 //! This crate supplies the search: [`Controller`] is a
 //! [`TuneDriver`] running **coordinate descent over
-//! all four knobs at once**, scoring every candidate on the control plane's
+//! all four knobs at once**, scoring every candidate on the registry's
 //! probe-and-replay wave simulator
-//! ([`ControlPlane::estimate_knobs`](tdc_serve::ControlPlane::estimate_knobs))
+//! ([`ModelRegistry::estimate_knobs`](tdc_serve::ModelRegistry::estimate_knobs))
 //! and applying the winner through the zero-drop hot-swap path
-//! ([`ControlPlane::reconfigure_with`](tdc_serve::ControlPlane::reconfigure_with)).
+//! ([`ModelRegistry::reconfigure_with`](tdc_serve::ModelRegistry::reconfigure_with)).
 //!
 //! **Measurement closes the loop.** Simulated estimates have systematic
 //! error (the simulator does not know the host, the allocator, the Python
@@ -22,13 +22,13 @@
 //! still letting the simulator rank candidates it has never served. After a
 //! tune, the calibrated estimate at the winning knobs becomes the
 //! controller's *expectation*; the serve-side watch loop
-//! ([`ControlPlane::watch`](tdc_serve::ControlPlane::watch)) compares live
+//! ([`ModelRegistry::watch`](tdc_serve::ModelRegistry::watch)) compares live
 //! p99 against it every tick and re-tunes through this driver when the
 //! drift leaves the configured band — scrape → score → apply → watch,
 //! closed.
 //!
 //! The driver is **stateless**: everything it needs arrives through the
-//! `tune` call (the plane reference, the model name, the request), so one
+//! `tune` call (the registry reference, the model name, the request), so one
 //! `Controller` can serve any number of registries and holds no `Arc` back
 //! into any of them — registry teardown never waits on the controller.
 //!
@@ -60,7 +60,7 @@
 
 use std::time::Duration;
 use tdc_serve::{
-    ControlPlane, KnobEstimate, KnobSet, Result, ServeError, TuneDriver, TuneProbe, TuneReport,
+    KnobEstimate, KnobSet, ModelRegistry, Result, ServeError, TuneDriver, TuneProbe, TuneReport,
     TuneRequest,
 };
 
@@ -237,7 +237,12 @@ impl Controller {
 }
 
 impl TuneDriver for Controller {
-    fn tune(&self, plane: &ControlPlane, model: &str, request: &TuneRequest) -> Result<TuneReport> {
+    fn tune(
+        &self,
+        registry: &ModelRegistry,
+        model: &str,
+        request: &TuneRequest,
+    ) -> Result<TuneReport> {
         if request.max_rounds == 0 {
             return Err(ServeError::BadConfig {
                 reason: "tune max_rounds must be positive".into(),
@@ -245,7 +250,7 @@ impl TuneDriver for Controller {
         }
         // Scrape the live operating point, then drop the handle before any
         // hot-swap below: a held handle would be the drain's holdout.
-        let handle = plane.engine(model)?;
+        let handle = registry.engine(model)?;
         let before = KnobSet::of(handle.config());
         let mut generation = handle.info().generation;
         let metrics = handle.metrics();
@@ -254,13 +259,13 @@ impl TuneDriver for Controller {
             .then_some(metrics.total_latency.p99_ms)
             .filter(|p99| p99.is_finite() && *p99 > 0.0);
 
-        let base = plane.estimate_knobs(model, &before)?;
+        let base = registry.estimate_knobs(model, &before)?;
         // Calibration anchors the simulator to the deployment: every
         // candidate's modelled p99 is scaled by how far off the model's
         // estimate is at the point we can actually observe. Gated on the
         // controller's own sample floor so a handful of warmup requests
         // cannot set the scale.
-        let min_samples = plane.controller_config().min_samples;
+        let min_samples = registry.controller_config().min_samples;
         let limit = self.options.calibration_limit;
         let calibration = match measured_p99_ms {
             Some(measured)
@@ -277,7 +282,7 @@ impl TuneDriver for Controller {
         let target_ms = request
             .target_p99_ms
             .or_else(|| {
-                plane
+                registry
                     .controller_status()
                     .models
                     .iter()
@@ -317,7 +322,7 @@ impl TuneDriver for Controller {
                     // A candidate the planner rejects (e.g. no admissible
                     // rank at that budget) is skipped, not fatal: the
                     // search routes around infeasible corners.
-                    let Ok(estimate) = plane.estimate_knobs(model, &candidate) else {
+                    let Ok(estimate) = registry.estimate_knobs(model, &candidate) else {
                         continue;
                     };
                     let scored = Scored {
@@ -350,7 +355,7 @@ impl TuneDriver for Controller {
         let after = incumbent.knobs;
         let mut applied = false;
         if request.apply && after != before {
-            let report = plane.reconfigure_with(model, move |config| after.apply_to(config))?;
+            let report = registry.reconfigure_with(model, move |config| after.apply_to(config))?;
             generation = report.generation;
             applied = true;
         }
@@ -366,7 +371,7 @@ impl TuneDriver for Controller {
             converged,
             applied,
             generation,
-            // Stamped by the control plane's ledger when the tune is
+            // Stamped by the registry's ledger when the tune is
             // recorded.
             tuning_generation: 0,
             probes,
@@ -375,7 +380,7 @@ impl TuneDriver for Controller {
 }
 
 /// Convenience: install a stock [`Controller`] on `registry` and return it.
-pub fn install(registry: &tdc_serve::ModelRegistry) -> std::sync::Arc<Controller> {
+pub fn install(registry: &ModelRegistry) -> std::sync::Arc<Controller> {
     let controller = std::sync::Arc::new(Controller::new());
     registry.set_tune_driver(controller.clone());
     controller

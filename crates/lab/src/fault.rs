@@ -6,7 +6,9 @@
 //! chaos harness keeps a clone and arms faults mid-trace
 //! ([`FaultInjector::arm_panics`] / [`FaultInjector::arm_errors`]); the
 //! wrapped backend consumes the armed budget one batch at a time, then
-//! falls back to pass-through. Because the wrapper rides on the model
+//! falls back to pass-through — forwarding the dispatch's scratch arena, so
+//! a fault-targeted model is served by the same arena-staged path
+//! production runs. Because the wrapper rides on the model
 //! config, a plan hot-swap re-applies it to the rebuilt engine and the
 //! handle keeps working across replans.
 //!
@@ -32,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use tdc_serve::backend::{BackendLatencyReport, BackendWrapper, BatchExecution, ExecutionBackend};
-use tdc_serve::ServeError;
+use tdc_serve::{ScratchArena, ServeError};
 use tdc_tensor::Tensor;
 
 /// The armed fault budget.
@@ -217,9 +219,13 @@ impl ExecutionBackend for FaultBackend {
         self.inner.warmup()
     }
 
-    fn forward_batch(&self, inputs: &[&Tensor]) -> Result<BatchExecution, ServeError> {
+    fn forward_batch(
+        &self,
+        inputs: &[&Tensor],
+        arena: &mut ScratchArena,
+    ) -> Result<BatchExecution, ServeError> {
         match self.take_fault() {
-            FaultMode::Off => self.inner.forward_batch(inputs),
+            FaultMode::Off => self.inner.forward_batch(inputs, arena),
             FaultMode::Panic(_) => {
                 self.state.injected_panics.fetch_add(1, Ordering::Relaxed);
                 panic!("injected fault: scripted backend panic");
@@ -233,7 +239,7 @@ impl ExecutionBackend for FaultBackend {
             FaultMode::Delay(_, delay_ms) => {
                 self.state.injected_delays.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(std::time::Duration::from_millis(delay_ms));
-                self.inner.forward_batch(inputs)
+                self.inner.forward_batch(inputs, arena)
             }
         }
     }
@@ -246,6 +252,11 @@ impl ExecutionBackend for FaultBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tdc_serve::BufferPool;
+
+    fn arena() -> ScratchArena {
+        ScratchArena::new(Arc::new(BufferPool::new()))
+    }
 
     #[test]
     fn budget_drains_then_disarms() {
@@ -257,13 +268,16 @@ mod tests {
         let backend = injector.wrap(Arc::new(NullBackend));
         for _ in 0..2 {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = backend.forward_batch(&[]);
+                let _ = backend.forward_batch(&[], &mut arena());
             }));
             assert!(result.is_err(), "armed panic must fire");
         }
         assert!(injector.is_idle());
         assert_eq!(injector.injected_panics(), 2);
-        assert!(backend.forward_batch(&[]).is_ok(), "healed: pass-through");
+        assert!(
+            backend.forward_batch(&[], &mut arena()).is_ok(),
+            "healed: pass-through"
+        );
     }
 
     #[test]
@@ -274,7 +288,9 @@ mod tests {
         let input = Tensor::from_vec(vec![2], vec![1.0, 2.0]).unwrap();
 
         let started = std::time::Instant::now();
-        let slow = backend.forward_batch(&[&input]).expect("delayed batch");
+        let slow = backend
+            .forward_batch(&[&input], &mut arena())
+            .expect("delayed batch");
         assert!(
             started.elapsed() >= std::time::Duration::from_millis(40),
             "armed delay must stall the batch"
@@ -288,7 +304,9 @@ mod tests {
         assert!(injector.is_idle(), "delay budget must drain");
 
         let started = std::time::Instant::now();
-        backend.forward_batch(&[&input]).expect("healed batch");
+        backend
+            .forward_batch(&[&input], &mut arena())
+            .expect("healed batch");
         assert!(
             started.elapsed() < std::time::Duration::from_millis(40),
             "healed batches must not stall"
@@ -300,7 +318,7 @@ mod tests {
         let injector = FaultInjector::new();
         injector.arm_errors(1);
         let backend = injector.wrap(Arc::new(NullBackend));
-        match backend.forward_batch(&[]) {
+        match backend.forward_batch(&[], &mut arena()) {
             Err(ServeError::ExecutionFailed { reason }) => {
                 assert!(reason.contains("injected fault"));
             }
@@ -308,6 +326,71 @@ mod tests {
         }
         assert_eq!(injector.injected_errors(), 1);
         assert!(injector.is_idle());
+    }
+
+    /// The fault-wrapped row of `tdc-serve`'s
+    /// `arena_batches_are_bit_stable_with_zero_new_allocations` table (the
+    /// injector is defined in this crate): a disarmed injector forwards the
+    /// arena, so the wrapped engine serves bit-equal to the reference and a
+    /// warm batch allocates nothing.
+    #[test]
+    fn wrapped_backend_forwards_the_arena_bit_stable_with_zero_new_allocations() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use tdc_serve::{serving_descriptor, ServeEngine};
+
+        /// Applies the injector and keeps the backend the engine will run.
+        struct Capture {
+            injector: FaultInjector,
+            wrapped: Mutex<Option<Arc<dyn ExecutionBackend>>>,
+        }
+        impl BackendWrapper for Capture {
+            fn wrap(&self, inner: Arc<dyn ExecutionBackend>) -> Arc<dyn ExecutionBackend> {
+                let wrapped = self.injector.wrap(inner);
+                *self.wrapped.lock().unwrap() = Some(Arc::clone(&wrapped));
+                wrapped
+            }
+        }
+
+        let capture = Arc::new(Capture {
+            injector: FaultInjector::new(),
+            wrapped: Mutex::new(None),
+        });
+        // Large enough that the planner decomposes at least one layer.
+        let descriptor = serving_descriptor("fault-arena", 12, 8, 10);
+        let engine = ServeEngine::builder(&descriptor)
+            .wrap_backend(capture.clone())
+            .build()
+            .unwrap();
+        assert!(engine.model().decomposed_layers() > 0);
+        let backend = capture.wrapped.lock().unwrap().clone().unwrap();
+
+        let mut rng = StdRng::seed_from_u64(29);
+        let inputs: Vec<Tensor> = (0..4)
+            .map(|_| tdc_tensor::init::uniform(vec![12, 12, 8], -1.0, 1.0, &mut rng))
+            .collect();
+        let refs: Vec<&Tensor> = inputs.iter().collect();
+        let reference: Vec<Tensor> = inputs
+            .iter()
+            .map(|x| engine.model().forward(x).unwrap())
+            .collect();
+
+        let pool = Arc::new(BufferPool::new());
+        let mut arena = ScratchArena::new(Arc::clone(&pool));
+        let first = backend.forward_batch(&refs, &mut arena).unwrap();
+        assert_eq!(first.outputs, reference, "cold batch diverged");
+        for out in first.outputs {
+            arena.give(out.into_data());
+        }
+        let warm = pool.stats();
+        let second = backend.forward_batch(&refs, &mut arena).unwrap();
+        assert_eq!(second.outputs, reference, "warm batch diverged");
+        let after = pool.stats();
+        assert_eq!(after.allocated_buffers, warm.allocated_buffers);
+        assert_eq!(after.allocated_f32, warm.allocated_f32);
+        assert_eq!(after.high_water_f32, warm.high_water_f32);
+        assert!(after.hits > warm.hits, "the pool was not used");
+        engine.shutdown();
     }
 
     struct NullBackend;
@@ -322,7 +405,11 @@ mod tests {
         fn warmup(&self) -> Result<(), ServeError> {
             Ok(())
         }
-        fn forward_batch(&self, inputs: &[&Tensor]) -> Result<BatchExecution, ServeError> {
+        fn forward_batch(
+            &self,
+            inputs: &[&Tensor],
+            _arena: &mut ScratchArena,
+        ) -> Result<BatchExecution, ServeError> {
             Ok(BatchExecution {
                 outputs: inputs.iter().map(|t| (*t).clone()).collect(),
                 simulated_gpu_ms: 0.0,

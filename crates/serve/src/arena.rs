@@ -3,7 +3,7 @@
 //! A [`BufferPool`] owns recycled `Vec<f32>` buffers grouped into
 //! power-of-two size classes; a [`ScratchArena`] is the thin per-worker
 //! handle the execution API threads through
-//! [`crate::backend::ExecutionBackend::forward_batch_in`]. Once a worker has
+//! [`crate::backend::ExecutionBackend::forward_batch`]. Once a worker has
 //! processed enough requests to populate its classes, every staging buffer on
 //! the CPU path — im2col patch matrices, Tucker intermediates, pooled
 //! features, output tensors, even the parsed HTTP input — is a pool hit, and

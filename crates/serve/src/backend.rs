@@ -4,9 +4,10 @@
 //! way of running a batch lives behind [`ExecutionBackend`], and engines are
 //! built against the trait. Two backends ship with the crate:
 //!
-//! * [`CpuBackend`] — the real CPU executor: kept layers through `tdc-conv`'s
-//!   algorithm zoo, decomposed layers through `tdc-tucker`'s three-stage
-//!   Tucker-2 convolution. Its latency report is the *predicted* per-layer
+//! * [`CpuBackend`] — the real CPU executor: kept layers as im2col + GEMM,
+//!   decomposed layers as the three-stage Tucker-2 convolution, every
+//!   intermediate staged in the dispatch's
+//!   [`ScratchArena`]. Its latency report is the *predicted* per-layer
 //!   GPU latency from the compression plan (the planning oracle's view).
 //! * [`SimGpuBackend`] — the same numerics (outputs are bit-identical to the
 //!   CPU backend for the same seed and plan) plus a *measured-in-simulation*
@@ -21,6 +22,7 @@
 //! travels end-to-end: through the plan-cache key, the per-request responses,
 //! and the metrics snapshot.
 
+use crate::arena::ScratchArena;
 use crate::model::CompressedModel;
 use crate::{Result, ServeError};
 use std::collections::HashMap;
@@ -125,8 +127,16 @@ pub struct BackendLatencyReport {
 /// Implementations must be `Send + Sync`: one backend instance is shared by
 /// the whole worker pool. The engine probes the backend once with
 /// [`ExecutionBackend::warmup`] before accepting traffic, so a backend that
-/// cannot execute the model (e.g. an algorithm that does not support one of
-/// the layers) fails engine construction instead of dropping every request.
+/// cannot execute the model (e.g. a lowered kernel the simulated device
+/// cannot launch) fails engine construction instead of dropping every
+/// request.
+///
+/// [`forward_batch`](ExecutionBackend::forward_batch) is the only way an
+/// engine runs a batch, and the shipped backends implement it with
+/// [`CompressedModel::forward_in`]. [`CompressedModel::forward`] is the
+/// allocating *reference* — what `warmup` probes with and what the
+/// bit-parity tests and the benchmark compare outputs against — and is not
+/// a serving path.
 ///
 /// # Examples
 ///
@@ -159,26 +169,13 @@ pub trait ExecutionBackend: Send + Sync {
     fn warmup(&self) -> Result<()>;
 
     /// Execute one batch and return the outputs in submission order together
-    /// with the backend's latency account for the batch.
-    fn forward_batch(&self, inputs: &[&Tensor]) -> Result<BatchExecution>;
-
-    /// Arena-carrying form of [`ExecutionBackend::forward_batch`]: backends
-    /// that can stage scratch data (im2col patches, Tucker intermediates,
-    /// output tensors) in `arena` avoid per-request allocations entirely.
-    ///
-    /// The engine's workers always call this form, passing a per-worker
-    /// arena. The default implementation ignores the arena and delegates to
-    /// [`ExecutionBackend::forward_batch`], keeping third-party backends
-    /// (wrappers, fault injectors) source-compatible; results must be
-    /// identical either way.
-    fn forward_batch_in(
-        &self,
-        inputs: &[&Tensor],
-        arena: &mut crate::arena::ScratchArena,
-    ) -> Result<BatchExecution> {
-        let _ = arena;
-        self.forward_batch(inputs)
-    }
+    /// with the backend's latency account for the batch. Every staging
+    /// buffer (im2col patches, Tucker intermediates, output tensors) comes
+    /// from `arena` — the engine passes one per dispatch — so a warm batch
+    /// allocates nothing; a wrapper forwards the arena to the backend it
+    /// wraps.
+    fn forward_batch(&self, inputs: &[&Tensor], arena: &mut ScratchArena)
+        -> Result<BatchExecution>;
 
     /// The backend's per-layer latency breakdown at the given batch size.
     fn latency_report(&self, batch_size: usize) -> Result<BackendLatencyReport>;
@@ -243,31 +240,16 @@ impl ExecutionBackend for CpuBackend {
             .map(|_| ())
     }
 
-    fn forward_batch(&self, inputs: &[&Tensor]) -> Result<BatchExecution> {
-        let outputs = inputs
-            .iter()
-            .map(|x| self.model.forward(x))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(BatchExecution {
-            outputs,
-            simulated_gpu_ms: 0.0,
-        })
-    }
-
-    /// The zero-allocation hot path: every sample runs through
-    /// [`CompressedModel::forward_in`], staging all intermediates in the
-    /// worker's arena. Bit-identical to [`CpuBackend::forward_batch`].
-    fn forward_batch_in(
+    fn forward_batch(
         &self,
         inputs: &[&Tensor],
-        arena: &mut crate::arena::ScratchArena,
+        arena: &mut ScratchArena,
     ) -> Result<BatchExecution> {
-        let outputs = inputs
-            .iter()
-            .map(|x| self.model.forward_in(x, arena))
-            .collect::<Result<Vec<_>>>()?;
         Ok(BatchExecution {
-            outputs,
+            outputs: inputs
+                .iter()
+                .map(|x| self.model.forward_in(x, arena))
+                .collect::<Result<_>>()?,
             simulated_gpu_ms: 0.0,
         })
     }
@@ -340,10 +322,9 @@ impl ExecutionBackend for CpuBackend {
 /// replayed on [`WaveEngine`], exposing wave counts, tail effects and SM
 /// utilisation that the closed-form planning prediction cannot see.
 pub struct SimGpuBackend {
-    model: Arc<CompressedModel>,
-    plan: Arc<CompressionPlan>,
+    /// Runs the numerics: the simulated GPU's outputs *are* the CPU's.
+    cpu: CpuBackend,
     engine: WaveEngine,
-    fc: Vec<(usize, usize)>,
     /// Reports memoized per batch size — batch sizes repeat constantly under
     /// steady load, and one report costs a full wave simulation of the plan.
     reports: Mutex<HashMap<usize, Arc<BackendLatencyReport>>>,
@@ -359,10 +340,8 @@ impl SimGpuBackend {
         fc: Vec<(usize, usize)>,
     ) -> Self {
         SimGpuBackend {
-            model,
-            plan,
-            engine: WaveEngine::new(device),
-            fc,
+            engine: WaveEngine::new(device.clone()),
+            cpu: CpuBackend::new(model, plan, device, fc),
             reports: Mutex::new(HashMap::new()),
         }
     }
@@ -382,7 +361,12 @@ impl SimGpuBackend {
                 return Ok(Arc::clone(report));
             }
         }
-        let lowered = lower_plan_with_fc(&self.plan, &self.fc, self.engine.device(), batch_size)?;
+        let lowered = lower_plan_with_fc(
+            &self.cpu.plan,
+            &self.cpu.fc,
+            self.engine.device(),
+            batch_size,
+        )?;
         let mut per_layer = Vec::with_capacity(lowered.len());
         let mut total_ms = 0.0f64;
         for layer in &lowered {
@@ -422,31 +406,26 @@ impl ExecutionBackend for SimGpuBackend {
     }
 
     fn input_dims(&self) -> &[usize] {
-        self.model.input_dims()
+        self.cpu.input_dims()
     }
 
     fn warmup(&self) -> Result<()> {
         // Probe both halves: the numeric chain and the plan lowering, so an
         // unlaunchable lowered kernel fails engine start, not the workers.
-        self.model
-            .forward(&Tensor::zeros(self.model.input_dims().to_vec()))?;
+        self.cpu.warmup()?;
         self.report_for(1).map(|_| ())
     }
 
-    fn forward_batch(&self, inputs: &[&Tensor]) -> Result<BatchExecution> {
-        let outputs = inputs
-            .iter()
-            .map(|x| self.model.forward(x))
-            .collect::<Result<Vec<_>>>()?;
-        let simulated_gpu_ms = if outputs.is_empty() {
-            0.0
-        } else {
-            self.report_for(outputs.len())?.total_ms
-        };
-        Ok(BatchExecution {
-            outputs,
-            simulated_gpu_ms,
-        })
+    fn forward_batch(
+        &self,
+        inputs: &[&Tensor],
+        arena: &mut ScratchArena,
+    ) -> Result<BatchExecution> {
+        let mut execution = self.cpu.forward_batch(inputs, arena)?;
+        if !inputs.is_empty() {
+            execution.simulated_gpu_ms = self.report_for(inputs.len())?.total_ms;
+        }
+        Ok(execution)
     }
 
     fn latency_report(&self, batch_size: usize) -> Result<BackendLatencyReport> {
@@ -457,6 +436,7 @@ impl ExecutionBackend for SimGpuBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::BufferPool;
     use crate::serving_descriptor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -513,8 +493,9 @@ mod tests {
             .map(|_| init::uniform(vec![12, 12, 8], -1.0, 1.0, &mut rng))
             .collect();
         let refs: Vec<&Tensor> = inputs.iter().collect();
-        let a = cpu.forward_batch(&refs).unwrap();
-        let b = sim.forward_batch(&refs).unwrap();
+        let mut arena = ScratchArena::new(Arc::new(BufferPool::new()));
+        let a = cpu.forward_batch(&refs, &mut arena).unwrap();
+        let b = sim.forward_batch(&refs, &mut arena).unwrap();
         assert_eq!(a.outputs, b.outputs, "backends must agree bit-for-bit");
         assert_eq!(a.simulated_gpu_ms, 0.0);
         assert!(b.simulated_gpu_ms > 0.0);
@@ -522,40 +503,49 @@ mod tests {
 
     #[test]
     fn arena_batches_are_bit_stable_with_zero_new_allocations() {
-        use crate::arena::{BufferPool, ScratchArena};
-
         let (model, plan, fc) = model_and_plan();
-        let cpu = CpuBackend::new(model, plan, DeviceSpec::a100(), fc);
         let mut rng = StdRng::seed_from_u64(29);
         let inputs: Vec<Tensor> = (0..4)
             .map(|_| init::uniform(vec![12, 12, 8], -1.0, 1.0, &mut rng))
             .collect();
         let refs: Vec<&Tensor> = inputs.iter().collect();
+        let reference: Vec<Tensor> = inputs.iter().map(|x| model.forward(x).unwrap()).collect();
 
-        let pool = Arc::new(BufferPool::new());
-        let mut arena = ScratchArena::new(Arc::clone(&pool));
-        // Match `forward_batch` bitwise and warm the pool.
-        let plain = cpu.forward_batch(&refs).unwrap();
-        let first = cpu.forward_batch_in(&refs, &mut arena).unwrap();
-        assert_eq!(plain.outputs, first.outputs);
-        for out in first.outputs {
-            arena.give(out.into_data());
-        }
-        let warm = pool.stats();
+        // The fault-wrapped row of this table lives in `tdc-lab`'s `fault`
+        // tests (the injector is defined there).
+        let backends: [Box<dyn ExecutionBackend>; 2] = [
+            Box::new(CpuBackend::new(
+                Arc::clone(&model),
+                Arc::clone(&plan),
+                DeviceSpec::a100(),
+                fc.clone(),
+            )),
+            Box::new(SimGpuBackend::new(model, plan, DeviceSpec::a100(), fc)),
+        ];
+        for backend in backends {
+            let name = backend.name();
+            let pool = Arc::new(BufferPool::new());
+            let mut arena = ScratchArena::new(Arc::clone(&pool));
+            // The first batch warms the pool; its outputs are recycled the
+            // way the engine recycles answered requests.
+            let first = backend.forward_batch(&refs, &mut arena).unwrap();
+            assert_eq!(first.outputs, reference, "{name}: cold batch diverged");
+            for out in first.outputs {
+                arena.give(out.into_data());
+            }
+            let warm = pool.stats();
 
-        // A second identical batch must produce identical f32 bits with zero
-        // new allocations: the pool's allocation counters and high-water mark
-        // must not move.
-        let second = cpu.forward_batch_in(&refs, &mut arena).unwrap();
-        assert_eq!(plain.outputs, second.outputs, "warm batch diverged bitwise");
-        for out in second.outputs {
-            arena.give(out.into_data());
+            // A second identical batch must produce identical f32 bits with
+            // zero new allocations: the pool's allocation counters and
+            // high-water mark must not move.
+            let second = backend.forward_batch(&refs, &mut arena).unwrap();
+            assert_eq!(second.outputs, reference, "{name}: warm batch diverged");
+            let after = pool.stats();
+            assert_eq!(after.allocated_buffers, warm.allocated_buffers, "{name}");
+            assert_eq!(after.allocated_f32, warm.allocated_f32, "{name}");
+            assert_eq!(after.high_water_f32, warm.high_water_f32, "{name}");
+            assert!(after.hits > warm.hits, "{name}: the pool was not used");
         }
-        let after = pool.stats();
-        assert_eq!(after.allocated_buffers, warm.allocated_buffers);
-        assert_eq!(after.allocated_f32, warm.allocated_f32);
-        assert_eq!(after.high_water_f32, warm.high_water_f32);
-        assert!(after.hits > warm.hits);
     }
 
     #[test]

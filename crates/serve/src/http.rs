@@ -31,8 +31,8 @@
 //! | `GET`  | `/healthz`                    | readiness JSON ([`HealthReply`]): model count, table epoch, admission state |
 //! | `POST` | `/admin/shutdown`             | request graceful shutdown (the daemon drains and exits) |
 //!
-//! …and the admin plane, backed by the [control plane](crate::control)
-//! (every operation is safe on a live, serving process):
+//! …and the admin plane, backed by the live [registry](crate::registry)
+//! (every operation is safe on a serving process):
 //!
 //! | Method   | Path                          | Response |
 //! |----------|-------------------------------|----------|
@@ -254,7 +254,6 @@ impl RegisterBody {
                 },
                 seed: self.seed.unwrap_or(runtime_defaults.seed),
                 backend,
-                ..runtime_defaults
             },
             backend_wrapper: None,
         })
@@ -293,7 +292,7 @@ pub struct TuneBody {
 }
 
 impl TuneBody {
-    /// Resolve into the control plane's request, filling gaps with
+    /// Resolve into the registry's request, filling gaps with
     /// [`TuneRequest::default`].
     pub fn request(&self) -> TuneRequest {
         let defaults = TuneRequest::default();
@@ -1145,9 +1144,7 @@ fn put_model(registry: &ModelRegistry, name: &str, body: &str) -> Routed {
         .map_err(bad_body)
         .and_then(|parsed| {
             let config = parsed.model_config()?;
-            registry
-                .control()
-                .register(name, &parsed.descriptor, config)
+            registry.register_at_epoch(name, &parsed.descriptor, config)
         });
     match registered {
         Ok((info, epoch)) => json_routed(
@@ -1163,7 +1160,7 @@ fn put_model(registry: &ModelRegistry, name: &str, body: &str) -> Routed {
 
 /// `DELETE /v1/models/{name}` — graceful retire.
 fn delete_model(registry: &ModelRegistry, name: &str) -> Routed {
-    match registry.control().retire(name) {
+    match registry.retire_at_epoch(name) {
         Ok((report, epoch)) => json_routed(
             200,
             &RetireReply {
@@ -1181,7 +1178,7 @@ fn delete_model(registry: &ModelRegistry, name: &str) -> Routed {
 
 /// `POST /v1/models/{name}/replan` — plan hot-swap at a new budget. The
 /// body's overrides are merged onto the model's current planning options
-/// *inside* the control plane's writer lock, so two concurrent replans
+/// *inside* the registry's writer lock, so two concurrent replans
 /// compose instead of one clobbering the other from a stale snapshot.
 fn replan_model(registry: &ModelRegistry, name: &str, body: &str) -> Routed {
     let parsed = match serde_json::parse_value(body)

@@ -14,8 +14,9 @@
 //!   until either `max_batch_size` is reached or the oldest request has
 //!   waited `max_batch_delay`, then the batch is handed to a worker.
 //! * [`backend`] — pluggable execution behind the [`ExecutionBackend`]
-//!   trait: [`CpuBackend`] runs real CPU forward passes through `tdc-conv`'s
-//!   algorithm zoo and `tdc-tucker`'s three-stage Tucker-2 convolution;
+//!   trait: [`CpuBackend`] runs real CPU forward passes — im2col + GEMM for
+//!   kept layers, the three-stage Tucker-2 convolution for decomposed ones,
+//!   every intermediate staged in a [`ScratchArena`];
 //!   [`SimGpuBackend`] runs the same numerics *and* lowers the plan to
 //!   kernel-launch sequences replayed on `tdc-gpu-sim`'s wave engine, so
 //!   every batch carries a simulated per-layer GPU latency breakdown.
@@ -31,13 +32,15 @@
 //! * [`registry`] — N named models behind one router, each with its own
 //!   engine and a per-model admission bound (typed [`ServeError::Overloaded`]
 //!   rejection instead of unbounded queues), sharing one plan cache and
-//!   aggregating metrics.
-//! * [`control`] — the live control plane: an RCU-style epoch-swapped model
-//!   table makes the registry shareable (`&self` registration/retirement
-//!   behind an `Arc`; readers never block on writers), with graceful
-//!   retire, atomic plan hot-swap ([`ControlPlane::replan`]) and the
-//!   substrate the `tdc-ctrl` SLO controller tunes through
-//!   ([`ControlPlane::tune`]).
+//!   aggregating metrics. [`ModelRegistry`] owns the RCU-style
+//!   epoch-swapped model table, which makes it shareable (`&self`
+//!   registration/retirement behind an `Arc`; readers never block on
+//!   writers), with graceful retire, atomic plan hot-swap
+//!   ([`ModelRegistry::replan`]) and the substrate the `tdc-ctrl` SLO
+//!   controller tunes through ([`ModelRegistry::tune`]).
+//! * [`control`] — what those operations are built from and exchange: the
+//!   [`EpochSwap`] primitive, [`EngineHandle`], the knob / tune / controller
+//!   report types and the [`TuneDriver`] contract.
 //! * [`http`] — a dependency-free HTTP/1.1 front end on
 //!   `std::net::TcpListener` exposing the registry at
 //!   `POST /v1/models/{name}/infer`, `GET /v1/models`, `GET /metrics` and
@@ -98,9 +101,9 @@ pub use batcher::{
     BatchQueue, DequeuedBatch, InferenceRequest, InferenceResponse, PendingResponse,
 };
 pub use control::{
-    ControlPlane, ControllerConfig, ControllerStatus, ControllerWatch, EngineHandle, EpochSwap,
-    KnobEstimate, KnobSet, LifecycleCounters, MeasuredSlo, ModelControllerStatus, ReplanReport,
-    TickReport, TuneDriver, TuneProbe, TuneReport, TuneRequest,
+    ControllerConfig, ControllerStatus, ControllerWatch, EngineHandle, EpochSwap, KnobEstimate,
+    KnobSet, MeasuredSlo, ModelControllerStatus, ReplanReport, TickReport, TuneDriver, TuneProbe,
+    TuneReport, TuneRequest,
 };
 pub use http::{HealthReply, HttpClient, HttpHandler, HttpServer, RoutedResponse, ShutdownSignal};
 pub use metrics::{LatencySummary, ServeMetrics};

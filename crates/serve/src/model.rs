@@ -4,9 +4,8 @@
 //! A [`CompressedModel`] is built from a model descriptor plus the per-layer
 //! decisions of a [`tdc::CompressionPlan`]:
 //!
-//! * layers the plan **keeps dense** execute through `tdc-conv`'s algorithm
-//!   zoo (im2col+GEMM by default — the library path the paper keeps for
-//!   "other layers" — with direct / Winograd / FFT selectable per deployment);
+//! * layers the plan **keeps dense** execute as im2col + GEMM — the library
+//!   path the paper keeps for "other layers";
 //! * layers the plan **decomposes** execute the paper's three-stage Tucker-2
 //!   pipeline (1×1 → R×S core → 1×1) via [`tdc_tucker::TuckerConv`], with the
 //!   factors obtained by Tucker-2 decomposition of the materialized kernel.
@@ -21,53 +20,18 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tdc::rank_select::Decision;
 use tdc::CompressionPlan;
-use tdc_conv::{direct, im2col, ConvShape, CpuConvAlgorithm};
+use tdc_conv::{direct, im2col, ConvShape};
 use tdc_nn::models::ModelDescriptor;
 use tdc_tensor::matmul::{gemm_blocked_into, matmul};
 use tdc_tensor::{init, Tensor};
 use tdc_tucker::tkd::tucker2;
 use tdc_tucker::TuckerConv;
 
-/// Which CPU algorithm executes the kept (dense) convolutions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DenseAlgorithm {
-    /// Seven-loop direct convolution (reference).
-    Direct,
-    /// im2col + GEMM (the default; mirrors the library path).
-    Im2col,
-    /// Winograd F(2×2, 3×3) — stride-1 3×3 layers only.
-    Winograd,
-    /// FFT-based convolution.
-    Fft,
-}
-
-impl DenseAlgorithm {
-    /// The `tdc-conv` dispatch-surface algorithm this deployment choice maps
-    /// to.
-    pub fn conv_algorithm(&self) -> CpuConvAlgorithm {
-        match self {
-            DenseAlgorithm::Direct => CpuConvAlgorithm::Direct,
-            DenseAlgorithm::Im2col => CpuConvAlgorithm::Im2col,
-            DenseAlgorithm::Winograd => CpuConvAlgorithm::Winograd,
-            DenseAlgorithm::Fft => CpuConvAlgorithm::Fft,
-        }
-    }
-
-    fn run(&self, input: &Tensor, kernel: &Tensor, shape: &ConvShape) -> Result<Tensor> {
-        Ok(tdc_conv::dispatch(
-            self.conv_algorithm(),
-            input,
-            kernel,
-            shape,
-        )?)
-    }
-}
-
 /// One executable layer of the compressed network.
 enum LayerExec {
-    /// Kept dense: original CNRS kernel, run through the algorithm zoo. The
+    /// Kept dense: original CNRS kernel, run as im2col + GEMM. The
     /// `(C·R·S) × N` GEMM operand (`kmat`) is cached at materialization so
-    /// the per-request im2col path never rebuilds it.
+    /// the per-request path never rebuilds it.
     Dense {
         shape: ConvShape,
         kernel: Tensor,
@@ -89,7 +53,6 @@ pub struct CompressedModel {
     layers: Vec<LayerExec>,
     /// FC weight matrices, `in_features × out_features` each.
     fc: Vec<Tensor>,
-    dense_algorithm: DenseAlgorithm,
     input_dims: Vec<usize>,
     output_classes: usize,
     decomposed_layers: usize,
@@ -106,16 +69,6 @@ impl CompressedModel {
         descriptor: &ModelDescriptor,
         plan: &CompressionPlan,
         seed: u64,
-    ) -> Result<Self> {
-        Self::materialize_with(descriptor, plan, seed, DenseAlgorithm::Im2col)
-    }
-
-    /// [`CompressedModel::materialize`] with an explicit dense algorithm.
-    pub fn materialize_with(
-        descriptor: &ModelDescriptor,
-        plan: &CompressionPlan,
-        seed: u64,
-        dense_algorithm: DenseAlgorithm,
     ) -> Result<Self> {
         if plan.decisions.len() != descriptor.convs.len() {
             return Err(ServeError::BadConfig {
@@ -210,7 +163,6 @@ impl CompressedModel {
             input_dims: descriptor.convs[0].input_dims(),
             layers,
             fc,
-            dense_algorithm,
             output_classes: features,
             decomposed_layers,
         })
@@ -258,9 +210,7 @@ impl CompressedModel {
         let mut x = input.clone();
         for layer in &self.layers {
             x = match layer {
-                LayerExec::Dense { shape, kernel, .. } => {
-                    self.dense_algorithm.run(&x, kernel, shape)?
-                }
+                LayerExec::Dense { shape, kernel, .. } => im2col::conv2d(&x, kernel, shape)?,
                 LayerExec::Tucker { conv, .. } => conv.forward(&x)?,
             };
         }
@@ -299,13 +249,7 @@ impl CompressedModel {
     /// same values). On a warm arena this path performs zero f32 allocations;
     /// the returned tensor's storage comes from the pool and is expected to
     /// be recycled by the caller once serialized.
-    ///
-    /// Only the im2col dense algorithm has a staged form; other deployments
-    /// fall back to [`CompressedModel::forward`].
     pub fn forward_in(&self, input: &Tensor, arena: &mut ScratchArena) -> Result<Tensor> {
-        if self.dense_algorithm != DenseAlgorithm::Im2col {
-            return self.forward(input);
-        }
         if input.dims() != self.input_dims.as_slice() {
             return Err(ServeError::BadInput {
                 expected: self.input_dims.clone(),
@@ -452,32 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_algorithms_agree_on_kept_layers() {
-        let descriptor = serving_descriptor("svc", 8, 4, 5);
-        let plan = small_plan(&descriptor);
-        let mut rng = StdRng::seed_from_u64(9);
-        let input = init::uniform(vec![8, 8, 4], -1.0, 1.0, &mut rng);
-        let reference =
-            CompressedModel::materialize_with(&descriptor, &plan, 2, DenseAlgorithm::Direct)
-                .unwrap()
-                .forward(&input)
-                .unwrap();
-        for algorithm in [
-            DenseAlgorithm::Im2col,
-            DenseAlgorithm::Winograd,
-            DenseAlgorithm::Fft,
-        ] {
-            let model =
-                CompressedModel::materialize_with(&descriptor, &plan, 2, algorithm).unwrap();
-            let got = model.forward(&input).unwrap();
-            assert!(
-                got.relative_error(&reference).unwrap() < 1e-3,
-                "{algorithm:?} disagrees with the direct reference"
-            );
-        }
-    }
-
-    #[test]
     fn arena_forward_is_bit_identical_to_plain_forward() {
         use crate::arena::{BufferPool, ScratchArena};
         use std::sync::Arc;
@@ -495,25 +413,6 @@ mod tests {
             // Recycle the output like the production loop does.
             arena.give(staged.into_data());
         }
-    }
-
-    #[test]
-    fn arena_forward_falls_back_for_non_im2col_deployments() {
-        use crate::arena::{BufferPool, ScratchArena};
-        use std::sync::Arc;
-
-        let descriptor = serving_descriptor("svc", 8, 4, 5);
-        let plan = small_plan(&descriptor);
-        let model =
-            CompressedModel::materialize_with(&descriptor, &plan, 2, DenseAlgorithm::Direct)
-                .unwrap();
-        let mut rng = StdRng::seed_from_u64(23);
-        let input = init::uniform(vec![8, 8, 4], -1.0, 1.0, &mut rng);
-        let mut arena = ScratchArena::new(Arc::new(BufferPool::new()));
-        assert_eq!(
-            model.forward(&input).unwrap(),
-            model.forward_in(&input, &mut arena).unwrap()
-        );
     }
 
     #[test]

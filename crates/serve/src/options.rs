@@ -10,7 +10,6 @@
 //! runs all three validations before any planning work starts.
 
 use crate::backend::BackendKind;
-use crate::model::DenseAlgorithm;
 use crate::{Result, ServeError};
 use std::time::Duration;
 use tdc::rank_select::RankSelectionConfig;
@@ -209,8 +208,6 @@ pub struct RuntimeOptions {
     pub qos: QosClass,
     /// Seed for weight materialization.
     pub seed: u64,
-    /// CPU algorithm for kept (dense) layers.
-    pub dense_algorithm: DenseAlgorithm,
     /// Which execution backend runs the batches.
     pub backend: BackendKind,
 }
@@ -221,7 +218,6 @@ impl Default for RuntimeOptions {
             workers: 2,
             qos: QosClass::Standard,
             seed: 0x7DC,
-            dense_algorithm: DenseAlgorithm::Im2col,
             backend: BackendKind::Cpu,
         }
     }

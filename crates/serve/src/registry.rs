@@ -2,30 +2,56 @@
 //!
 //! A production deployment rarely serves exactly one network. The registry
 //! hosts any number of named models, each with its **own**
-//! [`ServeEngine`](crate::ServeEngine)
+//! [`ServeEngine`]
 //! (backend, dynamic batcher, worker pool, metrics) so that one model's
 //! traffic cannot starve another's workers, while sharing one [`PlanCache`]
 //! so models planned under the same `(model, device, backend, budget)` key
 //! skip rank selection on re-registration.
 //!
-//! The registry is **shareable and live**: routing goes through the
-//! [`ControlPlane`]'s epoch-swapped table, so every operation — including
-//! [`register`](ModelRegistry::register),
-//! [`retire`](ModelRegistry::retire) and the plan hot-swap
-//! ([`replan`](ModelRegistry::replan) / [`tune`](ModelRegistry::tune)) —
-//! takes `&self`. A registry behind
-//! an `Arc`, with an HTTP server attached, can gain, lose and re-plan models
-//! while serving; readers never block on writers (see [`crate::control`]).
+//! The registry is **shareable and live**. It is the one owner of the model
+//! table, an epoch-swapped ([`EpochSwap`]) name → engine map: readers take an
+//! `Arc` snapshot and never wait on writer work, writers build the next table
+//! off to the side and publish it with one swap. So every operation takes
+//! `&self`, and a registry behind an `Arc`, with an HTTP server attached, can
+//! gain, lose and re-plan models while serving:
+//!
+//! * **Hot lifecycle** — [`register`](ModelRegistry::register) and
+//!   [`retire`](ModelRegistry::retire). Retire is graceful by construction:
+//!   the model is unrouted first (new lookups 404), admission on its engine
+//!   is closed (stale-snapshot submits get a typed
+//!   [`ServeError::Closed`] → HTTP 503), the queue drains, and only then is
+//!   the engine freed — every admitted request is answered.
+//! * **Plan hot-swap** — [`replan`](ModelRegistry::replan) re-runs planning
+//!   at new [`PlanningOptions`] and atomically swaps in a freshly built
+//!   engine under the same route;
+//!   [`reconfigure_with`](ModelRegistry::reconfigure_with) does the same over
+//!   the *whole* [`ModelConfig`]. In-flight requests — including submits
+//!   racing through pre-swap snapshots — complete on the old plan (admission
+//!   on the old engine is *not* closed; it simply drains once the last
+//!   snapshot holder lets go), new requests ride the new plan: zero dropped
+//!   requests across the swap boundary, pinned by a bit-parity integration
+//!   test.
+//! * **Controller substrate** — the SLO controller (`tdc-ctrl`) plugs in
+//!   through the vocabulary in [`crate::control`]:
+//!   [`estimate_knobs`](ModelRegistry::estimate_knobs) scores a [`KnobSet`]
+//!   on the wave simulator, a [`TuneDriver`] installed via
+//!   [`set_tune_driver`](ModelRegistry::set_tune_driver) supplies the search
+//!   behind [`tune`](ModelRegistry::tune), and
+//!   [`watch`](ModelRegistry::watch) runs the background loop that re-tunes
+//!   a model whose live p99 drifts out of the configured band. Ticks are
+//!   injectable
+//!   ([`controller_tick_with`](ModelRegistry::controller_tick_with)) so
+//!   tests drive the loop with a scripted metric feed and no clock.
 //!
 //! Routing is by registered name. Admission control is per model: every
 //! engine's queue is bounded by its
 //! [`max_queue_depth`](crate::BatchingOptions::max_queue_depth), and a flood
 //! against one model is shed at that model's front door with a typed
-//! [`ServeError::Overloaded`](crate::ServeError::Overloaded) rejection — counted per model by the registry —
+//! [`ServeError::Overloaded`] rejection — counted per model by the registry —
 //! instead of queueing without bound. [`ModelRegistry::metrics`] aggregates
 //! every model's [`ServeMetrics`] plus the rejection counters, the
-//! control-plane lifecycle counters (table epoch, registers, retires,
-//! replans) and the shared plan cache's telemetry into one
+//! lifecycle counters (table epoch, registers, retires, replans) and the
+//! shared plan cache's telemetry into one
 //! [`RegistryMetrics`] snapshot, which is what the HTTP front end
 //! ([`crate::http`]) serializes at `GET /metrics`.
 //!
@@ -36,18 +62,22 @@
 use crate::arena::PoolStats;
 use crate::batcher::{InferenceResponse, PendingResponse};
 use crate::control::{
-    ControlPlane, ControllerConfig, ControllerStatus, ControllerWatch, EngineHandle, KnobEstimate,
-    KnobSet, MeasuredSlo, ReplanReport, TickReport, TuneDriver, TuneReport, TuneRequest,
+    ControllerConfig, ControllerLedger, ControllerStatus, ControllerWatch, EngineHandle, EpochSwap,
+    KnobEstimate, KnobSet, MeasuredSlo, ModelControllerStatus, ModelTable, RegisteredModel,
+    ReplanReport, RouteTotals, TickReport, TuneDriver, TuneReport, TuneRequest,
 };
 use crate::metrics::ServeMetrics;
 use crate::options::{BatchingOptions, PlanningOptions, RuntimeOptions};
-use crate::plan_cache::{PlanCache, PlanCacheStats};
-use crate::server::ServeReport;
-use crate::Result;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::Duration;
-use tdc_exec::Executor;
+use crate::plan_cache::{CacheOutcome, PlanCache, PlanCacheStats, PlanKey};
+use crate::server::{ServeEngine, ServeReport};
+use crate::{Result, ServeError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::time::{Duration, Instant};
+use tdc::lowering::lower_plan_with_fc;
+use tdc::TdcPipeline;
+use tdc_exec::{BandMetrics, Executor, ExecutorMetrics, ExecutorOptions, QosClass};
+use tdc_gpu_sim::WaveEngine;
 use tdc_nn::models::ModelDescriptor;
 use tdc_tensor::Tensor;
 
@@ -61,7 +91,7 @@ pub struct ModelConfig {
     pub planning: PlanningOptions,
     /// Batch shape and admission bound.
     pub batching: BatchingOptions,
-    /// Worker pool, weight seed, dense algorithm, execution backend.
+    /// Fair-share weight, QoS class, weight seed, execution backend.
     pub runtime: RuntimeOptions,
     /// Optional backend interposer (fault injection, call recording),
     /// applied to every engine built for this model — including the rebuilt
@@ -139,7 +169,7 @@ pub struct ModelMetricsEntry {
     pub model: String,
     /// Plan generation currently serving (1 = as registered).
     pub generation: u64,
-    /// Requests rejected at admission with [`ServeError::Overloaded`](crate::ServeError::Overloaded).
+    /// Requests rejected at admission with [`ServeError::Overloaded`].
     /// A route-lifetime counter: survives plan hot-swaps.
     pub rejected_requests: u64,
     /// Requests completed over the route's lifetime — the current engine's
@@ -165,8 +195,8 @@ pub struct ModelMetricsEntry {
     pub pool: PoolStats,
 }
 
-/// Aggregated metrics across every registered model, plus the control-plane
-/// lifecycle counters and the shared plan cache's telemetry.
+/// Aggregated metrics across every registered model, plus the lifecycle
+/// counters and the shared plan cache's telemetry.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RegistryMetrics {
     /// Per-model snapshots, in registration-name order.
@@ -211,7 +241,72 @@ pub struct RegistryMetrics {
     pub controller: ControllerStatus,
 }
 
-/// N named serving engines behind one name-based router.
+/// Longest a retire / replan waits — in total, across both the queue drain
+/// and the wait for the old engine to become exclusively owned (i.e. for
+/// every in-flight request holding a table snapshot to finish). Past the
+/// bound the operation still *succeeds* (the table mutation committed
+/// before the drain began) and reports a metrics snapshot instead of the
+/// consumed engine's final report; the engine itself is freed gracefully
+/// when its last holder drops it.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Plans computed by tune probes are memoized here, in a cache separate
+/// from the serving one: a single search plans ~10 one-shot budgets, and
+/// routing those through the serving cache would evict live models' plans
+/// and fill the eviction telemetry with probe noise.
+const PROBE_CACHE_CAPACITY: usize = 32;
+
+fn fingerprint_hex(fingerprint: u64) -> String {
+    format!("{fingerprint:016x}")
+}
+
+fn outcome_label(outcome: CacheOutcome) -> &'static str {
+    match outcome {
+        CacheOutcome::MemoryHit => "memory-hit",
+        CacheOutcome::DiskHit => "disk-hit",
+        CacheOutcome::Miss => "miss",
+    }
+}
+
+/// Wait for `entry` to become exclusively owned — i.e. for every in-flight
+/// request holding a pre-swap table snapshot to finish — then return it by
+/// value. `None` past the timeout (the `Arc` is dropped; the engine still
+/// drains and joins its workers when the last holder releases it).
+fn take_exclusive(mut entry: Arc<RegisteredModel>, timeout: Duration) -> Option<RegisteredModel> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        match Arc::try_unwrap(entry) {
+            Ok(inner) => return Some(inner),
+            Err(shared) => {
+                if Instant::now() >= deadline {
+                    return None;
+                }
+                entry = shared;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+}
+
+/// A `ServeReport` snapshot taken through a shared reference — the fallback
+/// when a drain outlasts [`DRAIN_TIMEOUT`] and the engine cannot be consumed
+/// for its final report.
+fn report_snapshot(engine: &ServeEngine) -> ServeReport {
+    ServeReport {
+        backend: engine.backend_name().to_string(),
+        metrics: engine.metrics(),
+        plan_outcome: engine.plan_outcome(),
+        plan_fingerprint: engine.plan().fingerprint(),
+        backend_latency: engine.backend_latency_report().clone(),
+    }
+}
+
+/// N named serving engines behind one name-based router: the one owner of
+/// the epoch-swapped model table and of every live operation over it.
+///
+/// All mutation goes through `&self`, so the registry can sit behind an
+/// `Arc` shared with a running HTTP server and still gain, lose and re-plan
+/// models. Writers serialize on an internal mutex; readers never take it.
 ///
 /// # Examples
 ///
@@ -243,7 +338,41 @@ pub struct RegistryMetrics {
 /// registry.shutdown();
 /// ```
 pub struct ModelRegistry {
-    control: ControlPlane,
+    cache: PlanCache,
+    /// Memoizes tune probe plans, separately from the serving cache
+    /// (see [`PROBE_CACHE_CAPACITY`]).
+    probe_cache: PlanCache,
+    /// The fleet-wide executor every registered engine runs its batches
+    /// on. `None` only if the pool's worker threads could not be
+    /// spawned at construction — engines then fall back to private pools,
+    /// the pre-executor topology.
+    executor: Option<Arc<Executor>>,
+    table: EpochSwap<ModelTable>,
+    /// Serializes writers (register / retire / replan / shutdown) — they
+    /// build engines, planning included, under it, which keeps
+    /// duplicate-name races trivially impossible. Readers never touch it.
+    writer: Mutex<()>,
+    registered_total: AtomicU64,
+    retired_total: AtomicU64,
+    replans_total: AtomicU64,
+    /// Requests completed by engines that have since been drained (replans
+    /// and retires), so the fleet-wide completed total in `/metrics` stays
+    /// monotonic across lifecycle operations instead of dropping with every
+    /// rotated engine.
+    drained_completed_total: AtomicU64,
+    /// Deadline expiries on since-drained engines (same role).
+    drained_deadline_exceeded_total: AtomicU64,
+    /// The installed knob-search implementation (`tdc-ctrl`'s coordinate
+    /// descent). `None` until an embedder attaches one; tune requests then
+    /// fail typed (→ HTTP 400) instead of silently no-oping.
+    driver: Mutex<Option<Arc<dyn TuneDriver>>>,
+    /// Watch-loop config plus per-model tune state.
+    controller: Mutex<ControllerLedger>,
+    controller_ticks_total: AtomicU64,
+    controller_tunes_total: AtomicU64,
+    controller_drift_events_total: AtomicU64,
+    /// Live [`ModelRegistry::watch`] threads (0 or 1 in practice).
+    watchers: AtomicU64,
 }
 
 impl ModelRegistry {
@@ -255,26 +384,83 @@ impl ModelRegistry {
 
     /// An empty registry planning through `cache` (e.g. one configured with a
     /// spill directory, so every registered model skips rank selection after
-    /// a process restart).
+    /// a process restart), with a fleet executor at default options (one
+    /// worker per core, clamped).
     pub fn with_cache(cache: PlanCache) -> Self {
-        ModelRegistry {
-            control: ControlPlane::new(cache),
-        }
+        let executor = Executor::new(ExecutorOptions::default()).ok().map(Arc::new);
+        Self::with_optional_executor(cache, executor)
     }
 
     /// An empty registry planning through `cache` and scheduling every
     /// engine on `executor` — a pool shared with other registries in the
     /// process, or a deterministic paused pool in tests.
     pub fn with_executor(cache: PlanCache, executor: Arc<Executor>) -> Self {
+        Self::with_optional_executor(cache, Some(executor))
+    }
+
+    fn with_optional_executor(cache: PlanCache, executor: Option<Arc<Executor>>) -> Self {
         ModelRegistry {
-            control: ControlPlane::with_executor(cache, executor),
+            cache,
+            probe_cache: PlanCache::new(PROBE_CACHE_CAPACITY),
+            executor,
+            table: EpochSwap::new(ModelTable::new()),
+            writer: Mutex::new(()),
+            registered_total: AtomicU64::new(0),
+            retired_total: AtomicU64::new(0),
+            replans_total: AtomicU64::new(0),
+            drained_completed_total: AtomicU64::new(0),
+            drained_deadline_exceeded_total: AtomicU64::new(0),
+            driver: Mutex::new(None),
+            controller: Mutex::new(ControllerLedger::default()),
+            controller_ticks_total: AtomicU64::new(0),
+            controller_tunes_total: AtomicU64::new(0),
+            controller_drift_events_total: AtomicU64::new(0),
+            watchers: AtomicU64::new(0),
         }
     }
 
-    /// The control plane this registry routes through: the epoch-swapped
-    /// table, lifecycle counters and the controller substrate.
-    pub fn control(&self) -> &ControlPlane {
-        &self.control
+    /// Record a drained engine's final counters into the fleet-wide
+    /// monotonic totals.
+    fn note_drained(&self, metrics: &ServeMetrics) {
+        self.drained_completed_total
+            .fetch_add(metrics.completed_requests, Ordering::Relaxed);
+        self.drained_deadline_exceeded_total
+            .fetch_add(metrics.deadline_exceeded, Ordering::Relaxed);
+    }
+
+    fn writer(&self) -> MutexGuard<'_, ()> {
+        match self.writer.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    /// Telemetry snapshot of the fleet executor: workers, utilization,
+    /// per-QoS-band queue depth and per-source counters. An
+    /// all-zero snapshot when the fleet pool is absent.
+    fn executor_metrics(&self) -> ExecutorMetrics {
+        match &self.executor {
+            Some(executor) => executor.metrics(),
+            None => ExecutorMetrics {
+                workers: 0,
+                steals_total: 0,
+                utilization: 0.0,
+                bands: QosClass::ALL
+                    .iter()
+                    .map(|qos| BandMetrics {
+                        qos: qos.label().to_string(),
+                        queued: 0,
+                        tokens: 0,
+                    })
+                    .collect(),
+                sources: Vec::new(),
+            },
+        }
+    }
+
+    /// Routing-table epoch: how many times the model table has been swapped.
+    pub fn epoch(&self) -> u64 {
+        self.table.epoch()
     }
 
     /// Whether `name` can be registered: non-empty and made of URL-safe
@@ -287,11 +473,75 @@ impl ModelRegistry {
                 .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
     }
 
+    /// Resolve one routed model from the current table.
+    pub(crate) fn lookup(&self, name: &str) -> Result<Arc<RegisteredModel>> {
+        self.table
+            .load()
+            .get(name)
+            .cloned()
+            .ok_or_else(|| ServeError::UnknownModel {
+                name: name.to_string(),
+            })
+    }
+
+    /// Build the full entry for one registration: engine (through the shared
+    /// plan cache) plus its static description.
+    fn build_entry(
+        &self,
+        name: &str,
+        descriptor: &ModelDescriptor,
+        config: ModelConfig,
+        generation: u64,
+    ) -> Result<RegisteredModel> {
+        let mut builder = ServeEngine::builder(descriptor)
+            .planning(config.planning.clone())
+            .batching(config.batching.clone())
+            .runtime(config.runtime.clone())
+            .plan_cache(&self.cache);
+        if let Some(executor) = &self.executor {
+            builder = builder.executor(executor);
+        }
+        if let Some(wrapper) = &config.backend_wrapper {
+            builder = builder.wrap_backend(Arc::clone(wrapper));
+        }
+        let engine = builder.build()?;
+        let info = ModelInfo {
+            name: name.to_string(),
+            backend: engine.backend_name().to_string(),
+            device: config.planning.device.name.clone(),
+            input_dims: engine.model().input_dims().to_vec(),
+            output_classes: engine.model().output_classes(),
+            decomposed_layers: engine.model().decomposed_layers(),
+            conv_layers: engine.plan().decisions.len(),
+            budget: config.planning.budget,
+            achieved_flops_reduction: engine.plan().achieved_reduction,
+            plan_fingerprint: fingerprint_hex(engine.plan().fingerprint()),
+            generation,
+            max_batch_size: config.batching.max_batch_size,
+            max_queue_depth: config.batching.max_queue_depth,
+            default_deadline_ms: config
+                .batching
+                .default_deadline
+                .map(|d| d.as_millis() as u64),
+            qos: config.runtime.qos.label().to_string(),
+            fair_share_weight: config.runtime.fair_share_weight(),
+        };
+        Ok(RegisteredModel {
+            engine,
+            descriptor: descriptor.clone(),
+            config,
+            info,
+            rejected: Arc::new(AtomicU64::new(0)),
+            prior: Arc::new(RouteTotals::default()),
+        })
+    }
+
     /// Build an engine for `descriptor` under `config` and route `name` to
     /// it — on a live registry, through `&self` — returning the routed
-    /// model's description. Fails with
-    /// [`ServeError::BadConfig`](crate::ServeError::BadConfig) on an invalid or duplicate name and
-    /// propagates any engine-build failure. Planning goes through the
+    /// model's description. The engine (planning included) is built before
+    /// the table swap, so readers only ever observe fully started models.
+    /// Fails with [`ServeError::BadConfig`] on an invalid or duplicate name
+    /// and propagates any engine-build failure. Planning goes through the
     /// registry's shared cache; the cache key carries the *descriptor* name,
     /// so two registrations of the same descriptor share a plan while
     /// same-shaped descriptors with different names never do.
@@ -301,146 +551,583 @@ impl ModelRegistry {
         descriptor: &ModelDescriptor,
         config: ModelConfig,
     ) -> Result<ModelInfo> {
-        self.control
-            .register(name, descriptor, config)
+        self.register_at_epoch(name, descriptor, config)
             .map(|(info, _epoch)| info)
     }
 
-    /// Gracefully retire `name`: unroute it (immediate 404 for new
-    /// requests), stop admission, drain every admitted request, free the
-    /// engine and return its final report. See [`ControlPlane::retire`].
+    /// [`register`](ModelRegistry::register), also returning the table
+    /// epoch the registration produced (the `PUT` reply carries it). Both
+    /// describe the entry and swap of *this* call — no re-lookup needed (a
+    /// racing retire could already have removed it, and a racing register
+    /// could have moved the epoch on).
+    pub(crate) fn register_at_epoch(
+        &self,
+        name: &str,
+        descriptor: &ModelDescriptor,
+        config: ModelConfig,
+    ) -> Result<(ModelInfo, u64)> {
+        if !Self::is_valid_name(name) {
+            return Err(ServeError::BadConfig {
+                reason: format!(
+                    "model name {name:?} is not URL-safe; use [A-Za-z0-9._-] \
+                     (ModelDescriptor::slug() produces a canonical safe name)"
+                ),
+            });
+        }
+        let _writer = self.writer();
+        let current = self.table.load();
+        if current.contains_key(name) {
+            return Err(ServeError::BadConfig {
+                reason: format!("a model named {name:?} is already registered"),
+            });
+        }
+        let entry = self.build_entry(name, descriptor, config, 1)?;
+        let info = entry.info.clone();
+        let mut next = (*current).clone();
+        next.insert(name.to_string(), Arc::new(entry));
+        let epoch = self.table.store(Arc::new(next));
+        self.registered_total.fetch_add(1, Ordering::Relaxed);
+        Ok((info, epoch))
+    }
+
+    /// Gracefully retire `name`: unroute it (new lookups fail with
+    /// [`ServeError::UnknownModel`] → HTTP 404 immediately), stop admission
+    /// on its engine (submits racing through pre-swap snapshots get a typed
+    /// [`ServeError::Closed`] → HTTP 503 with a Retry-After), drain every
+    /// admitted request, free the engine and return its final report. Once
+    /// the model is unrouted the retire always succeeds: if a snapshot
+    /// holder outlives the 30 s drain budget, the report is a metrics
+    /// snapshot of the closed, drained engine and the engine itself is
+    /// freed when the last holder drops it.
     pub fn retire(&self, name: &str) -> Result<ServeReport> {
-        self.control.retire(name).map(|(report, _epoch)| report)
+        self.retire_at_epoch(name).map(|(report, _epoch)| report)
     }
 
-    /// Hot-swap the plan serving `name` by re-planning under `planning`;
-    /// zero requests are dropped across the swap boundary. See
-    /// [`ControlPlane::replan`].
+    /// [`retire`](ModelRegistry::retire), also returning the table epoch
+    /// the unroute produced (the `DELETE` reply carries it).
+    pub(crate) fn retire_at_epoch(&self, name: &str) -> Result<(ServeReport, u64)> {
+        let (removed, epoch) = {
+            let _writer = self.writer();
+            let current = self.table.load();
+            let Some(entry) = current.get(name).cloned() else {
+                return Err(ServeError::UnknownModel {
+                    name: name.to_string(),
+                });
+            };
+            let mut next = (*current).clone();
+            next.remove(name);
+            let epoch = self.table.store(Arc::new(next));
+            self.retired_total.fetch_add(1, Ordering::Relaxed);
+            (entry, epoch)
+            // The writer lock is released here: the (potentially slow) drain
+            // below never blocks other lifecycle operations.
+        };
+        Ok((self.close_and_drain(removed), epoch))
+    }
+
+    /// Close admission on an already unrouted entry, drain every admitted
+    /// request and free the engine, returning its final report. Both drain
+    /// phases share one deadline, so the caller blocks for at most
+    /// [`DRAIN_TIMEOUT`] in total.
+    fn close_and_drain(&self, entry: Arc<RegisteredModel>) -> ServeReport {
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
+        entry.engine.close_admission();
+        entry
+            .engine
+            .wait_drained(deadline.saturating_duration_since(Instant::now()));
+        // Snapshot first: if a holdout outlives the remaining budget, the
+        // entry is still unrouted, closed and drained, so this snapshot is
+        // its honest report; the engine frees itself with its last holder.
+        let fallback = report_snapshot(&entry.engine);
+        let report = match take_exclusive(entry, deadline.saturating_duration_since(Instant::now()))
+        {
+            Some(model) => model.engine.shutdown(),
+            None => fallback,
+        };
+        // The drained engine's counts move into the fleet-wide monotonic
+        // totals instead of vanishing from /metrics.
+        self.note_drained(&report.metrics);
+        report
+    }
+
+    /// Hot-swap the plan serving `name`: re-run planning under `planning`,
+    /// build a fresh engine, atomically swap it in under the same route, and
+    /// gracefully drain the old engine. Requests in flight at the swap —
+    /// including submits racing through pre-swap snapshots — complete on the
+    /// old plan (its admission is never closed; the engine drains naturally
+    /// once the last snapshot holder lets go), so no request is dropped
+    /// across the boundary.
     pub fn replan(&self, name: &str, planning: PlanningOptions) -> Result<ReplanReport> {
-        self.control.replan(name, planning)
+        self.replan_with(name, move |_| planning)
     }
 
-    /// [`replan`](ModelRegistry::replan) with the new planning options
-    /// derived from the model's current ones under the control plane's
-    /// writer lock, so partial overrides compose with concurrent admin
-    /// operations. See [`ControlPlane::replan_with`].
+    /// [`ModelRegistry::replan`], deriving the new planning options from the
+    /// model's *current* ones **under the writer lock**: `update` receives
+    /// the options the route is serving with at swap time. This is how
+    /// partial updates (the HTTP route's budget/rank-step/θ overrides)
+    /// compose with concurrent admin operations instead of clobbering them
+    /// from a stale snapshot.
     pub fn replan_with(
         &self,
         name: &str,
         update: impl FnOnce(PlanningOptions) -> PlanningOptions,
     ) -> Result<ReplanReport> {
-        self.control.replan_with(name, update)
+        self.reconfigure_with(name, move |mut config| {
+            config.planning = update(config.planning);
+            config
+        })
     }
 
-    /// Hot-swap `name`'s whole [`ModelConfig`] (budget, batch shape,
-    /// runtime) in one zero-drop swap. See
-    /// [`ControlPlane::reconfigure_with`].
+    /// The fully general zero-drop hot-swap: derive a whole replacement
+    /// [`ModelConfig`] from the route's current one **under the writer
+    /// lock**, build a fresh engine from it, swap it in under the same route
+    /// and drain the old engine — exactly [`ModelRegistry::replan_with`], but
+    /// over every option group at once. This is the controller's apply path:
+    /// a tune that moves the FLOPs budget, batch size, batch delay and
+    /// fair-share weight together lands them in one swap (one generation
+    /// bump, one drain) instead of four.
     pub fn reconfigure_with(
         &self,
         name: &str,
         update: impl FnOnce(ModelConfig) -> ModelConfig,
     ) -> Result<ReplanReport> {
-        self.control.reconfigure_with(name, update)
+        let (old_entry, new_budget, new_fingerprint, plan_outcome, generation, epoch) = {
+            let _writer = self.writer();
+            let current = self.table.load();
+            let Some(old) = current.get(name).cloned() else {
+                return Err(ServeError::UnknownModel {
+                    name: name.to_string(),
+                });
+            };
+            let config = update(old.config.clone());
+            config.planning.validate()?;
+            config.batching.validate()?;
+            config.runtime.validate()?;
+            let generation = old.info.generation + 1;
+            let mut entry = self.build_entry(name, &old.descriptor, config, generation)?;
+            // The route-level telemetry belongs to the route, not the
+            // engine: the replacement entry shares the old entry's counters,
+            // so rejections recorded through pre-swap snapshots while the
+            // old engine drains are never lost, and lifetime totals survive
+            // the rotation.
+            entry.rejected = Arc::clone(&old.rejected);
+            entry.prior = Arc::clone(&old.prior);
+            let new_budget = entry.config.planning.budget;
+            let new_fingerprint = entry.info.plan_fingerprint.clone();
+            let plan_outcome = outcome_label(entry.engine.plan_outcome());
+            let mut next = (*current).clone();
+            next.insert(name.to_string(), Arc::new(entry));
+            let epoch = self.table.store(Arc::new(next));
+            self.replans_total.fetch_add(1, Ordering::Relaxed);
+            (
+                old,
+                new_budget,
+                new_fingerprint,
+                plan_outcome,
+                generation,
+                epoch,
+            )
+        };
+        let old_budget = old_entry.config.planning.budget;
+        let old_fingerprint = old_entry.info.plan_fingerprint.clone();
+        let prior = Arc::clone(&old_entry.prior);
+        // The swap has committed — the replan succeeds regardless of how the
+        // old engine's drain goes. If a snapshot holder outlives the
+        // timeout, report the old engine's current counters; it keeps
+        // draining on its own and frees itself with the last holder.
+        // Not `close_and_drain`: the old engine's admission is never closed.
+        let fallback_metrics = old_entry.engine.metrics();
+        let drained_metrics = match take_exclusive(old_entry, DRAIN_TIMEOUT) {
+            Some(model) => model.engine.shutdown().metrics,
+            None => fallback_metrics,
+        };
+        // The drained engine's counts flow into the route's lifetime totals
+        // (shared with the new entry) and the fleet-wide monotonic totals.
+        prior
+            .completed
+            .fetch_add(drained_metrics.completed_requests, Ordering::Relaxed);
+        prior
+            .deadline_exceeded
+            .fetch_add(drained_metrics.deadline_exceeded, Ordering::Relaxed);
+        self.note_drained(&drained_metrics);
+        Ok(ReplanReport {
+            model: name.to_string(),
+            old_budget,
+            new_budget,
+            plan_changed: old_fingerprint != new_fingerprint,
+            old_plan_fingerprint: old_fingerprint,
+            new_plan_fingerprint: new_fingerprint,
+            generation,
+            epoch,
+            plan_outcome: plan_outcome.to_string(),
+            drained_completed_requests: drained_metrics.completed_requests,
+        })
     }
 
-    /// Score a [`KnobSet`] candidate for `name` on the wave simulator. See
-    /// [`ControlPlane::estimate_knobs`].
+    /// Score an arbitrary [`KnobSet`] for `name` on the wave simulator —
+    /// the controller's objective function. Planning happens at
+    /// `knobs.flops_budget` (through the probe cache, under the sim-GPU
+    /// key), lowering at `knobs.max_batch_size`, and the batching-delay and
+    /// fair-share-weight knobs enter the modelled p99 and throughput
+    /// analytically (see [`KnobEstimate`]).
+    ///
+    /// The budget is the *required* FLOPs reduction: raising it shrinks the
+    /// admissible rank set, and past the feasibility cliff layers fall back
+    /// to dense (Algorithm 1's `NoAdmissibleRank`), so the modelled p99 is
+    /// non-decreasing in `flops_budget`.
     pub fn estimate_knobs(&self, name: &str, knobs: &KnobSet) -> Result<KnobEstimate> {
-        self.control.estimate_knobs(name, knobs)
+        let entry = self.lookup(name)?;
+        let mut planning = entry.config.planning.clone();
+        planning.budget = knobs.flops_budget;
+        planning.validate()?;
+        if knobs.max_batch_size == 0 {
+            return Err(ServeError::BadConfig {
+                reason: "knob max_batch_size must be positive".into(),
+            });
+        }
+        if knobs.fair_share_weight == 0 {
+            return Err(ServeError::BadConfig {
+                reason: "knob fair_share_weight must be positive".into(),
+            });
+        }
+        let cfg = planning.selection_config();
+        let key = PlanKey::new(
+            &entry.descriptor.name,
+            &planning.device.name,
+            // Estimates are always scored by the simulator, whatever backend
+            // serves the model.
+            "sim-gpu",
+            &cfg,
+        );
+        let descriptor = entry.descriptor.clone();
+        let device = planning.device.clone();
+        let strategy = planning.strategy;
+        // Probe plans are one-shot per budget: memoize them in the probe
+        // cache so a search can never evict live models' plans from the
+        // serving cache or drown its eviction telemetry in probe keys.
+        let (plan, _) = self.probe_cache.get_or_compute(&key, || {
+            TdcPipeline::new(device.clone(), strategy)
+                .plan_with_config(&descriptor, &cfg)
+                .map_err(Into::into)
+        })?;
+        let batch = knobs.max_batch_size.max(1);
+        let lowered = lower_plan_with_fc(&plan, &entry.descriptor.fc, &planning.device, batch)?;
+        let engine = WaveEngine::new(planning.device.clone());
+        let mut exec_ms = 0.0f64;
+        for layer in &lowered {
+            exec_ms += engine
+                .run_sequence_stats(&layer.launches)
+                .map_err(tdc::TdcError::from)?
+                .total_ms;
+        }
+        let delay_ms = knobs.max_batch_delay_us as f64 / 1e3;
+        // Full-batch service time plus the maximum batching wait is the tail
+        // a saturated open-loop workload converges to — what an SLO bounds.
+        let p99_ms = exec_ms + delay_ms;
+        // Saturated throughput: one full batch per service time, scaled by
+        // the fair-share weight (the executor grants the engine that many
+        // worker slots' worth of concurrent batches).
+        let throughput_rps = if exec_ms > 0.0 {
+            batch as f64 * knobs.fair_share_weight as f64 / exec_ms * 1e3
+        } else {
+            f64::INFINITY
+        };
+        Ok(KnobEstimate {
+            exec_ms,
+            p99_ms,
+            throughput_rps,
+        })
     }
 
-    /// Install the controller's knob search. See
-    /// [`ControlPlane::set_tune_driver`].
+    fn controller(&self) -> MutexGuard<'_, ControllerLedger> {
+        match self.controller.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    fn tune_driver(&self) -> Option<Arc<dyn TuneDriver>> {
+        match self.driver.lock() {
+            Ok(guard) => guard.clone(),
+            Err(poisoned) => poisoned.into_inner().clone(),
+        }
+    }
+
+    /// Install the knob search behind [`ModelRegistry::tune`] (normally
+    /// `tdc-ctrl`'s coordinate-descent `Controller`). Replaces any previous
+    /// driver.
     pub fn set_tune_driver(&self, driver: Arc<dyn TuneDriver>) {
-        self.control.set_tune_driver(driver)
+        let mut slot = match self.driver.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        *slot = Some(driver);
     }
 
-    /// Run one controller tune for `name` through the installed driver. See
-    /// [`ControlPlane::tune`].
+    /// Run one controller tune for `name` through the installed driver and
+    /// record its outcome in the ledger (tuning generation, target, expected
+    /// p99). Fails typed (→ HTTP 400) when no driver is attached.
     pub fn tune(&self, name: &str, request: &TuneRequest) -> Result<TuneReport> {
-        self.control.tune(name, request)
+        let Some(driver) = self.tune_driver() else {
+            return Err(ServeError::BadConfig {
+                reason: "no tune driver attached; install one with set_tune_driver \
+                         (tdc-ctrl's Controller is the stock implementation)"
+                    .into(),
+            });
+        };
+        let mut report = driver.tune(self, name, request)?;
+        self.note_tuned(&mut report);
+        Ok(report)
     }
 
-    /// The live watch-loop configuration. See
-    /// [`ControlPlane::controller_config`].
+    /// Fold a finished tune into the ledger and stamp its tuning
+    /// generation into the report.
+    fn note_tuned(&self, report: &mut TuneReport) {
+        {
+            let mut ledger = self.controller();
+            let state = ledger.models.entry(report.model.clone()).or_default();
+            state.tuning_generation += 1;
+            report.tuning_generation = state.tuning_generation;
+            state.target_p99_ms = report.target_p99_ms;
+            // The calibrated estimate at the winning knobs is what the watch
+            // loop drift-checks live p99 against.
+            state.expected_p99_ms = report.estimated_p99_ms;
+            state.last_objective_ms = report.estimated_p99_ms;
+            if let Some(measured) = report.measured_p99_ms {
+                state.last_measured_p99_ms = measured;
+            }
+        }
+        self.controller_tunes_total.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The live watch-loop configuration.
     pub fn controller_config(&self) -> ControllerConfig {
-        self.control.controller_config()
+        self.controller().config
     }
 
-    /// Replace the watch-loop configuration (picked up by a running watch
-    /// on its next tick). See [`ControlPlane::set_controller_config`].
+    /// Replace the watch-loop configuration; a running watch picks it up on
+    /// its next tick. Returns the accepted config.
     pub fn set_controller_config(&self, config: ControllerConfig) -> Result<ControllerConfig> {
-        self.control.set_controller_config(config)
+        config.validate()?;
+        self.controller().config = config;
+        Ok(config)
     }
 
-    /// Controller snapshot: config, counters, per-model tuning state. See
-    /// [`ControlPlane::controller_status`].
+    /// Controller snapshot: watch config, lifetime counters and per-model
+    /// tune state joined against the live routing table (knob values and
+    /// early-release counts come from the serving engines).
     pub fn controller_status(&self) -> ControllerStatus {
-        self.control.controller_status()
+        let table = self.table.load();
+        let ledger = self.controller();
+        let models = table
+            .iter()
+            .map(|(name, entry)| {
+                let state = ledger.models.get(name).copied().unwrap_or_default();
+                ModelControllerStatus {
+                    model: name.clone(),
+                    tuning_generation: state.tuning_generation,
+                    target_p99_ms: state.target_p99_ms,
+                    expected_p99_ms: state.expected_p99_ms,
+                    last_objective_ms: state.last_objective_ms,
+                    last_measured_p99_ms: state.last_measured_p99_ms,
+                    drift_events: state.drift_events,
+                    early_releases: entry.engine.early_releases(),
+                    knobs: KnobSet::of(&entry.config),
+                }
+            })
+            .collect();
+        ControllerStatus {
+            config: ledger.config,
+            driver_attached: self.tune_driver().is_some(),
+            watchers: self.watchers.load(Ordering::Relaxed),
+            ticks_total: self.controller_ticks_total.load(Ordering::Relaxed),
+            tunes_total: self.controller_tunes_total.load(Ordering::Relaxed),
+            drift_events_total: self.controller_drift_events_total.load(Ordering::Relaxed),
+            models,
+        }
     }
 
-    /// One controller tick on live engine metrics. See
-    /// [`ControlPlane::controller_tick`].
+    /// One watch tick on live measurements: scrape every routed engine's
+    /// latency metrics and hand them to
+    /// [`ModelRegistry::controller_tick_with`]. The scrape also calibrates
+    /// each engine's deadline-aware early release: once a model has
+    /// [`ControllerConfig::min_samples`] executed requests, its measured
+    /// exec-latency p99 replaces the build-time simulator seed as the
+    /// estimate the batcher subtracts from the earliest deadline — the
+    /// fourth actuator tracks the deployment, not the model.
     pub fn controller_tick(&self) -> TickReport {
-        self.control.controller_tick()
+        let min_samples = self.controller_config().min_samples;
+        // The table snapshot lives only for the scrape: held across the
+        // re-tune below it would be the hot-swap drain's holdout, and every
+        // drift re-tune would wait out `DRAIN_TIMEOUT`.
+        let feed: Vec<(String, MeasuredSlo)> = self
+            .table
+            .load()
+            .iter()
+            .map(|(name, entry)| {
+                let metrics = entry.engine.metrics();
+                if metrics.exec_latency.count as u64 >= min_samples
+                    && metrics.exec_latency.p99_ms.is_finite()
+                    && metrics.exec_latency.p99_ms > 0.0
+                {
+                    entry.engine.set_exec_estimate(Duration::from_secs_f64(
+                        metrics.exec_latency.p99_ms / 1e3,
+                    ));
+                }
+                (name.clone(), MeasuredSlo::of(&metrics))
+            })
+            .collect();
+        self.controller_tick_with(&feed)
     }
 
-    /// One controller tick on a scripted measurement feed (the
-    /// deterministic test seam). See
-    /// [`ControlPlane::controller_tick_with`].
+    /// One watch tick on an explicit measurement feed — the deterministic
+    /// seam: tests script the feed and call this directly (no clock, no
+    /// thread). For every tuned model with at least
+    /// [`ControllerConfig::min_samples`] samples, compare measured p99
+    /// against the controller's expected p99; outside the drift band, record
+    /// a drift event and re-tune through the driver (the re-tune itself
+    /// refreshes the expectation, closing the loop).
     pub fn controller_tick_with(&self, feed: &[(String, MeasuredSlo)]) -> TickReport {
-        self.control.controller_tick_with(feed)
+        self.controller_ticks_total.fetch_add(1, Ordering::Relaxed);
+        let mut report = TickReport::default();
+        let mut retunes: Vec<(String, f64)> = Vec::new();
+        {
+            let mut ledger = self.controller();
+            let config = ledger.config;
+            for (name, slo) in feed {
+                let Some(state) = ledger.models.get_mut(name) else {
+                    // Never tuned: no expectation to drift from. The model
+                    // enters the ledger through its first tune.
+                    continue;
+                };
+                if slo.samples > 0 {
+                    state.last_measured_p99_ms = slo.p99_ms;
+                }
+                if state.tuning_generation == 0 || state.expected_p99_ms <= 0.0 {
+                    continue;
+                }
+                if slo.samples < config.min_samples {
+                    // A freshly swapped engine must first serve enough
+                    // traffic for its p99 to mean anything.
+                    continue;
+                }
+                report.examined += 1;
+                let drift = (slo.p99_ms - state.expected_p99_ms).abs() / state.expected_p99_ms;
+                if drift > config.drift_band_frac {
+                    state.drift_events += 1;
+                    self.controller_drift_events_total
+                        .fetch_add(1, Ordering::Relaxed);
+                    report.drifted.push(name.clone());
+                    retunes.push((name.clone(), state.target_p99_ms));
+                }
+            }
+        }
+        // Re-tunes run outside the ledger lock: the driver plans candidate
+        // budgets and drains the old engine on apply — slow writer work that
+        // must not block status reads or concurrent ticks.
+        for (name, target) in retunes {
+            let request = TuneRequest {
+                target_p99_ms: (target > 0.0).then_some(target),
+                ..TuneRequest::default()
+            };
+            if self.tune(&name, &request).is_ok() {
+                report.retuned.push(name);
+            }
+        }
+        report
     }
 
-    /// Start the background watch loop against this registry; the returned
-    /// handle stops and joins the thread on drop. See
-    /// [`ControlPlane::watch`].
+    /// Start the background watch loop on a dedicated thread: every
+    /// [`ControllerConfig::interval_ms`] it re-reads the config (a
+    /// `PUT /v1/controller` takes effect without a restart) and, when
+    /// enabled, runs [`ModelRegistry::controller_tick`]. The thread holds
+    /// only a [`Weak`] registry handle, so it never keeps a torn-down
+    /// registry alive; it exits on its own when the registry drops. The
+    /// returned handle stops and joins the thread when dropped.
     pub fn watch(self: &Arc<Self>) -> ControllerWatch {
-        ControlPlane::watch(self)
+        self.watchers.fetch_add(1, Ordering::Relaxed);
+        let stop = Arc::new((Mutex::new(false), Condvar::new()));
+        let stop_flag = Arc::clone(&stop);
+        let weak: Weak<ModelRegistry> = Arc::downgrade(self);
+        let thread = std::thread::spawn(move || {
+            loop {
+                let interval = {
+                    // Each cycle upgrades, reads the live config, and drops
+                    // the strong handle again before sleeping.
+                    let Some(registry) = weak.upgrade() else {
+                        return;
+                    };
+                    Duration::from_millis(registry.controller_config().interval_ms.max(1))
+                };
+                {
+                    let (lock, cvar) = &*stop_flag;
+                    let stopped = match lock.lock() {
+                        Ok(guard) => guard,
+                        Err(poisoned) => poisoned.into_inner(),
+                    };
+                    if *stopped {
+                        break;
+                    }
+                    let (stopped, _timeout) = match cvar.wait_timeout(stopped, interval) {
+                        Ok(outcome) => outcome,
+                        Err(poisoned) => poisoned.into_inner(),
+                    };
+                    if *stopped {
+                        break;
+                    }
+                }
+                let Some(registry) = weak.upgrade() else {
+                    return;
+                };
+                if registry.controller_config().enabled {
+                    registry.controller_tick();
+                }
+            }
+            if let Some(registry) = weak.upgrade() {
+                registry.watchers.fetch_sub(1, Ordering::Relaxed);
+            }
+        });
+        ControllerWatch {
+            stop,
+            thread: Some(thread),
+        }
     }
 
     /// Registered model count.
     pub fn len(&self) -> usize {
-        self.control.snapshot().len()
+        self.table.load().len()
     }
 
     /// Whether no model is registered.
     pub fn is_empty(&self) -> bool {
-        self.control.snapshot().is_empty()
+        self.table.load().is_empty()
     }
 
     /// Registered names in sorted order.
     pub fn names(&self) -> Vec<String> {
-        self.control.snapshot().keys().cloned().collect()
+        self.table.load().keys().cloned().collect()
     }
 
     /// A read handle on the engine serving `model`, if registered. The
     /// handle pins the model's current engine: a concurrent retire or replan
     /// waits for it to drop before freeing that engine.
     pub fn engine(&self, model: &str) -> Result<EngineHandle> {
-        self.control.engine(model)
+        Ok(EngineHandle {
+            entry: self.lookup(model)?,
+        })
     }
 
     /// Static descriptions of every registered model, in name order.
     pub fn model_info(&self) -> Vec<ModelInfo> {
-        self.control
-            .snapshot()
-            .values()
-            .map(|m| m.info.clone())
-            .collect()
-    }
-
-    /// Routing-table epoch: how many times the model table has been swapped.
-    pub fn epoch(&self) -> u64 {
-        self.control.epoch()
+        self.table.load().values().map(|m| m.info.clone()).collect()
     }
 
     /// Submit one input to `model` under the model's default deadline;
     /// returns a handle to await the response. Admission rejections
-    /// ([`ServeError::Overloaded`](crate::ServeError::Overloaded)) are counted per model and surface in
+    /// ([`ServeError::Overloaded`]) are counted per model and surface in
     /// [`ModelRegistry::metrics`].
     pub fn submit(&self, model: &str, input: Tensor) -> Result<PendingResponse> {
-        let entry = self.control.lookup(model)?;
+        let entry = self.lookup(model)?;
         let deadline = entry.engine.default_deadline();
         entry.submit_counted(input, deadline)
     }
@@ -454,7 +1141,7 @@ impl ModelRegistry {
         input: Tensor,
         deadline: Option<Duration>,
     ) -> Result<PendingResponse> {
-        let entry = self.control.lookup(model)?;
+        let entry = self.lookup(model)?;
         entry.submit_counted(input, deadline)
     }
 
@@ -470,7 +1157,7 @@ impl ModelRegistry {
         inputs: Vec<Tensor>,
         deadline: Option<Duration>,
     ) -> Result<Vec<PendingResponse>> {
-        let entry = self.control.lookup(model)?;
+        let entry = self.lookup(model)?;
         entry.submit_many_counted(inputs, deadline)
     }
 
@@ -491,10 +1178,9 @@ impl ModelRegistry {
     }
 
     /// Aggregate every model's metrics, the per-model admission rejection
-    /// counters, the control-plane lifecycle counters and the plan cache's
-    /// telemetry.
+    /// counters, the lifecycle counters and the plan cache's telemetry.
     pub fn metrics(&self) -> RegistryMetrics {
-        let snapshot = self.control.snapshot();
+        let snapshot = self.table.load();
         let models: Vec<ModelMetricsEntry> = snapshot
             .iter()
             .map(|(name, m)| {
@@ -514,13 +1200,14 @@ impl ModelRegistry {
                 }
             })
             .collect();
-        let lifecycle = self.control.counters();
         // Fleet totals stay monotonic across hot-swaps and retires: live
         // engines plus everything drained engines served before they were
         // rotated out. (Per-route `prior` totals are a subset of the
         // drained totals, so summing live engines + drained counts each
         // request exactly once.)
-        let (drained_completed, drained_deadline_exceeded) = self.control.drained_totals();
+        let drained_completed = self.drained_completed_total.load(Ordering::Relaxed);
+        let drained_deadline_exceeded =
+            self.drained_deadline_exceeded_total.load(Ordering::Relaxed);
         RegistryMetrics {
             total_completed_requests: models
                 .iter()
@@ -542,26 +1229,39 @@ impl ModelRegistry {
                 .iter()
                 .map(|m| m.metrics.simulated_gpu_ms_total)
                 .sum(),
-            epoch: lifecycle.epoch,
-            models_registered_total: lifecycle.models_registered_total,
-            models_retired_total: lifecycle.models_retired_total,
-            replans_total: lifecycle.replans_total,
-            plan_cache: self.control.cache().stats(),
-            executor: self.control.executor_metrics(),
-            controller: self.control.controller_status(),
+            epoch: self.table.epoch(),
+            models_registered_total: self.registered_total.load(Ordering::Relaxed),
+            models_retired_total: self.retired_total.load(Ordering::Relaxed),
+            replans_total: self.replans_total.load(Ordering::Relaxed),
+            plan_cache: self.cache.stats(),
+            executor: self.executor_metrics(),
+            controller: self.controller_status(),
             models,
         }
     }
 
     /// Counters and telemetry of the shared plan cache.
     pub fn cache_stats(&self) -> PlanCacheStats {
-        self.control.cache().stats()
+        self.cache.stats()
     }
 
-    /// Shut every engine down (graceful drain each) and return the final
-    /// reports in name order.
+    /// Shut every engine down — swap in an empty table, then drain and free
+    /// each engine — and return the final reports in name order.
     pub fn shutdown(self) -> Vec<(String, ServeReport)> {
-        self.control.shutdown_all()
+        let table = {
+            let _writer = self.writer();
+            let current = self.table.load();
+            self.table.store(Arc::new(ModelTable::new()));
+            current
+        };
+        let table = match Arc::try_unwrap(table) {
+            Ok(map) => map,
+            Err(shared) => (*shared).clone(),
+        };
+        table
+            .into_iter()
+            .map(|(name, entry)| (name, self.close_and_drain(entry)))
+            .collect()
     }
 }
 
@@ -779,11 +1479,27 @@ mod tests {
                 },
             )
             .unwrap();
+        // Without FC layers the model answers its last convolution's
+        // channels, and the listing must say so.
+        let headless = ModelDescriptor {
+            name: "mix-headless".into(),
+            convs: vec![tdc_conv::ConvShape::same3x3(4, 8, 10, 10)],
+            fc: vec![],
+        };
+        registry
+            .register("headless", &headless, quick_config())
+            .unwrap();
         let info = registry.model_info();
         assert_eq!(info[0].backend, "cpu");
-        assert_eq!(info[1].backend, "sim-gpu");
+        assert_eq!(info[2].backend, "sim-gpu");
         assert_eq!(info[0].input_dims, vec![10, 10, 4]);
         assert_eq!(info[0].output_classes, 6);
+        assert_eq!(info[1].name, "headless");
+        assert_eq!(info[1].output_classes, 8);
+        let logits = registry
+            .infer("headless", Tensor::zeros(vec![10, 10, 4]))
+            .unwrap();
+        assert_eq!(logits.output.dims(), &[8]);
         assert_eq!(info[0].budget, 0.5);
         assert_eq!(info[0].generation, 1);
 
@@ -794,11 +1510,11 @@ mod tests {
         }
         let metrics = registry.metrics();
         let cpu = &metrics.models[0];
-        let sim = &metrics.models[1];
+        let sim = &metrics.models[2];
         assert_eq!(cpu.metrics.completed_requests, 0);
         assert_eq!(sim.metrics.completed_requests, 3);
         assert!(sim.metrics.simulated_gpu_ms_total > 0.0);
-        assert_eq!(metrics.total_completed_requests, 3);
+        assert_eq!(metrics.total_completed_requests, 3 + 1);
         assert_eq!(
             metrics.simulated_gpu_ms_total,
             sim.metrics.simulated_gpu_ms_total

@@ -18,7 +18,7 @@
 //! Execution is zero-allocation in steady state: the engine owns a
 //! [`BufferPool`] of recycled f32 buffers, every dispatch checks out a
 //! [`ScratchArena`] handle and runs the batch through
-//! [`ExecutionBackend::forward_batch_in`], and answered requests recycle
+//! [`ExecutionBackend::forward_batch`], and answered requests recycle
 //! their input tensors back into the pool.
 
 use crate::arena::{BufferPool, PoolStats, ScratchArena};
@@ -128,7 +128,7 @@ impl<'a> ServeEngineBuilder<'a> {
         self
     }
 
-    /// Replace the runtime options (workers, seed, dense algorithm, backend).
+    /// Replace the runtime options (workers, QoS class, seed, backend).
     pub fn runtime(mut self, runtime: RuntimeOptions) -> Self {
         self.runtime = runtime;
         self
@@ -199,11 +199,10 @@ impl<'a> ServeEngineBuilder<'a> {
         };
         let (plan, plan_outcome) = cache.get_or_compute(&key, compute)?;
 
-        let model = Arc::new(CompressedModel::materialize_with(
+        let model = Arc::new(CompressedModel::materialize(
             self.descriptor,
             &plan,
             self.runtime.seed,
-            self.runtime.dense_algorithm,
         )?);
         let backend: Arc<dyn ExecutionBackend> = match self.runtime.backend {
             BackendKind::Cpu => Arc::new(CpuBackend::new(
@@ -226,9 +225,8 @@ impl<'a> ServeEngineBuilder<'a> {
             None => backend,
         };
         // Probe the whole execution chain once, so a backend that cannot run
-        // one of the layers (e.g. Winograd on a pointwise layer) fails engine
-        // construction with a real error instead of silently dropping every
-        // request in the workers.
+        // the model fails engine construction with a real error instead of
+        // silently dropping every request in the workers.
         backend.warmup()?;
         let latency_report = backend.latency_report(1)?;
 
@@ -417,11 +415,11 @@ impl EngineCore {
         let exec_started = Instant::now();
         let inputs: Vec<&Tensor> = batch.iter().map(|r| &r.input).collect();
         // The backend is arbitrary trait-object code (possibly a harness
-        // wrapper): a panic inside `forward_batch_in` must not kill a shared
+        // wrapper): a panic inside `forward_batch` must not kill a shared
         // executor worker, so it is caught here and folded into the same
         // typed-failure path an `Err` takes.
         let execution = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.backend.forward_batch_in(&inputs, &mut arena)
+            self.backend.forward_batch(&inputs, &mut arena)
         }));
         let exec_ms = exec_started.elapsed().as_secs_f64() * 1e3;
         {
@@ -818,7 +816,7 @@ impl ServeEngine {
     /// drain: every already-admitted request is still dispatched and
     /// answered, while later [`submit`](ServeEngine::submit)s fail with
     /// [`ServeError::Closed`] (HTTP `503`). The first step of a graceful
-    /// retire — the control plane calls this after unrouting the model, then
+    /// retire — the registry calls this after unrouting the model, then
     /// waits for the drain before freeing the engine.
     pub fn close_admission(&self) {
         self.core.queue.close();
@@ -892,7 +890,6 @@ fn expire_request(request: InferenceRequest, metrics: &MetricsRecorder, now: Ins
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::DenseAlgorithm;
     use crate::serving_descriptor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1165,34 +1162,6 @@ mod tests {
             engine.submit(Tensor::zeros(vec![3, 3, 3])),
             Err(ServeError::BadInput { .. })
         ));
-    }
-
-    #[test]
-    fn build_rejects_a_dense_algorithm_that_cannot_run_a_kept_layer() {
-        use tdc_conv::ConvShape;
-        // A chain with a pointwise layer: always kept dense, and Winograd
-        // cannot execute 1x1 filters. The warmup probe at build must catch
-        // this instead of letting workers drop every request.
-        let descriptor = ModelDescriptor {
-            name: "engine-wino".into(),
-            convs: vec![
-                ConvShape::same3x3(4, 8, 10, 10),
-                ConvShape::pointwise(8, 8, 10, 10),
-            ],
-            fc: vec![(8, 3)],
-        };
-        let cache = PlanCache::new(2);
-        let bad = ServeEngine::builder(&descriptor)
-            .runtime(RuntimeOptions {
-                dense_algorithm: DenseAlgorithm::Winograd,
-                ..RuntimeOptions::default()
-            })
-            .plan_cache(&cache)
-            .build();
-        assert!(matches!(bad, Err(ServeError::Conv(_))));
-        // The same descriptor serves fine with the default algorithm.
-        let ok = test_engine(&descriptor, &cache).unwrap();
-        drop(ok);
     }
 
     #[test]
