@@ -62,7 +62,6 @@ pub fn bind_replica(
     config: ModelConfig,
 ) -> HttpServer {
     let registry = ModelRegistry::new(2);
-    registry.set_tune_driver(Arc::new(tdc_ctrl::Controller::new()));
     registry
         .register(model, descriptor, config)
         .expect("register fleet model");

@@ -18,8 +18,8 @@
 //! both classes and carries the fleet executor's telemetry), `/metrics`
 //! (including the control-plane lifecycle counters), and a controller pass
 //! (`POST /v1/models/{name}/tune` + `PUT`/`GET /v1/controller`, pinning
-//! that the daemon comes up with the `tdc-ctrl` driver installed) — and
-//! exits non-zero on any failure, which is what CI runs.
+//! that the daemon's watch loop ticks once enabled) — and exits non-zero on
+//! any failure, which is what CI runs.
 //!
 //! Usage:
 //!
@@ -40,7 +40,7 @@
 //! 2), `SERVE_HTTP_SPILL_DIR`.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tdc_serve::http::{
     http_request, BatchInferBody, BatchInferReply, InferBody, InferReply, RegisterBody,
     RegisterReply, RetireReply,
@@ -149,10 +149,6 @@ fn build_registry(
         }
         None => ModelRegistry::new(capacity),
     };
-    // The daemon comes up with the joint-knob controller installed, so
-    // `POST /v1/models/{name}/tune` and the `/v1/controller` watch loop
-    // work over plain HTTP on every replica a fleet spawns.
-    registry.set_tune_driver(Arc::new(tdc_ctrl::Controller::new()));
     for index in 0..n {
         let descriptor = serving_descriptor(&format!("svc-{index}"), 10 + 2 * index, 4, 6);
         let backend = if index % 2 == 0 {
@@ -492,10 +488,10 @@ fn smoke(server: &HttpServer) -> Result<(), String> {
         metrics.len()
     );
 
-    // The controller pass: the daemon installs the tdc-ctrl driver at
-    // startup, so the joint-knob tune and the watch-loop config must both
-    // answer over plain HTTP. (Runs after the lifecycle-counter checks —
-    // an applied tune is one more replan.)
+    // The controller pass: the joint-knob tune and the watch-loop config
+    // must both answer over plain HTTP, and enabling the loop must set the
+    // daemon's watch thread ticking. (Runs after the lifecycle-counter
+    // checks — an applied tune is one more replan.)
     let name = &infos[0].name;
     let reply = check(
         200,
@@ -512,20 +508,38 @@ fn smoke(server: &HttpServer) -> Result<(), String> {
         200,
         "PUT",
         "/v1/controller",
-        Some("{\"enabled\": true, \"interval_ms\": 500}"),
+        Some("{\"enabled\": true, \"interval_ms\": 20}"),
     )?;
     let status: tdc_serve::ControllerStatus = serde_json::from_str(&reply)
         .map_err(|e| format!("PUT /v1/controller: bad reply: {}", e.message))?;
-    if !status.driver_attached || !status.config.enabled {
-        return Err(format!("controller driver missing on the daemon: {reply}"));
+    if !status.config.enabled {
+        return Err(format!(
+            "PUT /v1/controller did not enable the loop: {reply}"
+        ));
     }
-    let reply = check(200, "GET", "/v1/controller", None)?;
-    let status: tdc_serve::ControllerStatus = serde_json::from_str(&reply)
-        .map_err(|e| format!("GET /v1/controller: bad reply: {}", e.message))?;
+    // The thread may still be sleeping out the default interval. The
+    // smoke's models hold fewer than `min_samples` samples, so its ticks
+    // examine nothing and the tune count stays at 1.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let (status, reply) = loop {
+        let reply = check(200, "GET", "/v1/controller", None)?;
+        let status: tdc_serve::ControllerStatus = serde_json::from_str(&reply)
+            .map_err(|e| format!("GET /v1/controller: bad reply: {}", e.message))?;
+        if status.watchers == 1 && status.ticks_total > 0 {
+            break (status, reply);
+        }
+        if Instant::now() >= deadline {
+            return Err(format!("the watch loop is not ticking: {reply}"));
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
     if status.tunes_total != 1 {
         return Err(format!("controller did not record the tune: {reply}"));
     }
-    println!("  POST /v1/models/{name}/tune + PUT/GET /v1/controller -> 200 (driver attached, tune recorded)");
+    println!(
+        "  POST /v1/models/{name}/tune + PUT/GET /v1/controller -> 200 (tune recorded, \
+         watch loop ticking)"
+    );
     Ok(())
 }
 
@@ -536,6 +550,11 @@ fn main() {
         flags.default_deadline,
         flags.spill_dir.as_deref(),
     ));
+    // One watch thread for the daemon's lifetime; `PUT /v1/controller`
+    // enables it. A tick upgrades its `Weak` to a strong handle, so the
+    // watch is dropped (stopped and joined) before every drain below
+    // unwraps the registry.
+    let watch = registry.watch();
     let names: Vec<String> = registry.names().iter().map(|s| s.to_string()).collect();
     let server = HttpServer::bind(&flags.addr, registry).expect("bind HTTP front end");
     let addr = server.local_addr();
@@ -556,6 +575,7 @@ fn main() {
         match smoke(&server) {
             Ok(()) => {
                 let registry = server.shutdown();
+                drop(watch);
                 let registry =
                     Arc::try_unwrap(registry).unwrap_or_else(|_| panic!("registry still shared"));
                 let reports = registry.shutdown();
@@ -585,6 +605,7 @@ fn main() {
     signal.wait();
     println!("tdc-serve: shutdown requested, draining");
     let registry = server.shutdown();
+    drop(watch);
     let registry = Arc::try_unwrap(registry).unwrap_or_else(|_| panic!("registry still shared"));
     let reports = registry.shutdown();
     println!(

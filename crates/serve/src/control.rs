@@ -14,9 +14,8 @@
 //!   retire and replan wait for outstanding handles before freeing it.
 //! * **[`KnobSet`] / [`KnobEstimate`] / [`TuneRequest`] / [`TuneReport`]** —
 //!   the four jointly tuned knobs, their wave-simulator score, and one
-//!   tune's parameters and outcome. The search itself is a [`TuneDriver`],
-//!   dependency-inverted so `tdc-serve` never depends on the controller
-//!   crate (`tdc-ctrl` supplies the stock one).
+//!   tune's parameters and outcome — plus the calibrated coordinate descent
+//!   that produces them, the body of [`ModelRegistry::tune`].
 //! * **[`ControllerConfig`] / [`ControllerStatus`] / [`MeasuredSlo`] /
 //!   [`TickReport`] / [`ControllerWatch`]** — the watch loop's live
 //!   configuration, its status snapshot, one tick's input and outcome, and
@@ -308,8 +307,7 @@ pub struct KnobEstimate {
     pub throughput_rps: f64,
 }
 
-/// Parameters of one controller tune ([`ModelRegistry::tune`], driven by the
-/// installed [`TuneDriver`]).
+/// Parameters of one controller tune ([`ModelRegistry::tune`]).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TuneRequest {
     /// The SLO: target measured p99, ms. `None` reuses the model's recorded
@@ -385,22 +383,278 @@ pub struct TuneReport {
     pub probes: Vec<TuneProbe>,
 }
 
-/// The knob search itself, installed by the controller crate
-/// ([`ModelRegistry::set_tune_driver`]). Dependency-inverted: `tdc-serve`
-/// defines the contract and owns the ledger; `tdc-ctrl` supplies the
-/// coordinate descent. The driver receives the registry so it can score
-/// candidates ([`ModelRegistry::estimate_knobs`]) and apply winners
-/// ([`ModelRegistry::reconfigure_with`]).
-pub trait TuneDriver: Send + Sync {
-    /// Run one tune for `model` and return its report. Implementations must
-    /// not call [`ModelRegistry::tune`] (that is the caller) but may use any
-    /// other registry method.
-    fn tune(
-        &self,
-        registry: &ModelRegistry,
-        model: &str,
-        request: &TuneRequest,
-    ) -> Result<TuneReport>;
+// Bounds and step sizes of the coordinate descent. They keep every
+// candidate inside the ranges the serving layer validates, so a probe can
+// only fail on planning itself (and such candidates are simply skipped).
+/// Budget perturbations tried per round, each in both directions.
+const BUDGET_STEPS: [f64; 2] = [0.05, 0.15];
+const MIN_BUDGET: f64 = 0.02;
+const MAX_BUDGET: f64 = 0.98;
+const MAX_BATCH_SIZE: usize = 64;
+/// Longest batch-formation delay a candidate may propose, µs.
+const MAX_BATCH_DELAY_US: u64 = 8_000;
+const MAX_FAIR_SHARE_WEIGHT: usize = 4;
+/// Calibration is clamped into `[1/limit, limit]` so one absurd measurement
+/// (a cold start, a stalled scrape) cannot catapult every estimate out of
+/// range.
+const CALIBRATION_LIMIT: f64 = 100.0;
+
+/// A scored candidate: the simulator's estimate plus the calibrated p99 the
+/// objective actually compares.
+#[derive(Debug, Clone, Copy)]
+struct Scored {
+    knobs: KnobSet,
+    estimate: KnobEstimate,
+    calibrated_p99_ms: f64,
+}
+
+impl Scored {
+    fn feasible(&self, target_ms: f64) -> bool {
+        self.calibrated_p99_ms <= target_ms
+    }
+
+    /// Whether `self` beats `incumbent` under the lexicographic objective.
+    fn beats(&self, incumbent: &Scored, target_ms: f64) -> bool {
+        match (self.feasible(target_ms), incumbent.feasible(target_ms)) {
+            (true, false) => true,
+            (false, true) => false,
+            (true, true) => {
+                if self.estimate.throughput_rps != incumbent.estimate.throughput_rps {
+                    self.estimate.throughput_rps > incumbent.estimate.throughput_rps
+                } else {
+                    self.calibrated_p99_ms < incumbent.calibrated_p99_ms
+                }
+            }
+            (false, false) => self.calibrated_p99_ms < incumbent.calibrated_p99_ms,
+        }
+    }
+}
+
+/// Budget candidates around `knobs`, quantized to 1e-3 (stable plan-cache
+/// keys) and clipped to the searched range.
+fn budget_candidates(knobs: &KnobSet) -> Vec<KnobSet> {
+    let round3 = |b: f64| (b * 1e3).round() / 1e3;
+    let mut out = Vec::new();
+    for step in BUDGET_STEPS {
+        for dir in [-1.0, 1.0] {
+            let budget = round3((knobs.flops_budget + dir * step).clamp(MIN_BUDGET, MAX_BUDGET));
+            if (budget - knobs.flops_budget).abs() > f64::EPSILON {
+                out.push(KnobSet {
+                    flops_budget: budget,
+                    ..*knobs
+                });
+            }
+        }
+    }
+    out
+}
+
+/// Batch-size candidates: halve and double, clamped to `[1, max]`.
+fn batch_candidates(knobs: &KnobSet) -> Vec<KnobSet> {
+    [knobs.max_batch_size / 2, knobs.max_batch_size * 2]
+        .into_iter()
+        .map(|b| b.clamp(1, MAX_BATCH_SIZE))
+        .filter(|&b| b != knobs.max_batch_size)
+        .map(|b| KnobSet {
+            max_batch_size: b,
+            ..*knobs
+        })
+        .collect()
+}
+
+/// Delay candidates: halve and double (a zero delay steps up to 100 µs,
+/// sub-100 µs delays step down to zero), capped at the searched maximum.
+fn delay_candidates(knobs: &KnobSet) -> Vec<KnobSet> {
+    let d = knobs.max_batch_delay_us;
+    let down = if d < 100 { 0 } else { d / 2 };
+    let up = if d == 0 {
+        100
+    } else {
+        (d * 2).min(MAX_BATCH_DELAY_US)
+    };
+    [down, up]
+        .into_iter()
+        .filter(|&c| c != d)
+        .map(|c| KnobSet {
+            max_batch_delay_us: c,
+            ..*knobs
+        })
+        .collect()
+}
+
+/// Weight candidates: one step down and one step up, clamped to `[1, max]`.
+fn weight_candidates(knobs: &KnobSet) -> Vec<KnobSet> {
+    [
+        knobs.fair_share_weight.saturating_sub(1).max(1),
+        (knobs.fair_share_weight + 1).min(MAX_FAIR_SHARE_WEIGHT),
+    ]
+    .into_iter()
+    .filter(|&w| w != knobs.fair_share_weight)
+    .map(|w| KnobSet {
+        fair_share_weight: w,
+        ..*knobs
+    })
+    .collect()
+}
+
+/// The body of [`ModelRegistry::tune`]: calibrated coordinate descent over
+/// `(flops_budget, max_batch_size, max_batch_delay_us, fair_share_weight)`,
+/// every candidate scored by [`ModelRegistry::estimate_knobs`] and the winner
+/// applied through [`ModelRegistry::reconfigure_with`].
+///
+/// **Measurement closes the loop.** The simulator does not know the host, so
+/// every tune first scrapes the model's measured p99 and scales every
+/// candidate's modelled p99 by `measured / modelled` at the current operating
+/// point before comparing it with the target.
+///
+/// Objective, lexicographic: a candidate whose calibrated p99 meets the
+/// target beats any that misses it; among feasible candidates the higher
+/// modelled throughput wins (ties to the lower p99); among infeasible ones
+/// the lower p99 wins — so an over-committed model first climbs back inside
+/// its SLO, then spends the remaining headroom on throughput.
+pub(crate) fn tune(
+    registry: &ModelRegistry,
+    model: &str,
+    request: &TuneRequest,
+) -> Result<TuneReport> {
+    if request.max_rounds == 0 {
+        return Err(ServeError::BadConfig {
+            reason: "tune max_rounds must be positive".into(),
+        });
+    }
+    // Scrape the live operating point, then drop the handle before any
+    // hot-swap below: a held handle would be the drain's holdout.
+    let handle = registry.engine(model)?;
+    let before = KnobSet::of(handle.config());
+    let mut generation = handle.info().generation;
+    let metrics = handle.metrics();
+    drop(handle);
+    let measured_p99_ms = (metrics.total_latency.count > 0)
+        .then_some(metrics.total_latency.p99_ms)
+        .filter(|p99| p99.is_finite() && *p99 > 0.0);
+
+    let base = registry.estimate_knobs(model, &before)?;
+    let (min_samples, recorded_target) = {
+        let ledger = registry.controller();
+        let target = ledger.models.get(model).map(|m| m.target_p99_ms);
+        (ledger.config.min_samples, target.filter(|t| *t > 0.0))
+    };
+    // Calibration anchors the simulator to the deployment. Gated on the
+    // watch loop's sample floor so a handful of warmup requests cannot set
+    // the scale.
+    let calibration = match measured_p99_ms {
+        Some(measured)
+            if metrics.total_latency.count as u64 >= min_samples && base.p99_ms > 0.0 =>
+        {
+            (measured / base.p99_ms).clamp(1.0 / CALIBRATION_LIMIT, CALIBRATION_LIMIT)
+        }
+        _ => 1.0,
+    };
+    // Without an explicit target, fall back to the ledger's recorded one (a
+    // watch-loop re-tune), then to the current calibrated operating point (a
+    // cold tune holds the line and optimizes throughput under it).
+    let target_ms = request
+        .target_p99_ms
+        .or(recorded_target)
+        .unwrap_or(base.p99_ms * calibration);
+    if !target_ms.is_finite() || target_ms <= 0.0 {
+        return Err(ServeError::BadConfig {
+            reason: format!("tune target_p99_ms {target_ms} must be finite and positive"),
+        });
+    }
+
+    let mut incumbent = Scored {
+        knobs: before,
+        estimate: base,
+        calibrated_p99_ms: base.p99_ms * calibration,
+    };
+    let mut probes: Vec<TuneProbe> = Vec::new();
+    for round in 1..=request.max_rounds {
+        let mut improved = false;
+        let dimensions: [(&str, Vec<KnobSet>); 4] = [
+            ("flops_budget", budget_candidates(&incumbent.knobs)),
+            ("max_batch_size", batch_candidates(&incumbent.knobs)),
+            ("max_batch_delay_us", delay_candidates(&incumbent.knobs)),
+            ("fair_share_weight", weight_candidates(&incumbent.knobs)),
+        ];
+        for (knob, candidates) in dimensions {
+            for candidate in candidates {
+                // A candidate the planner rejects (e.g. no admissible rank at
+                // that budget) is skipped, not fatal: the search routes
+                // around infeasible corners.
+                let Ok(estimate) = registry.estimate_knobs(model, &candidate) else {
+                    continue;
+                };
+                let scored = Scored {
+                    knobs: candidate,
+                    estimate,
+                    calibrated_p99_ms: estimate.p99_ms * calibration,
+                };
+                let accepted = scored.beats(&incumbent, target_ms);
+                probes.push(TuneProbe {
+                    round,
+                    knob: knob.to_string(),
+                    candidate,
+                    estimated_p99_ms: scored.calibrated_p99_ms,
+                    estimated_throughput_rps: estimate.throughput_rps,
+                    feasible: scored.feasible(target_ms),
+                    accepted,
+                });
+                if accepted {
+                    incumbent = scored;
+                    improved = true;
+                }
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+
+    let after = incumbent.knobs;
+    let mut applied = false;
+    if request.apply && after != before {
+        let report = registry.reconfigure_with(model, move |config| after.apply_to(config))?;
+        generation = report.generation;
+        applied = true;
+    }
+    // The ledger records a tune only when its `after` knobs are what serves
+    // now: an expectation for knobs a dry run left unapplied would make the
+    // watch loop drift-check live p99 against a config nobody runs, and
+    // re-tune with `apply` on.
+    let tuning_generation = {
+        let mut ledger = registry.controller();
+        if applied || after == before {
+            ledger.tunes_total += 1;
+            let state = ledger.models.entry(model.to_string()).or_default();
+            state.tuning_generation += 1;
+            state.target_p99_ms = target_ms;
+            // The calibrated estimate at the winning knobs is what the watch
+            // loop drift-checks live p99 against.
+            state.expected_p99_ms = incumbent.calibrated_p99_ms;
+            if let Some(measured) = measured_p99_ms {
+                state.last_measured_p99_ms = measured;
+            }
+            state.tuning_generation
+        } else {
+            ledger.models.get(model).map_or(0, |m| m.tuning_generation)
+        }
+    };
+    Ok(TuneReport {
+        model: model.to_string(),
+        target_p99_ms: target_ms,
+        before,
+        after,
+        measured_p99_ms,
+        calibration,
+        estimated_p99_ms: incumbent.calibrated_p99_ms,
+        estimated_throughput_rps: incumbent.estimate.throughput_rps,
+        converged: incumbent.feasible(target_ms),
+        applied,
+        generation,
+        tuning_generation,
+        probes,
+    })
 }
 
 /// Watch-loop configuration, read live by the background thread on every
@@ -453,11 +707,9 @@ impl ControllerConfig {
 /// from the engine's own metrics on real ticks, scripted in tests.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct MeasuredSlo {
-    /// Measured median end-to-end latency, ms.
-    pub p50_ms: f64,
     /// Measured p99 end-to-end latency, ms.
     pub p99_ms: f64,
-    /// Latency samples behind the percentiles.
+    /// Latency samples behind the percentile.
     pub samples: u64,
 }
 
@@ -465,7 +717,6 @@ impl MeasuredSlo {
     /// Extract the controller's view from an engine metrics snapshot.
     pub fn of(metrics: &crate::metrics::ServeMetrics) -> Self {
         MeasuredSlo {
-            p50_ms: metrics.total_latency.p50_ms,
             p99_ms: metrics.total_latency.p99_ms,
             samples: metrics.total_latency.count as u64,
         }
@@ -480,8 +731,8 @@ pub struct TickReport {
     pub examined: u64,
     /// Models whose measured p99 left the drift band this tick.
     pub drifted: Vec<String>,
-    /// Models the tick re-tuned through the driver (a drifted model without
-    /// an installed driver records the drift but cannot re-tune).
+    /// Models the tick re-tuned (a drifted model whose re-tune fails keeps
+    /// only the drift record).
     pub retuned: Vec<String>,
 }
 
@@ -498,8 +749,6 @@ pub struct ModelControllerStatus {
     /// The controller's calibrated p99 estimate for the serving config, ms
     /// — what live p99 is drift-checked against.
     pub expected_p99_ms: f64,
-    /// The last tune's objective value, ms.
-    pub last_objective_ms: f64,
     /// The measured p99 most recently seen by a tick or tune, ms.
     pub last_measured_p99_ms: f64,
     /// Drift-band violations recorded for this model.
@@ -515,8 +764,6 @@ pub struct ModelControllerStatus {
 pub struct ControllerStatus {
     /// The live watch-loop configuration.
     pub config: ControllerConfig,
-    /// Whether a [`TuneDriver`] is installed.
-    pub driver_attached: bool,
     /// Number of running watch threads (0 or 1 in practice).
     pub watchers: u64,
     /// Watch ticks executed over the process lifetime.
@@ -535,18 +782,20 @@ pub(crate) struct ModelControlState {
     pub(crate) tuning_generation: u64,
     pub(crate) target_p99_ms: f64,
     pub(crate) expected_p99_ms: f64,
-    pub(crate) last_objective_ms: f64,
     pub(crate) last_measured_p99_ms: f64,
     pub(crate) drift_events: u64,
 }
 
-/// The controller's bookkeeping: watch config plus per-model tune state.
-/// Owned by the registry (not the driver) so `/metrics` serializes it without
-/// a dependency on the controller crate.
+/// The controller's bookkeeping: watch config, per-model tune state and the
+/// lifetime tick / tune / drift counters, behind the registry's one
+/// controller lock.
 #[derive(Default)]
 pub(crate) struct ControllerLedger {
     pub(crate) config: ControllerConfig,
     pub(crate) models: BTreeMap<String, ModelControlState>,
+    pub(crate) ticks_total: u64,
+    pub(crate) tunes_total: u64,
+    pub(crate) drift_events_total: u64,
 }
 
 /// Handle to a running [`ModelRegistry::watch`] thread. Dropping it (or

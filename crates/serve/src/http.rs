@@ -1204,9 +1204,8 @@ fn replan_model(registry: &ModelRegistry, name: &str, body: &str) -> Routed {
     }
 }
 
-/// `POST /v1/models/{name}/tune` — one controller tune (joint knob search
-/// through the installed [`TuneDriver`](crate::control::TuneDriver)). An
-/// empty body runs with defaults.
+/// `POST /v1/models/{name}/tune` — one controller tune (the registry's joint
+/// knob search). An empty body runs with defaults.
 fn tune_model(registry: &ModelRegistry, name: &str, body: &str) -> Routed {
     let parsed = if body.trim().is_empty() {
         TuneBody::default()
@@ -2249,6 +2248,19 @@ mod tests {
         assert!(metrics.contains("\"replans_total\":1"), "{metrics}");
         assert!(metrics.contains("\"models_retired_total\":1"), "{metrics}");
         assert!(metrics.contains("\"plan_cache\""), "{metrics}");
+
+        // A plain registry tunes: nothing has to be installed first.
+        let (status, reply) = http_request(
+            &addr,
+            "POST",
+            "/v1/models/mini/tune",
+            Some("{\"target_p99_ms\": 250.0}"),
+        )
+        .unwrap();
+        assert_eq!(status, 200, "{reply}");
+        let report: crate::control::TuneReport = serde_json::from_str(&reply).unwrap();
+        assert_eq!(report.model, "mini");
+        assert!(!report.probes.is_empty(), "{reply}");
 
         // Malformed admin bodies are client errors.
         let (status, _) = http_request(&addr, "PUT", "/v1/models/bad", Some("{}")).unwrap();

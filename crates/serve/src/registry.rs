@@ -31,12 +31,11 @@
 //!   snapshot holder lets go), new requests ride the new plan: zero dropped
 //!   requests across the swap boundary, pinned by a bit-parity integration
 //!   test.
-//! * **Controller substrate** — the SLO controller (`tdc-ctrl`) plugs in
-//!   through the vocabulary in [`crate::control`]:
-//!   [`estimate_knobs`](ModelRegistry::estimate_knobs) scores a [`KnobSet`]
-//!   on the wave simulator, a [`TuneDriver`] installed via
-//!   [`set_tune_driver`](ModelRegistry::set_tune_driver) supplies the search
-//!   behind [`tune`](ModelRegistry::tune), and
+//! * **The SLO controller** — built from the vocabulary in
+//!   [`crate::control`]: [`estimate_knobs`](ModelRegistry::estimate_knobs)
+//!   scores a [`KnobSet`] on the wave simulator,
+//!   [`tune`](ModelRegistry::tune) runs the joint-knob coordinate descent
+//!   over such scores and hot-swaps the winner in, and
 //!   [`watch`](ModelRegistry::watch) runs the background loop that re-tunes
 //!   a model whose live p99 drifts out of the configured band. Ticks are
 //!   injectable
@@ -64,7 +63,7 @@ use crate::batcher::{InferenceResponse, PendingResponse};
 use crate::control::{
     ControllerConfig, ControllerLedger, ControllerStatus, ControllerWatch, EngineHandle, EpochSwap,
     KnobEstimate, KnobSet, MeasuredSlo, ModelControllerStatus, ModelTable, RegisteredModel,
-    ReplanReport, RouteTotals, TickReport, TuneDriver, TuneReport, TuneRequest,
+    ReplanReport, RouteTotals, TickReport, TuneReport, TuneRequest,
 };
 use crate::metrics::ServeMetrics;
 use crate::options::{BatchingOptions, PlanningOptions, RuntimeOptions};
@@ -362,15 +361,8 @@ pub struct ModelRegistry {
     drained_completed_total: AtomicU64,
     /// Deadline expiries on since-drained engines (same role).
     drained_deadline_exceeded_total: AtomicU64,
-    /// The installed knob-search implementation (`tdc-ctrl`'s coordinate
-    /// descent). `None` until an embedder attaches one; tune requests then
-    /// fail typed (→ HTTP 400) instead of silently no-oping.
-    driver: Mutex<Option<Arc<dyn TuneDriver>>>,
-    /// Watch-loop config plus per-model tune state.
+    /// Watch-loop config, per-model tune state and controller counters.
     controller: Mutex<ControllerLedger>,
-    controller_ticks_total: AtomicU64,
-    controller_tunes_total: AtomicU64,
-    controller_drift_events_total: AtomicU64,
     /// Live [`ModelRegistry::watch`] threads (0 or 1 in practice).
     watchers: AtomicU64,
 }
@@ -410,11 +402,7 @@ impl ModelRegistry {
             replans_total: AtomicU64::new(0),
             drained_completed_total: AtomicU64::new(0),
             drained_deadline_exceeded_total: AtomicU64::new(0),
-            driver: Mutex::new(None),
             controller: Mutex::new(ControllerLedger::default()),
-            controller_ticks_total: AtomicU64::new(0),
-            controller_tunes_total: AtomicU64::new(0),
-            controller_drift_events_total: AtomicU64::new(0),
             watchers: AtomicU64::new(0),
         }
     }
@@ -839,65 +827,47 @@ impl ModelRegistry {
         })
     }
 
-    fn controller(&self) -> MutexGuard<'_, ControllerLedger> {
+    pub(crate) fn controller(&self) -> MutexGuard<'_, ControllerLedger> {
         match self.controller.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         }
     }
 
-    fn tune_driver(&self) -> Option<Arc<dyn TuneDriver>> {
-        match self.driver.lock() {
-            Ok(guard) => guard.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
-    }
-
-    /// Install the knob search behind [`ModelRegistry::tune`] (normally
-    /// `tdc-ctrl`'s coordinate-descent `Controller`). Replaces any previous
-    /// driver.
-    pub fn set_tune_driver(&self, driver: Arc<dyn TuneDriver>) {
-        let mut slot = match self.driver.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        *slot = Some(driver);
-    }
-
-    /// Run one controller tune for `name` through the installed driver and
-    /// record its outcome in the ledger (tuning generation, target, expected
-    /// p99). Fails typed (→ HTTP 400) when no driver is attached.
+    /// Run one joint-knob tune for `name`: calibrated coordinate descent
+    /// over the model's [`KnobSet`], every candidate scored by
+    /// [`estimate_knobs`](ModelRegistry::estimate_knobs), the winner
+    /// hot-swapped in through
+    /// [`reconfigure_with`](ModelRegistry::reconfigure_with) when
+    /// `request.apply` is set. The ledger records the tune (tuning
+    /// generation, target, expected p99) when its winning knobs are what
+    /// serves on return; a dry run that found better knobs leaves the ledger
+    /// alone and reports its current tuning generation.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tdc_serve::{serving_descriptor, ModelConfig, ModelRegistry, TuneRequest};
+    ///
+    /// let registry = ModelRegistry::new(4);
+    /// registry
+    ///     .register("demo", &serving_descriptor("ctrl-demo", 8, 4, 4), ModelConfig::default())
+    ///     .unwrap();
+    /// let report = registry
+    ///     .tune(
+    ///         "demo",
+    ///         &TuneRequest {
+    ///             target_p99_ms: Some(50.0),
+    ///             ..TuneRequest::default()
+    ///         },
+    ///     )
+    ///     .unwrap();
+    /// assert_eq!(report.tuning_generation, 1);
+    /// assert!(!report.probes.is_empty());
+    /// registry.shutdown();
+    /// ```
     pub fn tune(&self, name: &str, request: &TuneRequest) -> Result<TuneReport> {
-        let Some(driver) = self.tune_driver() else {
-            return Err(ServeError::BadConfig {
-                reason: "no tune driver attached; install one with set_tune_driver \
-                         (tdc-ctrl's Controller is the stock implementation)"
-                    .into(),
-            });
-        };
-        let mut report = driver.tune(self, name, request)?;
-        self.note_tuned(&mut report);
-        Ok(report)
-    }
-
-    /// Fold a finished tune into the ledger and stamp its tuning
-    /// generation into the report.
-    fn note_tuned(&self, report: &mut TuneReport) {
-        {
-            let mut ledger = self.controller();
-            let state = ledger.models.entry(report.model.clone()).or_default();
-            state.tuning_generation += 1;
-            report.tuning_generation = state.tuning_generation;
-            state.target_p99_ms = report.target_p99_ms;
-            // The calibrated estimate at the winning knobs is what the watch
-            // loop drift-checks live p99 against.
-            state.expected_p99_ms = report.estimated_p99_ms;
-            state.last_objective_ms = report.estimated_p99_ms;
-            if let Some(measured) = report.measured_p99_ms {
-                state.last_measured_p99_ms = measured;
-            }
-        }
-        self.controller_tunes_total.fetch_add(1, Ordering::Relaxed);
+        crate::control::tune(self, name, request)
     }
 
     /// The live watch-loop configuration.
@@ -928,7 +898,6 @@ impl ModelRegistry {
                     tuning_generation: state.tuning_generation,
                     target_p99_ms: state.target_p99_ms,
                     expected_p99_ms: state.expected_p99_ms,
-                    last_objective_ms: state.last_objective_ms,
                     last_measured_p99_ms: state.last_measured_p99_ms,
                     drift_events: state.drift_events,
                     early_releases: entry.engine.early_releases(),
@@ -938,11 +907,10 @@ impl ModelRegistry {
             .collect();
         ControllerStatus {
             config: ledger.config,
-            driver_attached: self.tune_driver().is_some(),
             watchers: self.watchers.load(Ordering::Relaxed),
-            ticks_total: self.controller_ticks_total.load(Ordering::Relaxed),
-            tunes_total: self.controller_tunes_total.load(Ordering::Relaxed),
-            drift_events_total: self.controller_drift_events_total.load(Ordering::Relaxed),
+            ticks_total: ledger.ticks_total,
+            tunes_total: ledger.tunes_total,
+            drift_events_total: ledger.drift_events_total,
             models,
         }
     }
@@ -985,14 +953,14 @@ impl ModelRegistry {
     /// thread). For every tuned model with at least
     /// [`ControllerConfig::min_samples`] samples, compare measured p99
     /// against the controller's expected p99; outside the drift band, record
-    /// a drift event and re-tune through the driver (the re-tune itself
-    /// refreshes the expectation, closing the loop).
+    /// a drift event and re-tune the model (the re-tune itself refreshes the
+    /// expectation, closing the loop).
     pub fn controller_tick_with(&self, feed: &[(String, MeasuredSlo)]) -> TickReport {
-        self.controller_ticks_total.fetch_add(1, Ordering::Relaxed);
         let mut report = TickReport::default();
         let mut retunes: Vec<(String, f64)> = Vec::new();
         {
             let mut ledger = self.controller();
+            ledger.ticks_total += 1;
             let config = ledger.config;
             for (name, slo) in feed {
                 let Some(state) = ledger.models.get_mut(name) else {
@@ -1015,14 +983,13 @@ impl ModelRegistry {
                 let drift = (slo.p99_ms - state.expected_p99_ms).abs() / state.expected_p99_ms;
                 if drift > config.drift_band_frac {
                     state.drift_events += 1;
-                    self.controller_drift_events_total
-                        .fetch_add(1, Ordering::Relaxed);
                     report.drifted.push(name.clone());
                     retunes.push((name.clone(), state.target_p99_ms));
                 }
             }
+            ledger.drift_events_total += report.drifted.len() as u64;
         }
-        // Re-tunes run outside the ledger lock: the driver plans candidate
+        // Re-tunes run outside the ledger lock: the search plans candidate
         // budgets and drains the old engine on apply — slow writer work that
         // must not block status reads or concurrent ticks.
         for (name, target) in retunes {

@@ -101,7 +101,6 @@ fn burst_trace_with_mid_trace_worker_panic_heals_bit_identically() {
 #[test]
 fn a_backend_brown_out_drifts_a_tuned_model_and_the_live_tick_retunes_it() {
     let registry = ModelRegistry::new(2);
-    tdc_ctrl::install(&registry);
     registry
         .set_controller_config(ControllerConfig {
             min_samples: 16,
