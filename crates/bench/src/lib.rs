@@ -2,9 +2,8 @@
 //!
 //! The benchmark harness that regenerates every table and figure of the TDC
 //! paper's evaluation (Section 7). Each `src/bin/*` binary prints the rows of
-//! one table or the series of one figure; the Criterion benches in `benches/`
-//! time the underlying computational kernels. Each binary is named after the
-//! table or figure it prints; README.md's "Substitutions" section states what
+//! one table or the series of one figure, and is named after the table or
+//! figure it prints; README.md's "Substitutions" section states what
 //! stands in for the paper's datasets and GPUs.
 
 pub mod figures;

@@ -1,13 +1,12 @@
 //! Direct convolution — the correctness reference.
 //!
 //! Straightforward seven-loop cross-correlation over an HWC input and a CNRS
-//! kernel, parallelised over output rows with rayon. Every other algorithm in
-//! the crate is tested against this implementation.
+//! kernel, one output row at a time. Every other algorithm in the crate is
+//! tested against this implementation.
 
 use crate::layout::{check_input_hwc, check_kernel_cnrs};
 use crate::shapes::ConvShape;
 use crate::{ConvError, Result};
-use rayon::prelude::*;
 use tdc_tensor::Tensor;
 
 /// Compute `Y(h', w', n) = Σ_{c,r,s} X(h'·stride + r − pad, w'·stride + s − pad, c) · K(c, n, r, s)`.
@@ -48,36 +47,34 @@ pub fn conv2d_into(x: &[f32], k: &[f32], out: &mut [f32], shape: &ConvShape) {
     let k_c_stride = shape.n * r * s;
     let k_n_stride = r * s;
 
-    out.par_chunks_mut(out_w * n)
-        .enumerate()
-        .for_each(|(oy, row)| {
-            for ox in 0..out_w {
-                let acc = &mut row[ox * n..(ox + 1) * n];
-                for rr in 0..r {
-                    let iy = oy as isize * stride + rr as isize - pad;
-                    if iy < 0 || iy >= h {
+    out.chunks_mut(out_w * n).enumerate().for_each(|(oy, row)| {
+        for ox in 0..out_w {
+            let acc = &mut row[ox * n..(ox + 1) * n];
+            for rr in 0..r {
+                let iy = oy as isize * stride + rr as isize - pad;
+                if iy < 0 || iy >= h {
+                    continue;
+                }
+                for ss in 0..s {
+                    let ix = ox as isize * stride + ss as isize - pad;
+                    if ix < 0 || ix >= w {
                         continue;
                     }
-                    for ss in 0..s {
-                        let ix = ox as isize * stride + ss as isize - pad;
-                        if ix < 0 || ix >= w {
+                    let x_base = (iy as usize * shape.w + ix as usize) * c;
+                    for ch in 0..c {
+                        let xv = x[x_base + ch];
+                        if xv == 0.0 {
                             continue;
                         }
-                        let x_base = (iy as usize * shape.w + ix as usize) * c;
-                        for ch in 0..c {
-                            let xv = x[x_base + ch];
-                            if xv == 0.0 {
-                                continue;
-                            }
-                            let k_base = ch * k_c_stride + rr * s + ss;
-                            for on in 0..n {
-                                acc[on] += xv * k[k_base + on * k_n_stride];
-                            }
+                        let k_base = ch * k_c_stride + rr * s + ss;
+                        for on in 0..n {
+                            acc[on] += xv * k[k_base + on * k_n_stride];
                         }
                     }
                 }
             }
-        });
+        }
+    });
 }
 
 /// [`conv2d_into`] against a kernel pre-permuted to RSCN layout (see
@@ -131,38 +128,36 @@ fn rscn_body<const N: usize>(x: &[f32], k_rscn: &[f32], out: &mut [f32], shape: 
     let (r, s) = (shape.r, shape.s);
     let (pad, stride) = (shape.pad as isize, shape.stride as isize);
 
-    out.par_chunks_mut(out_w * N)
-        .enumerate()
-        .for_each(|(oy, row)| {
-            // The valid tap ranges only depend on the output coordinate, so
-            // hoist them: `rr` bounds once per row, `ss` bounds once per
-            // column. Inside them every tap is in bounds and the loops run
-            // branch-free; the *contributing* taps — and their order — are
-            // exactly those the bounds-checked form visits.
-            let rr_lo = (pad - oy as isize * stride).max(0) as usize;
-            let rr_hi = (h + pad - oy as isize * stride).min(r as isize).max(0) as usize;
-            for (ox, acc_out) in row.chunks_exact_mut(N).enumerate() {
-                let ss_lo = (pad - ox as isize * stride).max(0) as usize;
-                let ss_hi = (w + pad - ox as isize * stride).min(s as isize).max(0) as usize;
-                let mut acc = [0.0f32; N];
-                for rr in rr_lo..rr_hi {
-                    let iy = (oy as isize * stride + rr as isize - pad) as usize;
-                    for ss in ss_lo..ss_hi {
-                        let ix = (ox as isize * stride + ss as isize - pad) as usize;
-                        let x_base = (iy * shape.w + ix) * c;
-                        let tap = &k_rscn[(rr * s + ss) * c * N..(rr * s + ss + 1) * c * N];
-                        for ch in 0..c {
-                            let xv = x[x_base + ch];
-                            let wrow = &tap[ch * N..(ch + 1) * N];
-                            for (a, &wv) in acc.iter_mut().zip(wrow) {
-                                *a += xv * wv;
-                            }
+    out.chunks_mut(out_w * N).enumerate().for_each(|(oy, row)| {
+        // The valid tap ranges only depend on the output coordinate, so
+        // hoist them: `rr` bounds once per row, `ss` bounds once per
+        // column. Inside them every tap is in bounds and the loops run
+        // branch-free; the *contributing* taps — and their order — are
+        // exactly those the bounds-checked form visits.
+        let rr_lo = (pad - oy as isize * stride).max(0) as usize;
+        let rr_hi = (h + pad - oy as isize * stride).min(r as isize).max(0) as usize;
+        for (ox, acc_out) in row.chunks_exact_mut(N).enumerate() {
+            let ss_lo = (pad - ox as isize * stride).max(0) as usize;
+            let ss_hi = (w + pad - ox as isize * stride).min(s as isize).max(0) as usize;
+            let mut acc = [0.0f32; N];
+            for rr in rr_lo..rr_hi {
+                let iy = (oy as isize * stride + rr as isize - pad) as usize;
+                for ss in ss_lo..ss_hi {
+                    let ix = (ox as isize * stride + ss as isize - pad) as usize;
+                    let x_base = (iy * shape.w + ix) * c;
+                    let tap = &k_rscn[(rr * s + ss) * c * N..(rr * s + ss + 1) * c * N];
+                    for ch in 0..c {
+                        let xv = x[x_base + ch];
+                        let wrow = &tap[ch * N..(ch + 1) * N];
+                        for (a, &wv) in acc.iter_mut().zip(wrow) {
+                            *a += xv * wv;
                         }
                     }
                 }
-                acc_out.copy_from_slice(&acc);
             }
-        });
+            acc_out.copy_from_slice(&acc);
+        }
+    });
 }
 
 /// [`conv2d_rscn_into`]'s loop nest for a runtime output width (uncommon
@@ -173,34 +168,32 @@ fn rscn_body_dyn(x: &[f32], k_rscn: &[f32], out: &mut [f32], shape: &ConvShape, 
     let (r, s) = (shape.r, shape.s);
     let (pad, stride) = (shape.pad as isize, shape.stride as isize);
 
-    out.par_chunks_mut(out_w * n)
-        .enumerate()
-        .for_each(|(oy, row)| {
-            let rr_lo = (pad - oy as isize * stride).max(0) as usize;
-            let rr_hi = (h + pad - oy as isize * stride).min(r as isize).max(0) as usize;
-            for (ox, acc) in row.chunks_exact_mut(n).enumerate() {
-                let ss_lo = (pad - ox as isize * stride).max(0) as usize;
-                let ss_hi = (w + pad - ox as isize * stride).min(s as isize).max(0) as usize;
-                for rr in rr_lo..rr_hi {
-                    let iy = (oy as isize * stride + rr as isize - pad) as usize;
-                    for ss in ss_lo..ss_hi {
-                        let ix = (ox as isize * stride + ss as isize - pad) as usize;
-                        let x_base = (iy * shape.w + ix) * c;
-                        let tap = &k_rscn[(rr * s + ss) * c * n..(rr * s + ss + 1) * c * n];
-                        for ch in 0..c {
-                            let xv = x[x_base + ch];
-                            let wrow = &tap[ch * n..(ch + 1) * n];
-                            for (a, &wv) in acc.iter_mut().zip(wrow) {
-                                *a += xv * wv;
-                            }
+    out.chunks_mut(out_w * n).enumerate().for_each(|(oy, row)| {
+        let rr_lo = (pad - oy as isize * stride).max(0) as usize;
+        let rr_hi = (h + pad - oy as isize * stride).min(r as isize).max(0) as usize;
+        for (ox, acc) in row.chunks_exact_mut(n).enumerate() {
+            let ss_lo = (pad - ox as isize * stride).max(0) as usize;
+            let ss_hi = (w + pad - ox as isize * stride).min(s as isize).max(0) as usize;
+            for rr in rr_lo..rr_hi {
+                let iy = (oy as isize * stride + rr as isize - pad) as usize;
+                for ss in ss_lo..ss_hi {
+                    let ix = (ox as isize * stride + ss as isize - pad) as usize;
+                    let x_base = (iy * shape.w + ix) * c;
+                    let tap = &k_rscn[(rr * s + ss) * c * n..(rr * s + ss + 1) * c * n];
+                    for ch in 0..c {
+                        let xv = x[x_base + ch];
+                        let wrow = &tap[ch * n..(ch + 1) * n];
+                        for (a, &wv) in acc.iter_mut().zip(wrow) {
+                            *a += xv * wv;
                         }
                     }
                 }
             }
-        });
+        }
+    });
 }
 
-/// Scalar (non-parallel, non-optimised) reference kept deliberately naive for
+/// Scalar, non-optimised reference kept deliberately naive for
 /// differential testing of [`conv2d`] itself. Gated behind `cfg(test)` / the
 /// `reference` feature so it can never be picked up on the serving path.
 #[cfg(any(test, feature = "reference"))]

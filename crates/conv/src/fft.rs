@@ -11,7 +11,6 @@
 use crate::layout::{check_input_hwc, check_kernel_cnrs, pad_hwc};
 use crate::shapes::ConvShape;
 use crate::{ConvError, Result};
-use rayon::prelude::*;
 use tdc_tensor::Tensor;
 
 /// A dense complex matrix stored as separate real/imaginary planes.
@@ -172,7 +171,6 @@ pub fn conv2d(input: &Tensor, kernel: &Tensor, shape: &ConvShape) -> Result<Tens
     // Forward transforms of each input channel.
     let x = padded.data();
     let input_spectra: Vec<ComplexPlane> = (0..c)
-        .into_par_iter()
         .map(|ch| {
             let mut plane = ComplexPlane::zeros(lh, lw);
             for y in 0..ph {
@@ -192,7 +190,6 @@ pub fn conv2d(input: &Tensor, kernel: &Tensor, shape: &ConvShape) -> Result<Tens
     let (out_h, out_w) = (shape.out_h(), shape.out_w());
 
     let per_channel: Vec<Vec<f32>> = (0..n)
-        .into_par_iter()
         .map(|on| {
             let mut acc = ComplexPlane::zeros(lh, lw);
             for ch in 0..c {

@@ -10,7 +10,6 @@
 use crate::layout::{check_input_hwc, check_kernel_cnrs};
 use crate::shapes::ConvShape;
 use crate::Result;
-use rayon::prelude::*;
 use tdc_tensor::{matmul, Tensor};
 
 /// Materialise the im2col patch matrix: `(H'·W') × (C·R·S)`.
@@ -38,7 +37,7 @@ pub fn im2col_into(x: &[f32], out: &mut [f32], shape: &ConvShape) {
     assert_eq!(out.len(), out_h * out_w * cols, "patch buffer wrong length");
 
     let taps = shape.r * shape.s;
-    out.par_chunks_mut(cols).enumerate().for_each(|(pos, row)| {
+    out.chunks_mut(cols).enumerate().for_each(|(pos, row)| {
         let oy = pos / out_w;
         let ox = pos % out_w;
         // Resolve each of the R·S kernel taps once per output position —

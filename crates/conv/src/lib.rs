@@ -25,7 +25,7 @@
 //!   the TDC kernel uses for coalesced weight loads.
 //! * [`mod@dispatch`] — the single typed surface ([`dispatch::dispatch`]) through
 //!   which backends select a CPU algorithm.
-//! * [`direct`] — direct (naive but parallel) convolution, the correctness
+//! * [`direct`] — direct (row-at-a-time loop nest) convolution, the correctness
 //!   reference for everything else.
 //! * [`im2col`] — im2col + GEMM convolution (cuDNN IMPLICIT_GEMM analogue).
 //! * [`winograd`] — Winograd F(2×2, 3×3) convolution.

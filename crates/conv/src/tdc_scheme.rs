@@ -19,7 +19,6 @@
 use crate::layout::{check_input_hwc, pad_hwc};
 use crate::shapes::ConvShape;
 use crate::{ConvError, Result};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use tdc_gpu_sim::{DeviceSpec, KernelLaunch};
 use tdc_tensor::Tensor;
@@ -228,16 +227,16 @@ pub fn run(
     let k = kernel_crsn.data();
 
     // Each (tile_h, tile_w) owns a disjoint output region; channel-tiles are
-    // partial sums into the same region (the atomicAdd of Listing 2), so we
-    // parallelise over spatial tiles and keep the channel-tile loop sequential
-    // inside — same arithmetic, deterministic order.
+    // partial sums into the same region (the atomicAdd of Listing 2), run
+    // sequentially inside each spatial tile — same arithmetic, deterministic
+    // order.
     let mut out = vec![0.0f32; out_h * out_w * n];
     let blocks: Vec<(usize, usize)> = (0..tiles_h)
         .flat_map(|y| (0..tiles_w).map(move |x| (y, x)))
         .collect();
 
     let tile_results: Vec<(usize, usize, Vec<f32>)> = blocks
-        .par_iter()
+        .iter()
         .map(|&(ty, tx)| {
             let oy0 = ty * th;
             let ox0 = tx * tw;

@@ -13,7 +13,6 @@
 use crate::layout::{check_input_hwc, check_kernel_cnrs, pad_hwc};
 use crate::shapes::ConvShape;
 use crate::{ConvError, Result};
-use rayon::prelude::*;
 use tdc_tensor::Tensor;
 
 /// Output tile size `m` of F(m×m, 3×3).
@@ -135,7 +134,6 @@ pub fn conv2d(input: &Tensor, kernel: &Tensor, shape: &ConvShape) -> Result<Tens
 
     // Pre-transform all kernels: U[c][n] is 4x4.
     let transformed: Vec<[[f32; 4]; 4]> = (0..c * n)
-        .into_par_iter()
         .map(|idx| {
             let ch = idx / n;
             let on = idx % n;
@@ -154,9 +152,8 @@ pub fn conv2d(input: &Tensor, kernel: &Tensor, shape: &ConvShape) -> Result<Tens
     let x = padded.data();
 
     let mut out = vec![0.0f32; out_h * out_w * n];
-    // Parallelise over tile rows; each worker owns disjoint output rows.
+    // One result buffer per tile row; each covers disjoint output rows.
     let tile_rows: Vec<Vec<f32>> = (0..tiles_y)
-        .into_par_iter()
         .map(|ty| {
             let mut local = vec![0.0f32; TILE_OUT * out_w * n];
             for tx in 0..tiles_x {

@@ -10,16 +10,12 @@
 //! of the GPU idle). Blocks resident in the same wave run concurrently, each
 //! at its thread-share of peak throughput; a wave completes when its slowest
 //! block does.
-//!
-//! Block simulation is embarrassingly parallel, so the engine fans the
-//! per-block cost evaluation out over a rayon parallel iterator.
 
 use crate::device::DeviceSpec;
 use crate::kernel::KernelLaunch;
 use crate::latency::LatencyModel;
 use crate::occupancy::occupancy;
 use crate::Result;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Execution statistics produced by [`WaveEngine::run`].
@@ -91,16 +87,10 @@ impl WaveEngine {
         let slots_per_wave = occ.blocks_per_wave;
         let waves = kernel.grid_blocks.div_ceil(slots_per_wave);
 
-        // Cost of one block on the compute side. All blocks of a dense
-        // convolution are identical, but we still evaluate them individually
-        // (in parallel) so fault-injection tests can perturb single blocks and
-        // future schemes can have non-uniform block costs.
+        // Cost of one block on the compute side. Every block of a launch is
+        // identical, so every wave — full or tail — costs exactly this.
         let block_ms = self.model.block_compute_latency_ms(kernel, &occ)
             + kernel.syncs_per_block as f64 * crate::latency::SYNC_STALL_US / 1000.0;
-        let block_costs: Vec<f64> = (0..kernel.grid_blocks)
-            .into_par_iter()
-            .map(|_blk| block_ms)
-            .collect();
 
         // Schedule blocks onto resident slots, wave by wave. Blocks resident in
         // the same wave execute concurrently, each progressing at its
@@ -112,15 +102,14 @@ impl WaveEngine {
         for wave in 0..waves {
             let start = wave * slots_per_wave;
             let end = ((wave + 1) * slots_per_wave).min(kernel.grid_blocks);
-            let wave_blocks = &block_costs[start..end];
-            let wave_time = wave_blocks.iter().copied().fold(0.0, f64::max);
-            compute_ms += wave_time;
-            let resident_fraction = ((wave_blocks.len() * kernel.threads_per_block) as f64
+            let wave_blocks = end - start;
+            compute_ms += block_ms;
+            let resident_fraction = ((wave_blocks * kernel.threads_per_block) as f64
                 / self.device.total_threads() as f64)
                 .min(1.0);
-            weighted_resident += wave_time * resident_fraction;
+            weighted_resident += block_ms * resident_fraction;
             if wave + 1 == waves {
-                last_wave_fill = wave_blocks.len() as f64 / slots_per_wave as f64;
+                last_wave_fill = wave_blocks as f64 / slots_per_wave as f64;
             }
         }
 

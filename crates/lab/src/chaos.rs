@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tdc_router::testkit::{self, drain_replica, fleet_config, hammer, manual_probe_options};
-use tdc_router::{Router, RoutingPolicy};
+use tdc_router::{Router, RoutingPolicy, PROBE_TIMEOUT};
 use tdc_serve::http::{http_request, route_full, InferBody, InferReply};
 use tdc_serve::{
     serving_descriptor, BatchingOptions, HttpHandler, HttpServer, ModelConfig, ModelRegistry,
@@ -347,7 +347,6 @@ pub fn slow_replica_ejected_on_latency() -> ChaosReport {
     let mut addrs = vec![slow_server.local_addr()];
     addrs.extend(healthy.iter().map(|s| s.local_addr()));
     let options = manual_probe_options(RoutingPolicy::LeastLoaded);
-    let probe_timeout = options.probe_timeout;
     let router = Arc::new(Router::new(&addrs, options));
     let front = HttpServer::bind_with_handler("127.0.0.1:0", Arc::clone(&router) as _)
         .expect("bind router front end");
@@ -388,7 +387,7 @@ pub fn slow_replica_ejected_on_latency() -> ChaosReport {
     // The brown-out: every request to replica 0 now stalls for three
     // probe timeouts. Two sweeps (eject_after) later it must be out.
     slow.stall_ms
-        .store(probe_timeout.as_millis() as u64 * 3, Ordering::SeqCst);
+        .store(PROBE_TIMEOUT.as_millis() as u64 * 3, Ordering::SeqCst);
     probe(2);
     let metrics = router.metrics();
     assert_eq!(
@@ -405,7 +404,7 @@ pub fn slow_replica_ejected_on_latency() -> ChaosReport {
     let started = std::time::Instant::now();
     let during = infer("mid-stall");
     assert!(
-        started.elapsed() < probe_timeout,
+        started.elapsed() < PROBE_TIMEOUT,
         "slow-replica: routed traffic still touches the stalled replica"
     );
     assert_eq!(

@@ -7,7 +7,6 @@
 
 use crate::{NnError, Result};
 use rand::Rng;
-use rayon::prelude::*;
 use tdc_conv::{dispatch, im2col, ConvShape, CpuConvAlgorithm};
 use tdc_tensor::{init, matmul, ops, Tensor};
 
@@ -133,7 +132,6 @@ impl Conv2dLayer {
         let shape = self.shape;
         let kernel = self.kernel.value.clone();
         let outputs: Vec<Tensor> = (0..b)
-            .into_par_iter()
             .map(|i| {
                 let sample = slice_sample(x, i);
                 dispatch(CpuConvAlgorithm::Im2col, &sample, &kernel, &shape).expect("conv forward")
@@ -160,7 +158,6 @@ impl Conv2dLayer {
         let kernel = self.kernel.value.clone();
 
         let per_sample: Vec<(Tensor, Tensor)> = (0..b)
-            .into_par_iter()
             .map(|i| {
                 let sample = slice_sample(x, i);
                 let gout = slice_sample(grad_out, i);

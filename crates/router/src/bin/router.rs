@@ -135,7 +135,6 @@ fn parse_flags() -> Flags {
 /// The end-to-end fleet self-test. See the module docs for the scenario.
 fn smoke(
     server: &HttpServer,
-    router: &Arc<Router>,
     children: &mut Vec<ChildReplica>,
     spill_dir: &str,
 ) -> Result<(), String> {
@@ -299,7 +298,7 @@ fn smoke(
         "  kill replica 0 mid-load -> {ok} requests, 0 failures \
          ({} failover(s), ejected after {} probe failures)",
         metrics.failovers_total,
-        router.options().eject_after
+        tdc_router::EJECT_AFTER
     );
 
     // Restart the replica on its old port: the prober must re-admit it.
@@ -438,8 +437,6 @@ fn main() {
         RouterOptions {
             policy: RoutingPolicy::LeastLoaded,
             probe_interval: Duration::from_millis(100),
-            probe_timeout: Duration::from_millis(250),
-            ..RouterOptions::default()
         }
     } else {
         RouterOptions {
@@ -466,7 +463,7 @@ fn main() {
     if flags.smoke {
         println!("\nsmoke mode: exercising the fleet end to end");
         let spill = spill_dir.as_deref().expect("smoke always has a spill dir");
-        let outcome = smoke(&server, &router, &mut children, spill);
+        let outcome = smoke(&server, &mut children, spill);
         router.stop();
         server.stop();
         for child in children.drain(..) {

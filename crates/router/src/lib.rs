@@ -47,6 +47,7 @@ pub mod testkit;
 
 pub use replica::{candidates, fnv1a, InflightGuard, Replica, RoutingPolicy};
 pub use router::{
-    backoff_decision, deadline_of, parse_retry_after, rewrite_deadline, FleetReplicaReply,
-    FleetReply, ReplicaStats, Router, RouterHealthReply, RouterMetrics, RouterOptions,
+    backoff_decision, parse_retry_after, FleetReplicaReply, FleetReply, ReplicaStats, Router,
+    RouterHealthReply, RouterMetrics, RouterOptions, EJECT_AFTER, PROBE_TIMEOUT, READMIT_AFTER,
+    REQUEST_TIMEOUT, RETRY_ROUNDS,
 };

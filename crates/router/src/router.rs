@@ -23,8 +23,22 @@ use tdc_serve::{HealthReply, HttpHandler, RoutedResponse, ShutdownSignal};
 
 use crate::replica::{candidates, Replica, RoutingPolicy};
 
+/// Per-probe connect/read timeout — bounds how long a wedged replica can
+/// stall a health sweep.
+pub const PROBE_TIMEOUT: Duration = Duration::from_millis(250);
+/// Per-attempt connect/read timeout on the data path.
+pub const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
+/// Consecutive probe failures before a replica is ejected.
+pub const EJECT_AFTER: u32 = 2;
+/// Consecutive probe successes before an ejected replica is re-admitted.
+pub const READMIT_AFTER: u32 = 2;
+/// Maximum `Retry-After` wait-and-retry rounds per request (each round
+/// re-tries the full candidate list). Only taken when the request carries a
+/// deadline with room to spare.
+pub const RETRY_ROUNDS: u32 = 2;
+
 /// Tuning knobs for a [`Router`]. `Default` values suit a local fleet;
-/// tests shrink the probe timings for determinism.
+/// tests turn the background prober off for determinism.
 #[derive(Debug, Clone)]
 pub struct RouterOptions {
     /// Replica-selection policy for inference traffic.
@@ -33,19 +47,6 @@ pub struct RouterOptions {
     /// prober thread entirely (drive sweeps manually via
     /// [`Router::probe_once`]).
     pub probe_interval: Duration,
-    /// Per-probe connect/read timeout — bounds how long a wedged replica
-    /// can stall the sweep.
-    pub probe_timeout: Duration,
-    /// Per-attempt connect/read timeout on the data path.
-    pub request_timeout: Duration,
-    /// Consecutive probe failures before a replica is ejected.
-    pub eject_after: u32,
-    /// Consecutive probe successes before an ejected replica is re-admitted.
-    pub readmit_after: u32,
-    /// Maximum `Retry-After` wait-and-retry rounds per request (each round
-    /// re-tries the full candidate list). Only taken when the request
-    /// carries a deadline with room to spare.
-    pub retry_rounds: u32,
 }
 
 impl Default for RouterOptions {
@@ -53,11 +54,6 @@ impl Default for RouterOptions {
         RouterOptions {
             policy: RoutingPolicy::ConsistentHash,
             probe_interval: Duration::from_millis(500),
-            probe_timeout: Duration::from_millis(250),
-            request_timeout: Duration::from_secs(10),
-            eject_after: 2,
-            readmit_after: 2,
-            retry_rounds: 2,
         }
     }
 }
@@ -223,20 +219,20 @@ impl Router {
     }
 
     fn spawn_prober(&self) {
-        if self.options.probe_interval.is_zero() {
+        let interval = self.options.probe_interval;
+        if interval.is_zero() {
             return;
         }
         let shared = Arc::clone(&self.shared);
         let stop = Arc::clone(&self.stop);
-        let options = self.options.clone();
         let handle = std::thread::Builder::new()
             .name("tdc-router-probe".to_string())
             .spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
-                    probe_sweep(&shared, &options);
+                    probe_sweep(&shared);
                     let mut slept = Duration::ZERO;
-                    while slept < options.probe_interval && !stop.load(Ordering::SeqCst) {
-                        let slice = (options.probe_interval - slept).min(Duration::from_millis(20));
+                    while slept < interval && !stop.load(Ordering::SeqCst) {
+                        let slice = (interval - slept).min(Duration::from_millis(20));
                         std::thread::sleep(slice);
                         slept += slice;
                     }
@@ -250,7 +246,7 @@ impl Router {
     /// background prober does each period. Tests call this for
     /// deterministic ejection/readmission without racing a timer.
     pub fn probe_once(&self) {
-        probe_sweep(&self.shared, &self.options);
+        probe_sweep(&self.shared);
     }
 
     /// Snapshot of the current replica set.
@@ -267,11 +263,6 @@ impl Router {
         next.push(Arc::new(Replica::new(id, addr)));
         self.shared.replicas.store(Arc::new(next));
         id
-    }
-
-    /// The options this router was built with.
-    pub fn options(&self) -> &RouterOptions {
-        &self.options
     }
 
     /// Signal observed by the hosting process when `POST /admin/shutdown`
@@ -398,8 +389,7 @@ impl Router {
                     counters.failovers.fetch_add(1, Ordering::SeqCst);
                 }
                 let guard = replica.begin();
-                let result =
-                    replica.request("POST", path, Some(&send_body), self.options.request_timeout);
+                let result = replica.request("POST", path, Some(&send_body), REQUEST_TIMEOUT);
                 drop(guard);
                 match result {
                     Ok((status, headers, reply)) if status == 429 || status == 503 => {
@@ -432,7 +422,7 @@ impl Router {
             rounds += 1;
             let remaining = deadline_ms
                 .map(|deadline| Duration::from_millis(deadline).saturating_sub(started.elapsed()));
-            if rounds <= self.options.retry_rounds {
+            if rounds <= RETRY_ROUNDS {
                 if let Some(wait) = backoff_decision(min_hint, remaining) {
                     counters.retry_after_waits.fetch_add(1, Ordering::SeqCst);
                     std::thread::sleep(wait);
@@ -461,7 +451,7 @@ impl Router {
         let snapshot = self.shared.replicas.load();
         let order = candidates(&snapshot, "", self.options.policy);
         for replica in &order {
-            match replica.request("GET", path, None, self.options.request_timeout) {
+            match replica.request("GET", path, None, REQUEST_TIMEOUT) {
                 Ok((status, _, body)) if status < 500 => {
                     return RoutedResponse {
                         status,
@@ -495,7 +485,7 @@ impl Router {
         let mut replies = Vec::with_capacity(snapshot.len());
         let mut overall: u16 = 200;
         for replica in snapshot.iter() {
-            match replica.request(method, path, body, self.options.request_timeout) {
+            match replica.request(method, path, body, REQUEST_TIMEOUT) {
                 Ok((status, _, reply)) => {
                     replies.push(FleetReplicaReply {
                         id: replica.id() as u64,
@@ -544,7 +534,7 @@ impl Router {
         let mut replies = Vec::with_capacity(snapshot.len());
         let mut overall: u16 = 200;
         for replica in snapshot.iter() {
-            match replica.request("GET", path, None, self.options.request_timeout) {
+            match replica.request("GET", path, None, REQUEST_TIMEOUT) {
                 Ok((status, _, reply)) => {
                     if status != 200 && overall == 200 {
                         overall = status;
@@ -683,10 +673,10 @@ fn error_body(message: impl std::fmt::Display) -> String {
 /// [`HealthReply`] with `ready == true` to count as a success — a replica
 /// that answers 200 while saturated still counts as up (admission state is
 /// surfaced via the probe gauges, not used for ejection).
-fn probe_sweep(shared: &Shared, options: &RouterOptions) {
+fn probe_sweep(shared: &Shared) {
     let replicas = shared.replicas.load();
     for replica in replicas.iter() {
-        let outcome = replica.request("GET", "/healthz", None, options.probe_timeout);
+        let outcome = replica.request("GET", "/healthz", None, PROBE_TIMEOUT);
         let parsed = match outcome {
             Ok((200, _, body)) => serde_json::from_str::<HealthReply>(&body).ok(),
             _ => None,
@@ -697,11 +687,11 @@ fn probe_sweep(shared: &Shared, options: &RouterOptions) {
                     health.models as u64,
                     health.epoch,
                     health.queue_depth as u64,
-                    options.readmit_after,
+                    READMIT_AFTER,
                 );
             }
             _ => {
-                replica.note_probe_failure(options.eject_after);
+                replica.note_probe_failure(EJECT_AFTER);
             }
         }
     }
@@ -742,15 +732,16 @@ pub fn parse_retry_after(headers: &[(String, String)]) -> Option<u64> {
         .min()
 }
 
-/// The body's top-level `deadline_ms` — its value when that is a finite,
-/// non-negative number, and the byte range of its token — found by a key
-/// scan that steps over the `input` array instead of parsing it.
+/// The body's top-level `deadline_ms` — its value when a replica would
+/// accept it, and the byte range of its token — found by a key scan that
+/// steps over the `input` array instead of parsing it.
 fn deadline_token(body: &str) -> Option<(u64, Range<usize>)> {
     let token = tdc_serve::http::top_level_value(body, "deadline_ms")?;
-    // The scan yields a string, a container, `true`/`false`/`null` or a
-    // number token; only the last parses.
-    let deadline: f64 = body[token.clone()].parse().ok()?;
-    (deadline.is_finite() && deadline >= 0.0).then_some((deadline as u64, token))
+    // The replica's own decode: only an integer that fits `u64` is a
+    // deadline. Anything else (a fraction, a negative or huge number, a
+    // string, `null`) leaves the body untouched for the replica to answer.
+    let deadline: u64 = serde_json::from_str(&body[token.clone()]).ok()?;
+    Some((deadline, token))
 }
 
 /// `body` with `replacement` spliced over the `token` byte range.
@@ -760,21 +751,6 @@ fn splice(body: &str, token: &Range<usize>, replacement: u64) -> String {
         &body[..token.start],
         &body[token.end..]
     )
-}
-
-/// Extract `deadline_ms` from an infer request body, when present and
-/// parseable.
-pub fn deadline_of(body: &str) -> Option<u64> {
-    deadline_token(body).map(|(deadline, _)| deadline)
-}
-
-/// Rewrite the body's `deadline_ms` to the remaining budget in place: the
-/// new number is spliced over the old value's bytes, so the result is
-/// byte-identical to `body` everywhere else. Returns `None` when the body
-/// has no top-level `deadline_ms` (caller forwards it untouched).
-pub fn rewrite_deadline(body: &str, remaining_ms: u64) -> Option<String> {
-    let token = tdc_serve::http::top_level_value(body, "deadline_ms")?;
-    Some(splice(body, &token, remaining_ms))
 }
 
 fn model_path(path: &str) -> Option<&str> {
@@ -836,15 +812,25 @@ mod tests {
         assert_eq!(parse_retry_after(&junk), None);
     }
 
-    /// The `Value`-tree implementations the key scan replaced, kept as the
-    /// reference it must agree with.
+    /// The `Value`-tree reference the key scan must agree with: the
+    /// replica's own `Option<u64>` decode of the parsed body.
     fn deadline_of_ref(body: &str) -> Option<u64> {
         let value = serde_json::parse_value(body).ok()?;
-        let deadline = value.get("deadline_ms")?.as_f64()?;
-        (deadline.is_finite() && deadline >= 0.0).then_some(deadline as u64)
+        Option::<u64>::from_value(value.get("deadline_ms")?).ok()?
     }
 
-    fn rewrite_deadline_ref(body: &str, remaining_ms: u64) -> Option<String> {
+    /// What `forward_infer` reads from a body.
+    fn deadline_of(body: &str) -> Option<u64> {
+        deadline_token(body).map(|(deadline, _)| deadline)
+    }
+
+    /// What `forward_infer` sends on: the remaining budget spliced over the
+    /// deadline token, or `None` when the body goes through untouched.
+    fn forwarded_body(body: &str, remaining_ms: u64) -> Option<String> {
+        deadline_token(body).map(|(_, token)| splice(body, &token, remaining_ms))
+    }
+
+    fn forwarded_body_ref(body: &str, remaining_ms: u64) -> Option<String> {
         let Ok(Value::Object(fields)) = serde_json::parse_value(body) else {
             return None;
         };
@@ -868,16 +854,20 @@ mod tests {
     fn deadline_extraction_and_rewrite() {
         let body = r#"{"input": [1.0, 2.0], "deadline_ms": 250}"#;
         assert_eq!(deadline_of(body), Some(250));
-        let rewritten = rewrite_deadline(body, 120).expect("rewritable");
+        let rewritten = forwarded_body(body, 120).expect("rewritable");
         assert_eq!(deadline_of(&rewritten), Some(120));
         // Other fields survive the rewrite.
         let value = serde_json::parse_value(&rewritten).unwrap();
         assert!(value.get("input").is_some());
         // No deadline → nothing to rewrite, body forwarded untouched.
         assert_eq!(deadline_of(r#"{"input": [1.0]}"#), None);
-        assert_eq!(rewrite_deadline(r#"{"input": [1.0]}"#, 10), None);
+        assert_eq!(forwarded_body(r#"{"input": [1.0]}"#, 10), None);
         // Unparseable body → forwarded untouched (the replica rejects it).
-        assert_eq!(rewrite_deadline("not json", 10), None);
+        assert_eq!(forwarded_body("not json", 10), None);
+        // A deadline the replica rejects is no deadline here either: the
+        // body goes through untouched and the replica answers 400.
+        assert_eq!(forwarded_body(r#"{"deadline_ms": "soon"}"#, 10), None);
+        assert_eq!(forwarded_body(r#"{"deadline_ms": 2.7}"#, 10), None);
     }
 
     #[test]
@@ -899,6 +889,10 @@ mod tests {
             r#"{"deadline_ms": -5, "input": [1]}"#,
             r#"{"deadline_ms": -0.0}"#,
             r#"{"deadline_ms": 1e999}"#,
+            r#"{"deadline_ms": 2.7, "input": [1]}"#,
+            r#"{"deadline_ms": 1e30, "input": [1]}"#,
+            // A key spelled with escapes is the same key to the replica.
+            r#"{"input": [1], "deadline\u005fms": 250}"#,
             // Not a number, not an object, not closed.
             r#"{"deadline_ms": "soon", "input": [1]}"#,
             r#"{"deadline_ms": null}"#,
@@ -915,15 +909,15 @@ mod tests {
                 deadline_of_ref(body),
                 "deadline of {body}"
             );
-            let rewritten = rewrite_deadline(body, 120);
-            let parse = |text: String| serde_json::parse_value(&text).unwrap();
-            assert_eq!(
-                rewritten.clone().map(parse),
-                rewrite_deadline_ref(body, 120).map(parse),
-                "rewrite of {body}"
-            );
-            // In place: only the value token changed.
-            if let Some(rewritten) = rewritten {
+            // Where the router reads a deadline, the splice agrees with the
+            // tree rewrite and changes only the value token.
+            if let Some(rewritten) = forwarded_body(body, 120) {
+                let parse = |text: String| serde_json::parse_value(&text).unwrap();
+                assert_eq!(
+                    Some(parse(rewritten.clone())),
+                    forwarded_body_ref(body, 120).map(parse),
+                    "rewrite of {body}"
+                );
                 let token = tdc_serve::http::top_level_value(body, "deadline_ms").unwrap();
                 assert_eq!(rewritten[..token.start], body[..token.start]);
                 assert_eq!(rewritten[token.start + 3..], body[token.end..]);
@@ -935,8 +929,16 @@ mod tests {
         let twice = r#"{"deadline_ms": 3, "deadline_ms": 4}"#;
         assert_eq!(deadline_of(twice), deadline_of_ref(twice));
         assert_eq!(
-            rewrite_deadline(twice, 120).unwrap(),
+            forwarded_body(twice, 120).unwrap(),
             r#"{"deadline_ms": 120, "deadline_ms": 4}"#
+        );
+        // The first copy counts however its key is spelled.
+        let escaped = r#"{"deadline\u005fms": 3, "deadline_ms": 4}"#;
+        assert_eq!(deadline_of(escaped), Some(3));
+        assert_eq!(deadline_of(escaped), deadline_of_ref(escaped));
+        assert_eq!(
+            forwarded_body(escaped, 120).unwrap(),
+            r#"{"deadline\u005fms": 120, "deadline_ms": 4}"#
         );
     }
 

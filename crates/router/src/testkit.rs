@@ -104,8 +104,6 @@ pub fn manual_probe_options(policy: RoutingPolicy) -> RouterOptions {
     RouterOptions {
         policy,
         probe_interval: Duration::ZERO,
-        probe_timeout: Duration::from_millis(250),
-        ..RouterOptions::default()
     }
 }
 

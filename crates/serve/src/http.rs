@@ -1050,8 +1050,9 @@ fn parse_infer_fast_into(
 /// Byte range of the value of the first top-level member `key` in a JSON
 /// object body, found by scanning — no `Value` tree, and a large `input`
 /// array costs one pass over its bytes. `None` when the body is not one
-/// well-delimited object or has no such member; a key spelled with escapes
-/// is not recognised. This is what lets the router read and rewrite
+/// well-delimited object or has no such member. A key spelled with escapes
+/// is decoded before it is compared, so it matches exactly where a parsed
+/// body's `get` would. This is what lets the router read and rewrite
 /// `deadline_ms` on a forwarded body without parsing the sample.
 pub fn top_level_value(body: &str, key: &str) -> Option<Range<usize>> {
     let mut scan = FastScan::new(body);
@@ -1062,9 +1063,14 @@ pub fn top_level_value(body: &str, key: &str) -> Option<Range<usize>> {
     if !scan.eat(b'}') {
         loop {
             scan.skip_ws();
-            let key_start = scan.pos + 1;
+            let key_start = scan.pos;
             scan.skip_string()?;
-            let matches = body[key_start..scan.pos - 1] == *key;
+            let raw = &body[key_start + 1..scan.pos - 1];
+            let matches = if raw.contains('\\') {
+                serde_json::from_str::<String>(&body[key_start..scan.pos]).is_ok_and(|k| k == key)
+            } else {
+                raw == key
+            };
             if !scan.eat(b':') {
                 return None;
             }

@@ -5,13 +5,13 @@
 //! The crate provides exactly the numerical substrate the TDC paper relies on:
 //!
 //! * row-major dense tensors of `f32` with arbitrary rank ([`Tensor`]),
-//! * cache-blocked, rayon-parallel matrix multiplication ([`matmul`]),
+//! * cache-blocked, register-tiled matrix multiplication ([`matmul`]),
 //! * mode-n matricization / tensorization used by the truncated-HOSVD
 //!   projection in the ADMM training loop ([`matricize`]),
 //! * a one-sided Jacobi SVD with truncation ([`svd`]),
 //! * weight initialisers used by the training substrate ([`init`]).
 //!
-//! Everything is written from scratch on top of `std`, `rand` and `rayon`; no
+//! Everything is written from scratch on top of `std` and `rand`; no
 //! BLAS/LAPACK bindings are used so the workspace builds fully offline.
 //!
 //! ## Quick example

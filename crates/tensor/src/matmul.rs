@@ -4,7 +4,7 @@
 //! Tucker-format layer, the fully-connected layers of the training substrate
 //! and the matricized products inside HOSVD. The hot kernel is
 //! [`gemm_blocked_into`]: the output is tiled into [`GEMM_MR`]`×`[`GEMM_NR`]
-//! register blocks (row blocks distributed over a rayon parallel iterator)
+//! register blocks, walked one `MC`-row block at a time on the calling thread,
 //! while the K loop stays **innermost and strictly sequential per output
 //! element**, so the f32 accumulation order — and therefore every bit-parity
 //! test in the tree — is identical to the straightforward `i-k-j` loop it
@@ -25,14 +25,11 @@
 
 use crate::tensor::Tensor;
 use crate::{Result, TensorError};
-use rayon::prelude::*;
 
 /// Block size along the M (rows of A / C) dimension.
 const MC: usize = 64;
 /// Block size along the K (inner) dimension.
 const KC: usize = 256;
-/// Minimum number of output elements before the parallel path is used.
-const PAR_MIN_WORK: usize = 64 * 64;
 /// Register-tile height of [`gemm_blocked_into`] (rows of C per microkernel).
 pub const GEMM_MR: usize = 4;
 /// Register-tile width of [`gemm_blocked_into`] (columns of C per microkernel).
@@ -104,7 +101,7 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let a_data = a.data();
     let b_data = b.data();
     let mut out = vec![0.0f32; m * n];
-    let body = |i: usize, row: &mut [f32]| {
+    for (i, row) in out.chunks_mut(n).enumerate() {
         let arow = &a_data[i * ka..(i + 1) * ka];
         for (j, slot) in row.iter_mut().enumerate() {
             let brow = &b_data[j * ka..(j + 1) * ka];
@@ -113,15 +110,6 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
                 acc += arow[k] * brow[k];
             }
             *slot = acc;
-        }
-    };
-    if m * n >= PAR_MIN_WORK {
-        out.par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, row)| body(i, row));
-    } else {
-        for (i, row) in out.chunks_mut(n).enumerate() {
-            body(i, row);
         }
     }
     Tensor::from_vec(vec![m, n], out)
@@ -165,7 +153,8 @@ pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
         return;
     }
 
-    let row_block = |i0: usize, cblock: &mut [f32]| {
+    for (bi, cblock) in c.chunks_mut(MC * n).enumerate() {
+        let i0 = bi * MC;
         let rows = cblock.len() / n;
         let mut k0 = 0;
         while k0 < k {
@@ -185,26 +174,17 @@ pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
             }
             k0 += kb;
         }
-    };
-
-    if m * n >= PAR_MIN_WORK {
-        c.par_chunks_mut(MC * n)
-            .enumerate()
-            .for_each(|(bi, block)| row_block(bi * MC, block));
-    } else {
-        for (bi, block) in c.chunks_mut(MC * n).enumerate() {
-            row_block(bi * MC, block);
-        }
     }
 }
 
 /// Cache-blocked, register-tiled GEMM on slices: `c[m x n] = a[m x k] *
 /// b[k x n]`, row major, **overwrite** semantics (every element of `c` is
-/// stored, so `c` does not need to be zeroed first).
+/// stored, so `c` does not need to be zeroed first; with `k == 0` it is
+/// zero-filled).
 ///
 /// The output is tiled into [`GEMM_MR`]`×`[`GEMM_NR`] blocks whose
-/// accumulators live in registers; row blocks of `MC` rows are distributed
-/// over rayon. The K loop is innermost and **strictly sequential per output
+/// accumulators live in registers, one `MC`-row block after another on the
+/// calling thread. The K loop is innermost and **strictly sequential per output
 /// element**, so per element the sequence of f32 additions — and therefore
 /// the result bits — is identical to the straightforward `i-k-j` loop into a
 /// zeroed buffer (on finite inputs; see the zero-skip note in the kernel).
@@ -212,117 +192,122 @@ pub fn gemm_blocked_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize
     assert_eq!(a.len(), m * k, "A has wrong length");
     assert_eq!(b.len(), k * n, "B has wrong length");
     assert_eq!(c.len(), m * n, "C has wrong length");
+    if k == 0 {
+        c.fill(0.0);
+        return;
+    }
     if m == 0 || n == 0 {
         return;
     }
 
-    let row_block = |i0: usize, cblock: &mut [f32]| {
-        let rows = cblock.len() / n;
-        // A stack-resident packed copy of the current `KC x GEMM_NR` panel of
-        // B: the microkernel then streams B contiguously instead of striding
-        // `n` floats between consecutive K rows.
-        let mut bpack = [0.0f32; KC * GEMM_NR];
-        let mut j0 = 0;
-        while j0 < n {
-            let nr = GEMM_NR.min(n - j0);
-            let mut k0 = 0;
-            while k0 < k {
-                let kb = KC.min(k - k0);
-                for kk in 0..kb {
-                    let src = (k0 + kk) * n + j0;
-                    bpack[kk * GEMM_NR..kk * GEMM_NR + nr].copy_from_slice(&b[src..src + nr]);
-                    // Zero the panel tail of a narrow (`nr < GEMM_NR`) panel:
-                    // the microkernel then runs its full NR-wide multiply-add
-                    // unconditionally — the extra lanes accumulate exact
-                    // zeros that are never stored — instead of falling back
-                    // to a scalar remainder loop. A skinny-N product (the
-                    // rank-4 Tucker stages are `n = 4`) vectorises exactly
-                    // like a full-width one.
-                    if nr < GEMM_NR {
-                        bpack[kk * GEMM_NR + nr..(kk + 1) * GEMM_NR].fill(0.0);
-                    }
-                }
-                let first = k0 == 0;
-                let mut r0 = 0;
-                while r0 < rows {
-                    let mr = GEMM_MR.min(rows - r0);
-                    // The accumulator tile *resumes* from the C values the
-                    // previous K block stored (instead of summing per-block
-                    // partials and adding them afterwards), so per output
-                    // element the f32 additions happen in exactly the
-                    // sequential k = 0..k order.
-                    let mut acc = [[0.0f32; GEMM_NR]; GEMM_MR];
-                    if mr == GEMM_MR {
-                        if !first {
-                            for (r, arow) in acc.iter_mut().enumerate() {
-                                let off = (r0 + r) * n + j0;
-                                arow[..nr].copy_from_slice(&cblock[off..off + nr]);
-                            }
-                        }
-                        // Full-height tile: fixed-extent, branch-free loops
-                        // so the accumulator block stays in vector registers
-                        // and each NR-wide multiply-add row vectorises (the
-                        // zero-padded panel tail covers `nr < GEMM_NR`
-                        // columns). There is
-                        // deliberately no `aval == 0.0` skip here: on finite
-                        // inputs `acc += ±0.0 * b` can never change a
-                        // +0.0-seeded f32 accumulator (and a running f32 sum
-                        // never becomes -0.0), so the unconditional form is
-                        // bit-identical to the skipping sequential loop while
-                        // keeping the inner loop free of data-dependent
-                        // branches.
-                        for kk in 0..kb {
-                            let brow = &bpack[kk * GEMM_NR..(kk + 1) * GEMM_NR];
-                            for (r, arow) in acc.iter_mut().enumerate() {
-                                let aval = a[(i0 + r0 + r) * k + k0 + kk];
-                                for (slot, &bv) in arow.iter_mut().zip(brow) {
-                                    *slot += aval * bv;
-                                }
-                            }
-                        }
-                        for (r, arow) in acc.iter().enumerate() {
-                            let off = (r0 + r) * n + j0;
-                            cblock[off..off + nr].copy_from_slice(&arow[..nr]);
-                        }
-                    } else {
-                        // Row-remainder tile (`mr < GEMM_MR`, bottom of C
-                        // only): same full-width inner loop, fewer rows.
-                        if !first {
-                            for (r, arow) in acc.iter_mut().enumerate().take(mr) {
-                                let off = (r0 + r) * n + j0;
-                                arow[..nr].copy_from_slice(&cblock[off..off + nr]);
-                            }
-                        }
-                        for kk in 0..kb {
-                            let brow = &bpack[kk * GEMM_NR..(kk + 1) * GEMM_NR];
-                            for (r, arow) in acc.iter_mut().enumerate().take(mr) {
-                                let aval = a[(i0 + r0 + r) * k + k0 + kk];
-                                for (slot, &bv) in arow.iter_mut().zip(brow) {
-                                    *slot += aval * bv;
-                                }
-                            }
-                        }
-                        for (r, arow) in acc.iter().enumerate().take(mr) {
-                            let off = (r0 + r) * n + j0;
-                            cblock[off..off + nr].copy_from_slice(&arow[..nr]);
-                        }
-                    }
-                    r0 += mr;
-                }
-                k0 += kb;
-            }
-            j0 += nr;
-        }
-    };
+    for (bi, cblock) in c.chunks_mut(MC * n).enumerate() {
+        gemm_row_block(a, b, cblock, bi * MC, k, n);
+    }
+}
 
-    if m * n >= PAR_MIN_WORK {
-        c.par_chunks_mut(MC * n)
-            .enumerate()
-            .for_each(|(bi, block)| row_block(bi * MC, block));
-    } else {
-        for (bi, block) in c.chunks_mut(MC * n).enumerate() {
-            row_block(bi * MC, block);
+/// One `MC`-row block of [`gemm_blocked_into`]: rows `i0..` of C against
+/// every column panel and K block.
+///
+/// Kept out of line on measurement: inlined into its caller, this loop nest
+/// cost ~20 % more CPU per op on the benchmark's `engine_paced` workload
+/// (2 vCPU Intel Xeon, `target-cpu=native`).
+#[inline(never)]
+fn gemm_row_block(a: &[f32], b: &[f32], cblock: &mut [f32], i0: usize, k: usize, n: usize) {
+    let rows = cblock.len() / n;
+    // A stack-resident packed copy of the current `KC x GEMM_NR` panel of
+    // B: the microkernel then streams B contiguously instead of striding
+    // `n` floats between consecutive K rows.
+    let mut bpack = [0.0f32; KC * GEMM_NR];
+    let mut j0 = 0;
+    while j0 < n {
+        let nr = GEMM_NR.min(n - j0);
+        let mut k0 = 0;
+        while k0 < k {
+            let kb = KC.min(k - k0);
+            for kk in 0..kb {
+                let src = (k0 + kk) * n + j0;
+                bpack[kk * GEMM_NR..kk * GEMM_NR + nr].copy_from_slice(&b[src..src + nr]);
+                // Zero the panel tail of a narrow (`nr < GEMM_NR`) panel:
+                // the microkernel then runs its full NR-wide multiply-add
+                // unconditionally — the extra lanes accumulate exact
+                // zeros that are never stored — instead of falling back
+                // to a scalar remainder loop. A skinny-N product (the
+                // rank-4 Tucker stages are `n = 4`) vectorises exactly
+                // like a full-width one.
+                if nr < GEMM_NR {
+                    bpack[kk * GEMM_NR + nr..(kk + 1) * GEMM_NR].fill(0.0);
+                }
+            }
+            let first = k0 == 0;
+            let mut r0 = 0;
+            while r0 < rows {
+                let mr = GEMM_MR.min(rows - r0);
+                // The accumulator tile *resumes* from the C values the
+                // previous K block stored (instead of summing per-block
+                // partials and adding them afterwards), so per output
+                // element the f32 additions happen in exactly the
+                // sequential k = 0..k order.
+                let mut acc = [[0.0f32; GEMM_NR]; GEMM_MR];
+                if mr == GEMM_MR {
+                    if !first {
+                        for (r, arow) in acc.iter_mut().enumerate() {
+                            let off = (r0 + r) * n + j0;
+                            arow[..nr].copy_from_slice(&cblock[off..off + nr]);
+                        }
+                    }
+                    // Full-height tile: fixed-extent, branch-free loops
+                    // so the accumulator block stays in vector registers
+                    // and each NR-wide multiply-add row vectorises (the
+                    // zero-padded panel tail covers `nr < GEMM_NR`
+                    // columns). There is
+                    // deliberately no `aval == 0.0` skip here: on finite
+                    // inputs `acc += ±0.0 * b` can never change a
+                    // +0.0-seeded f32 accumulator (and a running f32 sum
+                    // never becomes -0.0), so the unconditional form is
+                    // bit-identical to the skipping sequential loop while
+                    // keeping the inner loop free of data-dependent
+                    // branches.
+                    for kk in 0..kb {
+                        let brow = &bpack[kk * GEMM_NR..(kk + 1) * GEMM_NR];
+                        for (r, arow) in acc.iter_mut().enumerate() {
+                            let aval = a[(i0 + r0 + r) * k + k0 + kk];
+                            for (slot, &bv) in arow.iter_mut().zip(brow) {
+                                *slot += aval * bv;
+                            }
+                        }
+                    }
+                    for (r, arow) in acc.iter().enumerate() {
+                        let off = (r0 + r) * n + j0;
+                        cblock[off..off + nr].copy_from_slice(&arow[..nr]);
+                    }
+                } else {
+                    // Row-remainder tile (`mr < GEMM_MR`, bottom of C
+                    // only): same full-width inner loop, fewer rows.
+                    if !first {
+                        for (r, arow) in acc.iter_mut().enumerate().take(mr) {
+                            let off = (r0 + r) * n + j0;
+                            arow[..nr].copy_from_slice(&cblock[off..off + nr]);
+                        }
+                    }
+                    for kk in 0..kb {
+                        let brow = &bpack[kk * GEMM_NR..(kk + 1) * GEMM_NR];
+                        for (r, arow) in acc.iter_mut().enumerate().take(mr) {
+                            let aval = a[(i0 + r0 + r) * k + k0 + kk];
+                            for (slot, &bv) in arow.iter_mut().zip(brow) {
+                                *slot += aval * bv;
+                            }
+                        }
+                    }
+                    for (r, arow) in acc.iter().enumerate().take(mr) {
+                        let off = (r0 + r) * n + j0;
+                        cblock[off..off + nr].copy_from_slice(&arow[..nr]);
+                    }
+                }
+                r0 += mr;
+            }
+            k0 += kb;
         }
+        j0 += nr;
     }
 }
 
@@ -434,9 +419,8 @@ mod tests {
         // The module's precision policy: every production kernel accumulates
         // in f32, so a GEMV and a one-column GEMM see the identical sequence
         // of f32 additions and must produce the identical bits — including
-        // across the K blocking boundary (K > KC) and on the parallel path
-        // (M * N >= PAR_MIN_WORK is unreachable with N = 1, so also pin a
-        // multi-column batch against per-column GEMVs via transpose).
+        // across the K blocking boundary (K > KC) and past one `MC`-row
+        // block (M > MC).
         let mut rng = StdRng::seed_from_u64(21);
         for &(m, k) in &[(1, 1), (13, 29), (64, 300), (129, 513)] {
             let a = init::uniform(vec![m, k], -1.0, 1.0, &mut rng);
@@ -486,6 +470,15 @@ mod tests {
         let mut c = vec![10.0f32];
         gemm_into(&a, &b, &mut c, 1, 2, 1);
         assert_eq!(c[0], 10.0 + 1.0 * 3.0 + 2.0 * 4.0);
+    }
+
+    #[test]
+    fn blocked_gemm_with_empty_k_overwrites_c_with_zeros() {
+        // The overwrite contract holds when there is nothing to accumulate:
+        // `c` may come from an unzeroed arena buffer.
+        let mut c = vec![7.0f32; 3 * 5];
+        gemm_blocked_into(&[], &[], &mut c, 3, 0, 5);
+        assert_eq!(c, vec![0.0f32; 3 * 5]);
     }
 
     #[test]

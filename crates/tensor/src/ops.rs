@@ -7,11 +7,6 @@
 
 use crate::tensor::Tensor;
 use crate::{Result, TensorError};
-use rayon::prelude::*;
-
-/// Threshold (in elements) above which elementwise kernels use rayon.
-/// Below it, the parallel overhead dominates.
-const PAR_THRESHOLD: usize = 1 << 14;
 
 fn check_same_shape(a: &Tensor, b: &Tensor, op: &'static str) -> Result<()> {
     if !a.shape().same_dims(b.shape()) {
@@ -28,18 +23,12 @@ fn binary_op(
     a: &Tensor,
     b: &Tensor,
     op: &'static str,
-    f: impl Fn(f32, f32) -> f32 + Sync,
+    f: impl Fn(f32, f32) -> f32,
 ) -> Result<Tensor> {
     check_same_shape(a, b, op)?;
     let mut out = vec![0.0f32; a.numel()];
-    if a.numel() >= PAR_THRESHOLD {
-        out.par_iter_mut()
-            .zip(a.data().par_iter().zip(b.data().par_iter()))
-            .for_each(|(o, (&x, &y))| *o = f(x, y));
-    } else {
-        for (o, (&x, &y)) in out.iter_mut().zip(a.data().iter().zip(b.data().iter())) {
-            *o = f(x, y);
-        }
+    for (o, (&x, &y)) in out.iter_mut().zip(a.data().iter().zip(b.data().iter())) {
+        *o = f(x, y);
     }
     Tensor::from_vec(a.dims().to_vec(), out)
 }
@@ -67,11 +56,7 @@ pub fn div(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// Multiply every element by a scalar.
 pub fn scale(a: &Tensor, s: f32) -> Tensor {
     let mut out = a.clone();
-    if out.numel() >= PAR_THRESHOLD {
-        out.data_mut().par_iter_mut().for_each(|v| *v *= s);
-    } else {
-        out.data_mut().iter_mut().for_each(|v| *v *= s);
-    }
+    out.data_mut().iter_mut().for_each(|v| *v *= s);
     out
 }
 
@@ -90,27 +75,16 @@ pub fn axpy(a: &Tensor, alpha: f32, b: &Tensor) -> Result<Tensor> {
 /// In-place `a += alpha * b`.
 pub fn axpy_inplace(a: &mut Tensor, alpha: f32, b: &Tensor) -> Result<()> {
     check_same_shape(a, b, "axpy_inplace")?;
-    if a.numel() >= PAR_THRESHOLD {
-        a.data_mut()
-            .par_iter_mut()
-            .zip(b.data().par_iter())
-            .for_each(|(x, &y)| *x += alpha * y);
-    } else {
-        for (x, &y) in a.data_mut().iter_mut().zip(b.data().iter()) {
-            *x += alpha * y;
-        }
+    for (x, &y) in a.data_mut().iter_mut().zip(b.data().iter()) {
+        *x += alpha * y;
     }
     Ok(())
 }
 
 /// Apply a unary function to every element.
-pub fn map(a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+pub fn map(a: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
     let mut out = a.clone();
-    if out.numel() >= PAR_THRESHOLD {
-        out.data_mut().par_iter_mut().for_each(|v| *v = f(*v));
-    } else {
-        out.data_mut().iter_mut().for_each(|v| *v = f(*v));
-    }
+    out.data_mut().iter_mut().for_each(|v| *v = f(*v));
     out
 }
 
@@ -127,19 +101,12 @@ pub fn relu_grad_mask(forward_input: &Tensor) -> Tensor {
 /// Dot product of two same-shaped tensors viewed as flat vectors.
 pub fn dot(a: &Tensor, b: &Tensor) -> Result<f32> {
     check_same_shape(a, b, "dot")?;
-    let s: f64 = if a.numel() >= PAR_THRESHOLD {
-        a.data()
-            .par_iter()
-            .zip(b.data().par_iter())
-            .map(|(&x, &y)| x as f64 * y as f64)
-            .sum()
-    } else {
-        a.data()
-            .iter()
-            .zip(b.data().iter())
-            .map(|(&x, &y)| x as f64 * y as f64)
-            .sum()
-    };
+    let s: f64 = a
+        .data()
+        .iter()
+        .zip(b.data().iter())
+        .map(|(&x, &y)| x as f64 * y as f64)
+        .sum();
     Ok(s as f32)
 }
 
@@ -287,8 +254,8 @@ mod tests {
 
     #[test]
     fn parallel_path_matches_serial_path() {
-        // Exercise the rayon branch by crossing PAR_THRESHOLD.
-        let n = PAR_THRESHOLD + 17;
+        // A long vector against per-element and f64 references.
+        let n = (1 << 14) + 17;
         let a = Tensor::from_vec(vec![n], (0..n).map(|i| i as f32 * 0.5).collect()).unwrap();
         let b = Tensor::from_vec(vec![n], (0..n).map(|i| (n - i) as f32).collect()).unwrap();
         let big = add(&a, &b).unwrap();

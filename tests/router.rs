@@ -9,7 +9,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tdc_repro::router::testkit::{self, drain_replica, fleet_config, manual_probe_options};
-use tdc_repro::router::{FleetReply, Router, RouterOptions, RoutingPolicy};
+use tdc_repro::router::{
+    FleetReply, Router, RouterOptions, RoutingPolicy, EJECT_AFTER, READMIT_AFTER,
+};
 use tdc_repro::serve::http::{
     http_request, http_request_with_headers, BatchInferBody, BatchInferReply, InferBody, InferReply,
 };
@@ -103,6 +105,15 @@ fn routed_inference_matches_a_direct_engine_bit_for_bit() {
     assert_eq!(metrics.requests_total, 2);
     assert_eq!(metrics.forwarded_total, 2);
     assert_eq!(metrics.shed_total, 0);
+
+    // A deadline the replica rejects answers the same status routed as
+    // direct: the router must not splice its own budget over the token.
+    let fractional = infer_body(Some(250)).replace("250", "2.7");
+    let replica = servers[0].local_addr();
+    let (direct, reply) = http_request(&replica, "POST", &path, Some(&fractional)).unwrap();
+    assert_eq!(direct, 400, "{reply}");
+    let (status, reply) = http_request(&addr, "POST", &path, Some(&fractional)).unwrap();
+    assert_eq!(status, direct, "routed 2.7 deadline: {reply}");
 
     router.stop();
     front.stop();
@@ -199,7 +210,7 @@ fn killing_a_replica_under_load_is_invisible_and_ejection_readmission_observable
     }
 
     // Deterministic ejection: eject_after consecutive failed sweeps.
-    for _ in 0..router.options().eject_after {
+    for _ in 0..EJECT_AFTER {
         router.probe_once();
     }
     let metrics = router.metrics();
@@ -212,7 +223,7 @@ fn killing_a_replica_under_load_is_invisible_and_ejection_readmission_observable
 
     // Restart on the old port; readmit_after successful sweeps re-admit.
     servers.insert(0, bind_replica(&victim_addr.to_string()));
-    for _ in 0..router.options().readmit_after {
+    for _ in 0..READMIT_AFTER {
         router.probe_once();
     }
     let metrics = router.metrics();
