@@ -59,13 +59,18 @@ pub trait ConvCostModel {
     /// Display name.
     fn name(&self) -> &'static str;
 
-    /// Kernel launches executed for one forward convolution.
+    /// Kernel launches executed for one forward convolution; empty when the
+    /// algorithm cannot run the shape.
     fn launches(&self, shape: &ConvShape, device: &DeviceSpec) -> Vec<KernelLaunch>;
 
-    /// Modelled latency in milliseconds on the device.
+    /// Modelled latency in milliseconds on the device; infinite for a shape
+    /// the algorithm cannot run, so a minimum over algorithms skips it.
     fn latency_ms(&self, shape: &ConvShape, device: &DeviceSpec) -> f64 {
         let model = LatencyModel::new(device.clone());
         let launches = self.launches(shape, device);
+        if launches.is_empty() {
+            return f64::INFINITY;
+        }
         model.sequence_latency(&launches).unwrap_or(f64::INFINITY)
     }
 }
@@ -159,10 +164,14 @@ impl ConvCostModel for CudnnFftCost {
     }
 
     fn launches(&self, shape: &ConvShape, _device: &DeviceSpec) -> Vec<KernelLaunch> {
-        // 32x32 FFT tiles with a usable interior of 32 - (R - 1).
+        // 32x32 FFT tiles with a usable interior of 32 - (R - 1); a filter
+        // wider than the tile leaves none, so the family cannot run it.
         const L: usize = 32;
-        let usable_h = L - (shape.r - 1);
-        let usable_w = L - (shape.s - 1);
+        if shape.r > L || shape.s > L {
+            return Vec::new();
+        }
+        let usable_h = L + 1 - shape.r;
+        let usable_w = L + 1 - shape.s;
         let tiles = shape.out_h().div_ceil(usable_h) * shape.out_w().div_ceil(usable_w);
         let plane = (L * L) as f64;
         let fft_plane_flops = 5.0 * plane * (plane.log2());
@@ -370,6 +379,21 @@ mod tests {
             fft > wino,
             "FFT ({fft:.4}) should lose to Winograd ({wino:.4}) on 3x3 filters"
         );
+    }
+
+    #[test]
+    fn fft_cannot_run_a_filter_wider_than_its_tile() {
+        let dev = DeviceSpec::a100();
+        for r in [33, 40] {
+            let shape = ConvShape::new(4, 8, 8, 8, r, r, 16, 1);
+            assert!(CudnnFftCost.launches(&shape, &dev).is_empty());
+            assert_eq!(CudnnFftCost.latency_ms(&shape, &dev), f64::INFINITY);
+            let (alg, ms) = best_cudnn_latency_ms(&shape, &dev);
+            assert_ne!(alg, ConvAlgorithm::CudnnFft);
+            assert!(ms.is_finite(), "r = {r}");
+        }
+        let widest = ConvShape::new(4, 8, 8, 8, 32, 32, 16, 1);
+        assert!(CudnnFftCost.latency_ms(&widest, &dev).is_finite());
     }
 
     #[test]

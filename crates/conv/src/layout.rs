@@ -4,23 +4,13 @@
 //! convolution weights in `CRSN` order so that the loads issued by the `N`
 //! threads of a block — one output channel each — touch consecutive addresses
 //! and fully coalesce. The conversion is done offline, once, exactly as the
-//! paper describes; this module provides it together with the more common
-//! layouts used by the reference implementations.
+//! paper describes; this module provides it together with the `RSCN` layout
+//! the vectorised direct kernel streams, input padding, and the shape checks
+//! the reference implementations share.
 
 use crate::shapes::ConvShape;
 use crate::{ConvError, Result};
 use tdc_tensor::Tensor;
-
-/// Supported weight layouts for a 4-D convolution kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelLayout {
-    /// `(C, N, R, S)` — the paper's mathematical notation (Eq. 1).
-    Cnrs,
-    /// `(N, C, R, S)` — the PyTorch / cuDNN default.
-    Ncrs,
-    /// `(C, R, S, N)` — TDC's coalescing-friendly layout (Section 5.2).
-    Crsn,
-}
 
 /// Validate that a kernel tensor matches the CNRS dims implied by `shape`.
 pub fn check_kernel_cnrs(kernel: &Tensor, shape: &ConvShape) -> Result<()> {
@@ -85,22 +75,6 @@ pub fn cnrs_to_rscn(kernel: &Tensor) -> Result<Tensor> {
     Ok(kernel.permute(&[2, 3, 0, 1])?)
 }
 
-/// Convert a CNRS kernel to NCRS (PyTorch-style) layout.
-pub fn cnrs_to_ncrs(kernel: &Tensor) -> Result<Tensor> {
-    if kernel.rank() != 4 {
-        return Err(ConvError::BadKernel {
-            expected: vec![0, 0, 0, 0],
-            actual: kernel.dims().to_vec(),
-        });
-    }
-    Ok(kernel.permute(&[1, 0, 2, 3])?)
-}
-
-/// Convert an NCRS kernel to CNRS layout.
-pub fn ncrs_to_cnrs(kernel: &Tensor) -> Result<Tensor> {
-    cnrs_to_ncrs(kernel)
-}
-
 /// Zero-pad an HWC input tensor symmetrically in both spatial dimensions.
 pub fn pad_hwc(input: &Tensor, pad: usize) -> Result<Tensor> {
     if input.rank() != 3 {
@@ -123,28 +97,6 @@ pub fn pad_hwc(input: &Tensor, pad: usize) -> Result<Tensor> {
         }
     }
     Ok(out)
-}
-
-/// Convert an HWC activation tensor to CHW layout.
-pub fn hwc_to_chw(t: &Tensor) -> Result<Tensor> {
-    if t.rank() != 3 {
-        return Err(ConvError::BadInput {
-            expected: vec![0, 0, 0],
-            actual: t.dims().to_vec(),
-        });
-    }
-    Ok(t.permute(&[2, 0, 1])?)
-}
-
-/// Convert a CHW activation tensor to HWC layout.
-pub fn chw_to_hwc(t: &Tensor) -> Result<Tensor> {
-    if t.rank() != 3 {
-        return Err(ConvError::BadInput {
-            expected: vec![0, 0, 0],
-            actual: t.dims().to_vec(),
-        });
-    }
-    Ok(t.permute(&[1, 2, 0])?)
 }
 
 #[cfg(test)]
@@ -174,21 +126,10 @@ mod tests {
     }
 
     #[test]
-    fn ncrs_round_trip() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let k = init::uniform(vec![8, 16, 3, 3], -1.0, 1.0, &mut rng);
-        let ncrs = cnrs_to_ncrs(&k).unwrap();
-        assert_eq!(ncrs.dims(), &[16, 8, 3, 3]);
-        let back = ncrs_to_cnrs(&ncrs).unwrap();
-        assert_eq!(back, k);
-    }
-
-    #[test]
     fn layout_conversions_reject_wrong_rank() {
         let bad = Tensor::zeros(vec![3, 3, 3]);
         assert!(cnrs_to_crsn(&bad).is_err());
         assert!(crsn_to_cnrs(&bad).is_err());
-        assert!(cnrs_to_ncrs(&bad).is_err());
     }
 
     #[test]
@@ -202,15 +143,6 @@ mod tests {
         assert_eq!(p.get(&[3, 3, 0]), 0.0);
         // pad = 0 is a no-op clone
         assert_eq!(pad_hwc(&x, 0).unwrap(), x);
-    }
-
-    #[test]
-    fn hwc_chw_round_trip() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let x = init::uniform(vec![5, 7, 3], -1.0, 1.0, &mut rng);
-        let chw = hwc_to_chw(&x).unwrap();
-        assert_eq!(chw.dims(), &[3, 5, 7]);
-        assert_eq!(chw_to_hwc(&chw).unwrap(), x);
     }
 
     #[test]

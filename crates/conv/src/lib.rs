@@ -5,13 +5,16 @@
 //! The paper compares its hand-designed Tucker-core convolution kernel against
 //! cuDNN's three algorithm families (implicit GEMM, Winograd, FFT) and against
 //! the scheme TVM's code generator produces (paper Listing 1). This crate
-//! provides, for each of those algorithm families:
+//! provides:
 //!
-//! * a **CPU reference implementation** operating on [`tdc_tensor::Tensor`]s
-//!   (used for correctness testing and by the training substrate), and
-//! * a **GPU cost model** that translates a convolution shape plus scheme
-//!   parameters into [`tdc_gpu_sim::KernelLaunch`] descriptors so the
-//!   simulator can estimate latency on the A100 / RTX 2080 Ti device models.
+//! * a **GPU cost model** for each of those families and for the TDC kernel,
+//!   translating a convolution shape plus scheme parameters into
+//!   [`tdc_gpu_sim::KernelLaunch`] descriptors so the simulator can estimate
+//!   latency on the A100 / RTX 2080 Ti device models, and
+//! * **CPU implementations** operating on [`tdc_tensor::Tensor`]s of the
+//!   convolutions that run here: the direct correctness reference, the
+//!   im2col path that serves and trains dense layers, and executable forms of
+//!   the TVM and TDC schemes.
 //!
 //! Data conventions follow the paper's notation (Table 1): the input is
 //! `X ∈ R^{H×W×C}` (HWC, batch size 1 — the latency-critical inference case),
@@ -23,13 +26,9 @@
 //!   the 18 evaluation shapes of Figures 6/7.
 //! * [`layout`] — kernel layout conversions, in particular the `CRSN` layout
 //!   the TDC kernel uses for coalesced weight loads.
-//! * [`mod@dispatch`] — the single typed surface ([`dispatch::dispatch`]) through
-//!   which backends select a CPU algorithm.
 //! * [`direct`] — direct (row-at-a-time loop nest) convolution, the correctness
 //!   reference for everything else.
 //! * [`im2col`] — im2col + GEMM convolution (cuDNN IMPLICIT_GEMM analogue).
-//! * [`winograd`] — Winograd F(2×2, 3×3) convolution.
-//! * [`fft`] — FFT-based convolution.
 //! * [`tvm_scheme`] — the TVM convolution scheme of paper Listing 1 (CPU
 //!   emulation + cost model).
 //! * [`tdc_scheme`] — the TDC convolution scheme of paper Listing 2 (CPU
@@ -39,17 +38,13 @@
 
 pub mod cost;
 pub mod direct;
-pub mod dispatch;
-pub mod fft;
 pub mod im2col;
 pub mod layout;
 pub mod shapes;
 pub mod tdc_scheme;
 pub mod tvm_scheme;
-pub mod winograd;
 
 pub use cost::{ConvAlgorithm, ConvCostModel};
-pub use dispatch::{dispatch, CpuConvAlgorithm};
 pub use shapes::ConvShape;
 pub use tdc_scheme::Tiling;
 
@@ -67,8 +62,8 @@ pub enum ConvError {
         expected: Vec<usize>,
         actual: Vec<usize>,
     },
-    /// The algorithm does not support this configuration (e.g. Winograd with
-    /// stride 2).
+    /// The algorithm does not support this configuration (e.g. a TDC tiling
+    /// on a strided shape).
     Unsupported {
         algorithm: &'static str,
         reason: String,
@@ -125,10 +120,10 @@ mod tests {
     #[test]
     fn error_display() {
         let e = ConvError::Unsupported {
-            algorithm: "winograd",
+            algorithm: "tdc_scheme",
             reason: "stride 2".into(),
         };
-        assert!(e.to_string().contains("winograd"));
+        assert!(e.to_string().contains("tdc_scheme"));
         let e: ConvError = tdc_tensor::TensorError::NotAMatrix { rank: 3 }.into();
         assert!(e.to_string().contains("tensor error"));
     }

@@ -104,10 +104,13 @@ impl ConvShape {
         (self.w + 2 * self.pad).saturating_sub(self.s) / self.stride + 1
     }
 
-    /// Whether the shape produces a non-empty output.
+    /// Whether the shape is a runnable convolution: every extent and the
+    /// stride positive, and the padded input at least as large as the filter.
     pub fn is_valid(&self) -> bool {
         self.c > 0
             && self.n > 0
+            && self.h > 0
+            && self.w > 0
             && self.r > 0
             && self.s > 0
             && self.stride > 0
@@ -269,6 +272,7 @@ mod tests {
         assert!(!ConvShape::core(1, 1, 2, 2).is_valid()); // 3x3 filter on 2x2 input, no pad
         assert!(!ConvShape::new(0, 1, 8, 8, 3, 3, 0, 1).is_valid());
         assert!(!ConvShape::new(1, 1, 8, 8, 3, 3, 0, 0).is_valid());
+        assert!(!ConvShape::new(1, 1, 0, 8, 1, 1, 1, 1).is_valid());
     }
 
     #[test]

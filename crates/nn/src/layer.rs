@@ -7,7 +7,7 @@
 
 use crate::{NnError, Result};
 use rand::Rng;
-use tdc_conv::{dispatch, im2col, ConvShape, CpuConvAlgorithm};
+use tdc_conv::{im2col, ConvShape};
 use tdc_tensor::{init, matmul, ops, Tensor};
 
 /// A trainable parameter: its value and the gradient accumulated by the last
@@ -131,12 +131,9 @@ impl Conv2dLayer {
         }
         let shape = self.shape;
         let kernel = self.kernel.value.clone();
-        let outputs: Vec<Tensor> = (0..b)
-            .map(|i| {
-                let sample = slice_sample(x, i);
-                dispatch(CpuConvAlgorithm::Im2col, &sample, &kernel, &shape).expect("conv forward")
-            })
-            .collect();
+        let outputs = (0..b)
+            .map(|i| im2col::conv2d(&slice_sample(x, i), &kernel, &shape))
+            .collect::<tdc_conv::Result<Vec<_>>>()?;
         let mut out = stack_samples(outputs);
         if let Some(bias) = &self.bias {
             let n = shape.n;
@@ -157,15 +154,15 @@ impl Conv2dLayer {
         let shape = self.shape;
         let kernel = self.kernel.value.clone();
 
-        let per_sample: Vec<(Tensor, Tensor)> = (0..b)
+        let per_sample = (0..b)
             .map(|i| {
                 let sample = slice_sample(x, i);
                 let gout = slice_sample(grad_out, i);
-                let gin = im2col::conv2d_input_grad(&gout, &kernel, &shape).expect("input grad");
-                let gk = im2col::conv2d_kernel_grad(&sample, &gout, &shape).expect("kernel grad");
-                (gin, gk)
+                let gin = im2col::conv2d_input_grad(&gout, &kernel, &shape)?;
+                let gk = im2col::conv2d_kernel_grad(&sample, &gout, &shape)?;
+                Ok((gin, gk))
             })
-            .collect();
+            .collect::<tdc_conv::Result<Vec<_>>>()?;
 
         let mut kernel_grad = Tensor::zeros(shape.kernel_dims());
         let mut input_grads = Vec::with_capacity(b);

@@ -660,7 +660,9 @@ fn serve_error_routed(registry: &ModelRegistry, model: Option<&str>, e: &ServeEr
 fn status_for(error: &ServeError) -> u16 {
     match error {
         ServeError::UnknownModel { .. } => 404,
-        ServeError::BadInput { .. } | ServeError::BadConfig { .. } => 400,
+        ServeError::BadInput { .. }
+        | ServeError::BadConfig { .. }
+        | ServeError::NotAChain { .. } => 400,
         ServeError::Overloaded { .. } => 429,
         ServeError::DeadlineExceeded { .. } => 504,
         ServeError::Closed | ServeError::Disconnected => 503,
@@ -2176,6 +2178,90 @@ mod tests {
         let (status, metrics) = route(&registry, "GET", "/metrics", "");
         assert_eq!(status, 200);
         assert!(!metrics.contains("autotune"), "{metrics}");
+    }
+
+    /// Registration checks a descriptor before planning: one that no
+    /// convolution can run, or whose layers do not chain, answers 400
+    /// instead of panicking in the planner's arithmetic (a zero stride
+    /// divides by zero, a zero filter underflows). A 33×33 filter is a valid
+    /// convolution that cuDNN's 32-point FFT tiles cannot hold: it
+    /// registers, planned against the other families, and serves.
+    #[test]
+    fn registration_rejects_unrunnable_descriptors_before_planning() {
+        use tdc_conv::ConvShape;
+        let registry = ModelRegistry::new(4);
+        let same = ConvShape::same3x3(4, 8, 8, 8);
+        let wide = ConvShape::new(4, 8, 8, 8, 33, 33, 16, 1);
+        let cases = [
+            (
+                "stride-0",
+                vec![ConvShape::new(4, 8, 8, 8, 3, 3, 1, 0)],
+                (8, 4),
+                400,
+            ),
+            (
+                "r-0",
+                vec![ConvShape::new(4, 8, 8, 8, 0, 3, 1, 1)],
+                (8, 4),
+                400,
+            ),
+            ("c-0", vec![ConvShape::same3x3(0, 8, 8, 8)], (8, 4), 400),
+            ("chain-mismatch", vec![same, same], (8, 4), 400),
+            ("fc-mismatch", vec![same], (6, 4), 400),
+            ("33x33", vec![wide], (8, 4), 200),
+            ("3x3", vec![same], (8, 4), 200),
+        ];
+        for (name, convs, fc, expected) in cases {
+            let body = serde_json::to_string(&RegisterBody::for_descriptor(ModelDescriptor {
+                name: name.into(),
+                convs,
+                fc: vec![fc],
+            }))
+            .unwrap();
+            let (status, reply) = route(&registry, "PUT", &format!("/v1/models/{name}"), &body);
+            assert_eq!(status, expected, "{name}: {reply}");
+        }
+        assert_eq!(registry.len(), 2);
+        for name in ["33x33", "3x3"] {
+            let path = format!("/v1/models/{name}/infer");
+            let (status, reply) = route(&registry, "POST", &path, &infer_body(&[8, 8, 4]));
+            assert_eq!(status, 200, "{name}: {reply}");
+            let reply: InferReply = serde_json::from_str(&reply).unwrap();
+            assert_eq!(reply.output.len(), 4);
+        }
+    }
+
+    /// An input value beyond `f32` range would parse to infinity and answer
+    /// NaN logits that JSON renders as `null`: it answers 400 naming the
+    /// value's index instead, on both parsers and in the batched form.
+    #[test]
+    fn non_finite_input_values_answer_400() {
+        let registry = test_registry();
+        let mut values = vec!["0.25".to_string(); 8 * 8 * 4];
+        values[3] = "-1e39".into();
+        let input = format!("[{}]", values.join(","));
+        let good = format!("[{}]", vec!["0.25"; 8 * 8 * 4].join(","));
+        let bodies = [
+            ("fast path", format!(r#"{{"input":{input}}}"#)),
+            ("generic path", format!(r#"{{"input":{input},"extra":1}}"#)),
+            ("batched", format!(r#"{{"inputs":[{good},{input}]}}"#)),
+        ];
+        for (what, body) in &bodies {
+            let (status, reply) = route(&registry, "POST", "/v1/models/mini/infer", body);
+            assert_eq!(status, 400, "{what}: {reply}");
+            assert!(
+                reply.contains("input value 3 is not finite"),
+                "{what}: {reply}"
+            );
+        }
+        let (status, reply) = route(
+            &registry,
+            "POST",
+            "/v1/models/mini/infer",
+            &format!(r#"{{"input":{good}}}"#),
+        );
+        assert_eq!(status, 200, "{reply}");
+        serde_json::from_str::<InferReply>(&reply).unwrap();
     }
 
     #[test]

@@ -59,25 +59,27 @@ pub struct CompressedModel {
 }
 
 impl CompressedModel {
-    /// Materialize the network for `descriptor` following `plan`'s per-layer
-    /// decisions, drawing weights from a RNG seeded with `seed`.
+    /// Check that `descriptor` is a network this executor can run: at least
+    /// one convolution, every convolution a valid shape
+    /// ([`ConvShape::is_valid`]), each consuming the previous one's output,
+    /// and an FC chain that starts from the last convolution's channels.
     ///
-    /// The descriptor must form a sequential chain (each convolution consumes
-    /// the previous one's output) and the plan must have been produced for
-    /// this descriptor.
-    pub fn materialize(
-        descriptor: &ModelDescriptor,
-        plan: &CompressionPlan,
-        seed: u64,
-    ) -> Result<Self> {
-        if plan.decisions.len() != descriptor.convs.len() {
+    /// Engine construction runs this before planning, so a descriptor no
+    /// convolution can execute fails as [`ServeError::BadConfig`] or
+    /// [`ServeError::NotAChain`] instead of reaching the planner's
+    /// arithmetic.
+    pub fn validate(descriptor: &ModelDescriptor) -> Result<()> {
+        if descriptor.convs.is_empty() {
             return Err(ServeError::BadConfig {
-                reason: format!(
-                    "plan covers {} layers but descriptor has {}",
-                    plan.decisions.len(),
-                    descriptor.convs.len()
-                ),
+                reason: "descriptor has no convolutions".into(),
             });
+        }
+        for (i, shape) in descriptor.convs.iter().enumerate() {
+            if !shape.is_valid() {
+                return Err(ServeError::BadConfig {
+                    reason: format!("layer {i} is not a valid convolution: {shape}"),
+                });
+            }
         }
         for (i, pair) in descriptor.convs.windows(2).enumerate() {
             if pair[0].output_dims() != pair[1].input_dims() {
@@ -93,23 +95,40 @@ impl CompressedModel {
                 });
             }
         }
-        let last_channels = match descriptor.convs.last() {
-            Some(shape) => shape.n,
-            None => {
-                return Err(ServeError::BadConfig {
-                    reason: "descriptor has no convolutions".into(),
-                })
-            }
-        };
-        if let Some(&(fc_in, _)) = descriptor.fc.first() {
-            if fc_in != last_channels {
+        let mut features = descriptor.convs[descriptor.convs.len() - 1].n;
+        for (i, &(fc_in, fc_out)) in descriptor.fc.iter().enumerate() {
+            if fc_in != features {
                 return Err(ServeError::NotAChain {
-                    layer_index: descriptor.convs.len(),
+                    layer_index: descriptor.convs.len() + i,
                     reason: format!(
-                        "global average pooling yields {last_channels} features but the first FC layer consumes {fc_in}"
+                        "FC layer {i} consumes {fc_in} features but receives {features}"
                     ),
                 });
             }
+            features = fc_out;
+        }
+        Ok(())
+    }
+
+    /// Materialize the network for `descriptor` following `plan`'s per-layer
+    /// decisions, drawing weights from a RNG seeded with `seed`.
+    ///
+    /// The descriptor must pass [`CompressedModel::validate`] and the plan
+    /// must have been produced for this descriptor.
+    pub fn materialize(
+        descriptor: &ModelDescriptor,
+        plan: &CompressionPlan,
+        seed: u64,
+    ) -> Result<Self> {
+        Self::validate(descriptor)?;
+        if plan.decisions.len() != descriptor.convs.len() {
+            return Err(ServeError::BadConfig {
+                reason: format!(
+                    "plan covers {} layers but descriptor has {}",
+                    plan.decisions.len(),
+                    descriptor.convs.len()
+                ),
+            });
         }
 
         let mut rng = StdRng::seed_from_u64(seed);
@@ -145,14 +164,8 @@ impl CompressedModel {
         }
 
         let mut fc = Vec::with_capacity(descriptor.fc.len());
-        let mut features = last_channels;
+        let mut features = descriptor.convs[descriptor.convs.len() - 1].n;
         for &(fc_in, fc_out) in &descriptor.fc {
-            if fc_in != features {
-                return Err(ServeError::NotAChain {
-                    layer_index: descriptor.convs.len(),
-                    reason: format!("FC layer consumes {fc_in} features but receives {features}"),
-                });
-            }
             let bound = (3.0 / fc_in as f32).sqrt();
             fc.push(init::uniform(vec![fc_in, fc_out], -bound, bound, &mut rng));
             features = fc_out;

@@ -167,11 +167,12 @@ impl<'a> ServeEngineBuilder<'a> {
         self
     }
 
-    /// Validate every option group, obtain the plan (through the cache when
-    /// one was attached), materialize the backend, probe it once, and attach
-    /// the engine to its executor (shared, or a freshly spawned private
-    /// pool).
+    /// Validate the descriptor and every option group, obtain the plan
+    /// (through the cache when one was attached), materialize the backend,
+    /// probe it once, and attach the engine to its executor (shared, or a
+    /// freshly spawned private pool).
     pub fn build(self) -> Result<ServeEngine> {
+        CompressedModel::validate(self.descriptor)?;
         self.planning.validate()?;
         self.batching.validate()?;
         self.runtime.validate()?;
@@ -641,6 +642,17 @@ impl ServeEngine {
             return Err(ServeError::BadInput {
                 expected: self.core.backend.input_dims().to_vec(),
                 actual: input.dims().to_vec(),
+            });
+        }
+        // A JSON number beyond f32 range parses to ±inf; it would yield NaN
+        // outputs, which a JSON reply cannot carry. The fold vectorises (a
+        // short-circuiting search costs ~10× more per input); the index is
+        // looked up only for a rejected input.
+        let data = input.data();
+        if !data.iter().fold(true, |finite, v| finite & v.is_finite()) {
+            let i = data.iter().position(|v| !v.is_finite()).unwrap_or_default();
+            return Err(ServeError::BadConfig {
+                reason: format!("input value {i} is not finite: {}", data[i]),
             });
         }
         Ok(())

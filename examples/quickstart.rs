@@ -6,7 +6,7 @@
 use rand::{rngs::StdRng, SeedableRng};
 use tdc::codegen::generate_core_kernel;
 use tdc::tiling::{select, TilingStrategy};
-use tdc_conv::{dispatch, ConvShape, CpuConvAlgorithm};
+use tdc_conv::{direct, ConvShape};
 use tdc_gpu_sim::DeviceSpec;
 use tdc_tensor::init;
 use tdc_tucker::flops;
@@ -32,8 +32,7 @@ fn main() {
     let input = init::uniform(shape.input_dims(), -1.0, 1.0, &mut rng);
     let tucker_out = layer.forward(&input).expect("tucker forward");
     let reconstructed = layer.reconstruct_kernel().expect("reconstruct");
-    let dense_out =
-        dispatch(CpuConvAlgorithm::Direct, &input, &reconstructed, &shape).expect("dense forward");
+    let dense_out = direct::conv2d(&input, &reconstructed, &shape).expect("dense forward");
     println!(
         "Tucker layer vs. dense-with-reconstructed-kernel relative error: {:.2e}",
         tucker_out.relative_error(&dense_out).unwrap()

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use tdc::tiling::{select_by_model, select_by_oracle};
-use tdc_conv::{dispatch, layout, tdc_scheme, ConvShape, CpuConvAlgorithm, Tiling};
+use tdc_conv::{direct, im2col, layout, tdc_scheme, ConvShape, Tiling};
 use tdc_gpu_sim::DeviceSpec;
 use tdc_tensor::init;
 use tdc_tucker::{flops, tkd};
@@ -23,19 +23,13 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let input = init::uniform(shape.input_dims(), -1.0, 1.0, &mut rng);
         let kernel = init::uniform(shape.kernel_dims(), -1.0, 1.0, &mut rng);
-        let reference = dispatch(CpuConvAlgorithm::Direct, &input, &kernel, &shape).unwrap();
+        let reference = direct::conv2d(&input, &kernel, &shape).unwrap();
 
-        for algorithm in [
-            CpuConvAlgorithm::Im2col,
-            CpuConvAlgorithm::Winograd,
-            CpuConvAlgorithm::Fft,
-        ] {
-            let out = dispatch(algorithm, &input, &kernel, &shape).unwrap();
-            prop_assert!(
-                out.relative_error(&reference).unwrap() < 1e-3,
-                "{algorithm} disagrees with the direct reference"
-            );
-        }
+        let im2col_out = im2col::conv2d(&input, &kernel, &shape).unwrap();
+        prop_assert!(
+            im2col_out.relative_error(&reference).unwrap() < 1e-3,
+            "im2col disagrees with the direct reference"
+        );
 
         let crsn = layout::cnrs_to_crsn(&kernel).unwrap();
         let tiling = Tiling::new(

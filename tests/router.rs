@@ -115,6 +115,14 @@ fn routed_inference_matches_a_direct_engine_bit_for_bit() {
     let (status, reply) = http_request(&addr, "POST", &path, Some(&fractional)).unwrap();
     assert_eq!(status, direct, "routed 2.7 deadline: {reply}");
 
+    // So does an input value beyond f32 range, which the replica refuses
+    // rather than answering NaN logits as JSON nulls.
+    let overflow = infer_body(None).replacen("0.5", "1e39", 1);
+    let (direct, reply) = http_request(&replica, "POST", &path, Some(&overflow)).unwrap();
+    assert_eq!(direct, 400, "{reply}");
+    let (status, reply) = http_request(&addr, "POST", &path, Some(&overflow)).unwrap();
+    assert_eq!(status, direct, "routed 1e39 input: {reply}");
+
     router.stop();
     front.stop();
     for server in servers {
