@@ -5,10 +5,20 @@
 //! parses JSON text back into a `Deserialize` type. Numbers are written with
 //! Rust's shortest round-trip float formatting (integers without a decimal
 //! point), so `f64` values survive a serialize → parse cycle bit-exactly.
+//!
+//! The tokenizer is public as [`Reader`], the workspace's one JSON reader:
+//! member iteration with keys decoded (borrowed when escape-free), element
+//! iteration, numbers, whole values and a non-recursive `skip_value`.
+//! [`parse_value`] and every partial read of a request body (the HTTP infer
+//! fast path, the router's deadline scan) run on it, so all read each token
+//! alike. Nesting deeper than [`MAX_DEPTH`] is an error, not a stack
+//! overflow, and strings decode in linear time.
 
 pub use serde::{Error, Value};
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Convert any serializable type into a [`Value`] tree.
 pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
@@ -125,212 +135,328 @@ fn write_value(value: &Value, indent: Option<usize>, depth: usize, out: &mut Str
 }
 
 // ---------------------------------------------------------------------------
-// Parser
+// Reader
 // ---------------------------------------------------------------------------
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Deepest container nesting a [`Reader`] accepts (upstream `serde_json`'s
+/// default recursion limit). A deeper body is an error, never a stack
+/// overflow.
+pub const MAX_DEPTH: usize = 128;
+
+/// A cursor over `&'a str` with one rule per token (see the crate docs): a
+/// caller that wants only part of a body walks it with [`object`](Reader::object),
+/// [`array`](Reader::array) and [`skip_value`](Reader::skip_value). After an
+/// error the reader is spent.
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
             pos: 0,
+            depth: 0,
         }
     }
 
-    fn error(&self, message: impl std::fmt::Display) -> Error {
+    /// An error at the current offset.
+    #[cold]
+    pub fn error(&self, message: impl std::fmt::Display) -> Error {
         Error::custom(format!("{message} at byte {}", self.pos))
     }
 
-    fn skip_whitespace(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+    /// Step over JSON whitespace.
+    #[inline]
+    fn skip_ws(&mut self) {
+        let bytes = self.text.as_bytes();
+        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    /// The next non-whitespace byte, not consumed.
+    #[inline]
     fn peek(&mut self) -> Option<u8> {
-        self.skip_whitespace();
-        self.bytes.get(self.pos).copied()
+        self.skip_ws();
+        self.text.as_bytes().get(self.pos).copied()
     }
 
+    /// Consume `byte` if it is next (after whitespace).
+    #[inline]
+    fn eat(&mut self, byte: u8) -> bool {
+        let next = self.peek() == Some(byte);
+        self.pos += usize::from(next);
+        next
+    }
+
+    #[inline]
     fn expect(&mut self, byte: u8) -> Result<(), Error> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
+        if self.eat(byte) {
             Ok(())
         } else {
-            Err(self.error(format!("expected `{}`", byte as char)))
+            Err(self.error(format_args!("expected `{}`", byte as char)))
         }
     }
 
-    fn consume_literal(&mut self, literal: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
-            self.pos += literal.len();
-            true
+    /// Whitespace, then the end of the text.
+    #[inline]
+    pub fn end(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
         } else {
-            false
+            Err(self.error("trailing characters after JSON value"))
         }
     }
 
-    fn parse(&mut self) -> Result<Value, Error> {
-        match self
-            .peek()
-            .ok_or_else(|| self.error("unexpected end of input"))?
-        {
-            b'n' => {
-                if self.consume_literal("null") {
-                    Ok(Value::Null)
-                } else {
-                    Err(self.error("invalid literal"))
-                }
-            }
-            b't' => {
-                if self.consume_literal("true") {
-                    Ok(Value::Bool(true))
-                } else {
-                    Err(self.error("invalid literal"))
-                }
-            }
-            b'f' => {
-                if self.consume_literal("false") {
-                    Ok(Value::Bool(false))
-                } else {
-                    Err(self.error("invalid literal"))
-                }
-            }
-            b'"' => self.parse_string().map(Value::String),
-            b'[' => self.parse_array(),
-            b'{' => self.parse_object(),
-            b'-' | b'0'..=b'9' => self.parse_number(),
-            other => Err(self.error(format!("unexpected character `{}`", other as char))),
+    /// One number: a `-` or digit, then the run of number characters
+    /// (digits, `.`, `e`, `E`, `+`, `-`), read by `str::parse::<f64>`.
+    #[inline]
+    pub fn number(&mut self) -> Result<f64, Error> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.error("expected a number"));
         }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.error("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("invalid \\u escape"))?;
-                            // Surrogate pairs are not produced by the writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.error("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (the input came from a &str, so
-                    // the bytes are valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, Error> {
+        let bytes = self.text.as_bytes();
         let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
+        self.pos += 1;
         while matches!(
-            self.bytes.get(self.pos),
+            bytes.get(self.pos),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
-        text.parse::<f64>()
-            .map(Value::Number)
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map_err(|_| self.error("invalid number"))
     }
 
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
+    /// One string, decoded. Borrowed from the text when it holds no escape.
+    /// Each run of bytes up to the next `"` or `\` is copied as one slice,
+    /// so decoding is linear in the string's length.
+    #[inline]
+    fn string(&mut self) -> Result<Cow<'a, str>, Error> {
+        self.expect(b'"')?;
+        let text = self.text;
+        let mut decoded: Option<String> = None;
         loop {
-            items.push(self.parse()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
+            let start = self.pos;
+            let Some(len) = text.as_bytes()[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = text.len();
+                return Err(self.error("unterminated string"));
+            };
+            // `"` and `\` are ASCII: the run ends on char boundaries.
+            let run = &text[start..start + len];
+            self.pos = start + len + 1;
+            if text.as_bytes()[start + len] == b'"' {
+                return Ok(match decoded {
+                    None => Cow::Borrowed(run),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        Cow::Owned(out)
+                    }
+                });
+            }
+            let out = decoded.get_or_insert_with(String::new);
+            out.push_str(run);
+            out.push(self.escape()?);
+        }
+    }
+
+    /// The character an escape spells; the reader sits just past its `\`.
+    fn escape(&mut self) -> Result<char, Error> {
+        let ch = match self.text.as_bytes().get(self.pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000C}',
+            Some(b'u') => {
+                let code = self
+                    .text
+                    .get(self.pos + 1..self.pos + 5)
+                    .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                    .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                    .ok_or_else(|| self.error("invalid \\u escape"))?;
+                self.pos += 4;
+                // Surrogate pairs are not produced by the writer; a
+                // surrogate decodes to the replacement character.
+                char::from_u32(code).unwrap_or('\u{FFFD}')
+            }
+            _ => return Err(self.error("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(ch)
+    }
+
+    /// `null`, `true` or `false`.
+    fn literal(&mut self) -> Result<Value, Error> {
+        self.skip_ws();
+        let rest = &self.text[self.pos..];
+        for (word, value) in [
+            ("null", Value::Null),
+            ("true", Value::Bool(true)),
+            ("false", Value::Bool(false)),
+        ] {
+            if rest.starts_with(word) {
+                self.pos += word.len();
+                return Ok(value);
+            }
+        }
+        Err(self.error("invalid literal"))
+    }
+
+    /// Go one container deeper.
+    fn descend(&mut self) -> Result<(), Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// One object: `member` runs once per member with the reader just past
+    /// the key's `:`, and must consume exactly the member's value.
+    #[inline]
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.items(b'{', b'}', |reader| {
+            let key = reader.string()?;
+            reader.expect(b':')?;
+            member(reader, key)
+        })
+    }
+
+    /// One array: `element` runs once per element and must consume exactly
+    /// that element.
+    #[inline]
+    pub fn array(
+        &mut self,
+        element: impl FnMut(&mut Self) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.items(b'[', b']', element)
+    }
+
+    /// A container from `open` to `close` whose comma-separated items
+    /// `item` consumes one at a time.
+    #[inline]
+    fn items(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.expect(open)?;
+        self.descend()?;
+        if !self.eat(close) {
+            loop {
+                item(self)?;
+                if self.eat(close) {
+                    break;
                 }
-                _ => return Err(self.error("expected `,` or `]`")),
+                if !self.eat(b',') {
+                    return Err(self.error(format_args!("expected `,` or `{}`", close as char)));
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// One value of any kind, as a tree.
+    pub fn value(&mut self) -> Result<Value, Error> {
+        match self.peek() {
+            None => Err(self.error("unexpected end of input")),
+            Some(b'"') => Ok(Value::String(self.string()?.into_owned())),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Value::Number),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|reader| {
+                    items.push(reader.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Array(items))
+            }
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object(|reader, key| {
+                    fields.push((key.into_owned(), reader.value()?));
+                    Ok(())
+                })?;
+                Ok(Value::Object(fields))
+            }
+            Some(b'n' | b't' | b'f') => self.literal(),
+            Some(other) => {
+                Err(self.error(format_args!("unexpected character `{}`", other as char)))
             }
         }
     }
 
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse()?;
-            fields.push((key, value));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
+    /// Step over one value without building it, returning its byte range.
+    /// A scalar is read by its token rule; a container is crossed by bracket
+    /// depth alone (stepping over the strings inside), so its contents are
+    /// not validated and its numbers are not parsed — whoever parses the
+    /// body is the authority on what is malformed inside it. The depth limit
+    /// still holds.
+    pub fn skip_value(&mut self) -> Result<Range<usize>, Error> {
+        let next = self.peek();
+        let start = self.pos;
+        match next {
+            Some(b'"') => {
+                self.string()?;
+            }
+            Some(b'-' | b'0'..=b'9') => {
+                self.number()?;
+            }
+            Some(b'[' | b'{') => {
+                let bytes = self.text.as_bytes();
+                let floor = self.depth;
+                loop {
+                    match bytes.get(self.pos) {
+                        None => return Err(self.error("unterminated container")),
+                        Some(b'"') => loop {
+                            self.pos += 1;
+                            match bytes.get(self.pos) {
+                                None => return Err(self.error("unterminated string")),
+                                Some(b'"') => break,
+                                Some(b'\\') => self.pos += 1,
+                                Some(_) => {}
+                            }
+                        },
+                        Some(b'[' | b'{') => self.descend()?,
+                        Some(b']' | b'}') => self.depth -= 1,
+                        Some(_) => {}
+                    }
                     self.pos += 1;
-                    return Ok(Value::Object(fields));
+                    if self.depth == floor {
+                        break;
+                    }
                 }
-                _ => return Err(self.error("expected `,` or `}`")),
+            }
+            _ => {
+                self.literal()?;
             }
         }
+        Ok(start..self.pos)
     }
 }
 
 /// Parse JSON text into a [`Value`] tree.
 pub fn parse_value(text: &str) -> Result<Value, Error> {
-    let mut parser = Parser::new(text);
-    let value = parser.parse()?;
-    parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.error("trailing characters after JSON value"));
-    }
+    let mut reader = Reader::new(text);
+    let value = reader.value()?;
+    reader.end()?;
     Ok(value)
 }
 
@@ -410,5 +536,94 @@ mod tests {
         assert!(parse_value("[1, 2").is_err());
         assert!(parse_value("12 34").is_err());
         assert!(parse_value("nulL").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse_value(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse_value(&nested("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        for body in [
+            nested("[", "]", MAX_DEPTH + 1),
+            nested("{\"a\":", "}", MAX_DEPTH + 1),
+            nested("[", "]", 100_000),
+            nested("{\"a\":[", "]}", 100_000),
+        ] {
+            let error = parse_value(&body).unwrap_err();
+            assert!(error.message.contains("recursion limit"), "{error}");
+        }
+        // Stepping over a container holds the same limit, counted from the
+        // depth the reader is already at.
+        let within = nested("[", "]", MAX_DEPTH);
+        assert!(Reader::new(&within)
+            .array(|r| r.skip_value().map(|_| ()))
+            .is_ok());
+        let beyond = nested("[", "]", MAX_DEPTH + 1);
+        assert!(Reader::new(&beyond).skip_value().is_err());
+        assert!(Reader::new(&beyond)
+            .array(|r| r.skip_value().map(|_| ()))
+            .is_err());
+    }
+
+    #[test]
+    fn long_strings_decode_in_linear_time() {
+        let long = "é".repeat(4 << 20);
+        let mut text = String::with_capacity(long.len() + 16);
+        text.push('"');
+        text.push_str(&long);
+        text.push_str("\\n\"");
+        let started = std::time::Instant::now();
+        let value = parse_value(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(value.as_str().map(str::len), Some(long.len() + 1));
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "an 8 MiB string took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn reader_walks_members_and_borrows_plain_keys() {
+        let text = r#" {"a\u0062": [1, -2.5e1], "c" : {"d": "]"}, "e": null} "#;
+        let mut reader = Reader::new(text);
+        let mut seen = Vec::new();
+        reader
+            .object(|r, key| {
+                let borrowed = matches!(key, Cow::Borrowed(_));
+                match &*key {
+                    "ab" => {
+                        let mut numbers = Vec::new();
+                        r.array(|r| {
+                            numbers.push(r.number()?);
+                            Ok(())
+                        })?;
+                        assert_eq!(numbers, [1.0, -25.0]);
+                    }
+                    _ => {
+                        r.skip_value()?;
+                    }
+                }
+                seen.push((key.into_owned(), borrowed));
+                Ok(())
+            })
+            .unwrap();
+        reader.end().unwrap();
+        assert_eq!(
+            seen,
+            [
+                ("ab".to_string(), false),
+                ("c".to_string(), true),
+                ("e".to_string(), true)
+            ]
+        );
+        // Escapes decode exactly as the writer encodes them.
+        let tricky = "q\"\\/\n\r\t\u{8}\u{c}\u{1}é";
+        let written = to_string(&tricky.to_string()).unwrap();
+        assert_eq!(Reader::new(&written).string().unwrap(), tricky);
+        for bad in [r#""\x""#, r#""\u12g4""#, r#""\u+041""#, r#""open"#] {
+            assert!(Reader::new(bad).string().is_err(), "{bad}");
+        }
     }
 }

@@ -81,6 +81,7 @@ use crate::registry::{ModelConfig, ModelRegistry};
 use crate::wire::{Broken, Connection};
 use crate::{BackendKind, Result, ServeError};
 use serde::Deserialize;
+use serde_json::Reader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -681,22 +682,10 @@ fn bad_body(e: serde::Error) -> ServeError {
 /// lookup that a concurrent replan could split from the pin), and the
 /// handle is released before the blocking wait so a retire or replan only
 /// waits for submissions, not for response delivery — the draining engine
-/// answers in-flight work on its way out.
+/// answers in-flight work on its way out. The answered output's buffer is
+/// recycled into the engine's pool after serialization — the delivery half
+/// of the zero-allocation loop.
 fn infer_single(
-    engine: crate::control::EngineHandle,
-    model: &str,
-    value: &serde::Value,
-) -> Result<InferReply> {
-    let parsed = InferBody::from_value(value).map_err(bad_body)?;
-    infer_single_parsed(engine, model, parsed)
-}
-
-/// Shared tail of the single-sample infer: both the generic serde path and
-/// the zero-copy fast path feed the same [`InferBody`] through here, so the
-/// two parses are guaranteed behaviorally identical downstream. The answered
-/// output's buffer is recycled into the engine's pool after serialization —
-/// the delivery half of the zero-allocation loop.
-fn infer_single_parsed(
     engine: crate::control::EngineHandle,
     model: &str,
     parsed: InferBody,
@@ -787,314 +776,75 @@ fn infer_batch(
     })
 }
 
-/// Byte scanner behind [`parse_infer_fast`]. Token rules mirror the
-/// workspace `serde_json` stand-in exactly — same whitespace set, same
-/// number charset scan finished by `str::parse::<f64>` — so any body the
-/// fast path accepts parses to the very same values the generic path would
-/// produce. Anything else makes the scanner bail (return `None`), sending
-/// the body down the generic path for identical error messages.
-struct FastScan<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> FastScan<'a> {
-    fn new(body: &'a str) -> FastScan<'a> {
-        FastScan {
-            bytes: body.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, byte: u8) -> bool {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// One JSON number, with the stand-in's exact charset-scan semantics.
-    fn number(&mut self) -> Option<f64> {
-        // The stand-in only dispatches into a number on `-` or a digit.
-        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
-            return None;
-        }
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse::<f64>()
-            .ok()
-    }
-
-    /// A `"key"` with no escapes (escaped keys bail to the generic path).
-    fn plain_key(&mut self) -> Option<&'a str> {
-        if !self.eat(b'"') {
-            return None;
-        }
-        let start = self.pos;
-        loop {
-            match self.bytes.get(self.pos)? {
-                b'"' => break,
-                b'\\' => return None,
-                _ => self.pos += 1,
-            }
-        }
-        let key = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
-        self.pos += 1;
-        Some(key)
-    }
-
-    /// Skip one string, escapes included.
-    fn skip_string(&mut self) -> Option<()> {
-        if !self.eat(b'"') {
-            return None;
-        }
-        loop {
-            match self.bytes.get(self.pos)? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(());
-                }
-                b'\\' => self.pos += 2,
-                _ => self.pos += 1,
-            }
-        }
-    }
-
-    /// Skip one value of any type without materialising it: containers by
-    /// bracket depth (stepping over strings), scalars by their token. A
-    /// skip, not a validator — whoever parses the body is the authority on
-    /// what is malformed inside a container.
-    fn skip_value(&mut self) -> Option<()> {
-        match self.peek()? {
-            b'"' => self.skip_string(),
-            b'[' | b'{' => {
-                let mut depth = 0usize;
-                loop {
-                    match self.bytes.get(self.pos)? {
-                        b'"' => {
-                            self.skip_string()?;
-                            continue;
-                        }
-                        b'[' | b'{' => depth += 1,
-                        b']' | b'}' => depth -= 1,
-                        _ => {}
-                    }
-                    self.pos += 1;
-                    if depth == 0 {
-                        return Some(());
-                    }
-                }
-            }
-            b'-' | b'0'..=b'9' => self.number().map(|_| ()),
-            _ => {
-                let rest = &self.bytes[self.pos..];
-                let literal = ["true", "false", "null"]
-                    .into_iter()
-                    .find(|literal| rest.starts_with(literal.as_bytes()))?;
-                self.pos += literal.len();
-                Some(())
-            }
-        }
-    }
-
-    /// `[n, n, ...]` appended onto `out` via `f(value)`; bails when `f`
-    /// refuses a number.
-    fn number_array<T>(&mut self, out: &mut Vec<T>, f: impl Fn(f64) -> Option<T>) -> Option<()> {
-        if !self.eat(b'[') {
-            return None;
-        }
-        if self.eat(b']') {
-            return Some(());
-        }
-        loop {
-            out.push(f(self.number()?)?);
-            if self.eat(b']') {
-                return Some(());
-            }
-            if !self.eat(b',') {
-                return None;
-            }
-        }
-    }
-}
-
-/// Zero-copy-ish parse of the common single-sample infer body,
-/// `{"input": [...], "dims": [...], "deadline_ms": N}` (keys in any order,
-/// `dims`/`deadline_ms` optional or `null`): the input numbers are scanned
-/// straight from the request bytes into a buffer recycled from the engine's
-/// pool — no intermediate `Value` tree, and on a warm pool no allocation for
-/// the sample itself. Returns `None` for anything outside that shape —
-/// unknown or duplicate keys, escapes, non-number array elements, trailing
-/// characters — which sends the body down the generic serde path, keeping
-/// observable behavior (including error messages) identical.
+/// Read the common single-sample infer body, `{"input": [...], "dims":
+/// [...], "deadline_ms": N}` in any member order, on the JSON [`Reader`]:
+/// the input numbers go straight into a buffer recycled from the engine's
+/// pool, with no `Value` tree; `dims` and `deadline_ms` decode as on the
+/// generic path. `None` for anything else — another or a repeated member
+/// (`get` is first-key-wins), a non-number element, trailing characters —
+/// sends the body down the generic path for its error message.
 fn parse_infer_fast(body: &str, pool: &BufferPool, expected_len: usize) -> Option<InferBody> {
-    let mut input: Option<Vec<f32>> = None;
-    match parse_infer_fast_into(body, pool, expected_len, &mut input) {
-        Some((dims, deadline_ms)) => Some(InferBody {
-            input: input?,
-            dims,
-            deadline_ms,
-        }),
-        None => {
-            // A bail after `input` was scanned returns its buffer to the
-            // pool, so malformed bodies do not inflate the checkout stats.
-            if let Some(buf) = input.take() {
-                pool.give(buf);
+    // Each member once: `Some` marks it seen, whatever its value.
+    let (mut input, mut dims, mut deadline_ms) = (None, None, None);
+    let mut reader = Reader::new(body);
+    let parsed = reader
+        .object(|reader, key| match &*key {
+            "input" if input.is_none() => {
+                // Every element is pushed, so skip the zero-fill.
+                let mut buf = pool.take_full(expected_len);
+                buf.clear();
+                let buf = input.insert(buf);
+                reader.array(|reader| {
+                    buf.push(reader.number()? as f32);
+                    Ok(())
+                })
             }
+            "dims" if dims.is_none() => {
+                dims = Some(Deserialize::from_value(&reader.value()?)?);
+                Ok(())
+            }
+            "deadline_ms" if deadline_ms.is_none() => {
+                deadline_ms = Some(Deserialize::from_value(&reader.value()?)?);
+                Ok(())
+            }
+            _ => Err(reader.error("not the single-sample shape")),
+        })
+        .and_then(|()| reader.end());
+    match (parsed, input) {
+        (Ok(()), Some(input)) => Some(InferBody {
+            input,
+            dims: dims.flatten(),
+            deadline_ms: deadline_ms.flatten(),
+        }),
+        // A bail after `input` was scanned returns its buffer to the pool,
+        // so malformed bodies do not inflate the checkout stats.
+        (_, Some(buf)) => {
+            pool.give(buf);
             None
         }
+        (_, None) => None,
     }
 }
 
-/// An integer field off the fast path, by the generic path's own rule: a
-/// negative, fractional or out-of-range number bails, so the generic parse
-/// reports it.
-fn strict_int<T: Deserialize>(n: f64) -> Option<T> {
-    T::from_value(&serde::Value::Number(n)).ok()
-}
-
-#[allow(clippy::type_complexity)]
-fn parse_infer_fast_into(
-    body: &str,
-    pool: &BufferPool,
-    expected_len: usize,
-    input: &mut Option<Vec<f32>>,
-) -> Option<(Option<Vec<usize>>, Option<u64>)> {
-    let mut scan = FastScan::new(body);
-    if !scan.eat(b'{') {
-        return None;
-    }
-    let mut dims: Option<Vec<usize>> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let (mut seen_dims, mut seen_deadline) = (false, false);
-    if !scan.eat(b'}') {
-        loop {
-            let key = scan.plain_key()?;
-            if !scan.eat(b':') {
-                return None;
-            }
-            // Duplicate keys bail out: the generic path's `get` is
-            // first-key-wins, which a single-pass scan cannot reproduce.
-            match key {
-                "input" if input.is_none() => {
-                    // Contents are irrelevant (cleared then pushed into), so
-                    // skip the zero-fill.
-                    let mut buf = pool.take_full(expected_len);
-                    buf.clear();
-                    *input = Some(buf);
-                    scan.number_array(input.as_mut()?, |n| Some(n as f32))?;
-                }
-                "dims" if !seen_dims => {
-                    seen_dims = true;
-                    if scan.peek() == Some(b'n') {
-                        // `"dims": null` means "use the model's dims".
-                        if !body[scan.pos..].starts_with("null") {
-                            return None;
-                        }
-                        scan.pos += 4;
-                    } else {
-                        let mut out = Vec::new();
-                        scan.number_array(&mut out, strict_int)?;
-                        dims = Some(out);
-                    }
-                }
-                "deadline_ms" if !seen_deadline => {
-                    seen_deadline = true;
-                    if scan.peek() == Some(b'n') {
-                        if !body[scan.pos..].starts_with("null") {
-                            return None;
-                        }
-                        scan.pos += 4;
-                    } else {
-                        deadline_ms = Some(strict_int(scan.number()?)?);
-                    }
-                }
-                _ => return None,
-            }
-            if scan.eat(b'}') {
-                break;
-            }
-            if !scan.eat(b',') {
-                return None;
-            }
-        }
-    }
-    scan.skip_ws();
-    if scan.pos != scan.bytes.len() || input.is_none() {
-        return None;
-    }
-    Some((dims, deadline_ms))
-}
-
-/// Byte range of the value of the first top-level member `key` in a JSON
-/// object body, found by scanning — no `Value` tree, and a large `input`
-/// array costs one pass over its bytes. `None` when the body is not one
-/// well-delimited object or has no such member. A key spelled with escapes
-/// is decoded before it is compared, so it matches exactly where a parsed
-/// body's `get` would. This is what lets the router read and rewrite
-/// `deadline_ms` on a forwarded body without parsing the sample.
+/// Byte range of the value of the first top-level member `key` of a JSON
+/// object body, keys decoded (escapes included) as the generic path's `get`
+/// compares them. Other values are stepped over by bracket depth, so a large
+/// `input` array costs one pass over its bytes and no number parse. `None`
+/// when the body is not one well-delimited object or lacks the member. This
+/// lets the router read and rewrite `deadline_ms` without parsing the sample.
 pub fn top_level_value(body: &str, key: &str) -> Option<Range<usize>> {
-    let mut scan = FastScan::new(body);
-    if !scan.eat(b'{') {
-        return None;
-    }
+    let mut reader = Reader::new(body);
     let mut found = None;
-    if !scan.eat(b'}') {
-        loop {
-            scan.skip_ws();
-            let key_start = scan.pos;
-            scan.skip_string()?;
-            let raw = &body[key_start + 1..scan.pos - 1];
-            let matches = if raw.contains('\\') {
-                serde_json::from_str::<String>(&body[key_start..scan.pos]).is_ok_and(|k| k == key)
-            } else {
-                raw == key
-            };
-            if !scan.eat(b':') {
-                return None;
+    reader
+        .object(|reader, name| {
+            let token = reader.skip_value()?;
+            if name == key && found.is_none() {
+                found = Some(token);
             }
-            scan.skip_ws();
-            let value_start = scan.pos;
-            scan.skip_value()?;
-            // First key wins, as in the generic path's `get`.
-            if matches && found.is_none() {
-                found = Some(value_start..scan.pos);
-            }
-            if scan.eat(b'}') {
-                break;
-            }
-            if !scan.eat(b',') {
-                return None;
-            }
-        }
-    }
-    scan.skip_ws();
-    if scan.pos != scan.bytes.len() {
-        return None;
-    }
+            Ok(())
+        })
+        .and_then(|()| reader.end())
+        .ok()?;
     found
 }
 
@@ -1104,23 +854,22 @@ fn infer(registry: &ModelRegistry, model: &str, body: &str) -> Result<String> {
     // then goes through this very handle, so the request is guaranteed to
     // ride the engine that was resolved here.
     let engine = registry.engine(model)?;
-    // Fast path: scan the common single-sample body straight into a pooled
-    // buffer. Any deviation falls through to the generic serde path below.
+    // Fast path: read the common single-sample body straight into a pooled
+    // buffer. Any other shape takes the generic `Value` tree below.
     let expected_len = engine.model().input_dims().iter().product();
-    if let Some(parsed) = parse_infer_fast(body, &engine.buffer_pool(), expected_len) {
-        return serde_json::to_string(&infer_single_parsed(engine, model, parsed)?).map_err(|e| {
-            ServeError::Runtime {
-                reason: format!("cannot serialize the infer reply: {}", e.message),
-            }
-        });
-    }
-    let value = serde_json::parse_value(body).map_err(bad_body)?;
-    // The body form picks the path: `inputs` is the batched contract,
-    // `input` the single-sample one.
-    let rendered = if value.get("inputs").is_some() {
-        serde_json::to_string(&infer_batch(engine, model, &value)?)
+    let rendered = if let Some(parsed) = parse_infer_fast(body, &engine.buffer_pool(), expected_len)
+    {
+        serde_json::to_string(&infer_single(engine, model, parsed)?)
     } else {
-        serde_json::to_string(&infer_single(engine, model, &value)?)
+        let value = serde_json::parse_value(body).map_err(bad_body)?;
+        // The body form picks the path: `inputs` is the batched contract,
+        // `input` the single-sample one.
+        if value.get("inputs").is_some() {
+            serde_json::to_string(&infer_batch(engine, model, &value)?)
+        } else {
+            let parsed = InferBody::from_value(&value).map_err(bad_body)?;
+            serde_json::to_string(&infer_single(engine, model, parsed)?)
+        }
     };
     rendered.map_err(|e| ServeError::Runtime {
         reason: format!("cannot serialize the infer reply: {}", e.message),
@@ -1147,8 +896,7 @@ fn action_path<'a>(path: &'a str, action: &str) -> Option<&'a str> {
 /// second by-name lookup or epoch read a racing admin operation could
 /// invalidate).
 fn put_model(registry: &ModelRegistry, name: &str, body: &str) -> Routed {
-    let registered = serde_json::parse_value(body)
-        .and_then(|value| RegisterBody::from_value(&value))
+    let registered = serde_json::from_str::<RegisterBody>(body)
         .map_err(bad_body)
         .and_then(|parsed| {
             let config = parsed.model_config()?;
@@ -1189,10 +937,7 @@ fn delete_model(registry: &ModelRegistry, name: &str) -> Routed {
 /// *inside* the registry's writer lock, so two concurrent replans
 /// compose instead of one clobbering the other from a stale snapshot.
 fn replan_model(registry: &ModelRegistry, name: &str, body: &str) -> Routed {
-    let parsed = match serde_json::parse_value(body)
-        .and_then(|value| ReplanBody::from_value(&value))
-        .map_err(bad_body)
-    {
+    let parsed = match serde_json::from_str::<ReplanBody>(body).map_err(bad_body) {
         Ok(parsed) => parsed,
         Err(e) => return serve_error_routed(registry, Some(name), &e),
     };
@@ -1218,10 +963,7 @@ fn tune_model(registry: &ModelRegistry, name: &str, body: &str) -> Routed {
     let parsed = if body.trim().is_empty() {
         TuneBody::default()
     } else {
-        match serde_json::parse_value(body)
-            .and_then(|value| TuneBody::from_value(&value))
-            .map_err(bad_body)
-        {
+        match serde_json::from_str::<TuneBody>(body).map_err(bad_body) {
             Ok(parsed) => parsed,
             Err(e) => return serve_error_routed(registry, Some(name), &e),
         }
@@ -1238,10 +980,7 @@ fn put_controller(registry: &ModelRegistry, body: &str) -> Routed {
     let parsed = if body.trim().is_empty() {
         ControllerBody::default()
     } else {
-        match serde_json::parse_value(body)
-            .and_then(|value| ControllerBody::from_value(&value))
-            .map_err(bad_body)
-        {
+        match serde_json::from_str::<ControllerBody>(body).map_err(bad_body) {
             Ok(parsed) => parsed,
             Err(e) => return serve_error_routed(registry, None, &e),
         }
@@ -1729,7 +1468,7 @@ mod tests {
         .unwrap()
     }
 
-    /// Every body the fast scanner accepts must parse to the exact
+    /// Every body the fast path accepts must parse to the exact
     /// `InferBody` the generic serde path produces — bit-for-bit on the
     /// f32 values, including negative zero and exponent forms.
     #[test]
@@ -1744,6 +1483,7 @@ mod tests {
             r#"{"input": [1e999, -1e999]}"#,
             // Integral numbers in float spelling are integers to both.
             r#"{"input": [1], "dims": [1.0, 2e0], "deadline_ms": 1e3}"#,
+            "{\"\\u0069nput\": [1]}", // escaped key
         ];
         for body in bodies {
             let fast = parse_infer_fast(body, &pool, 4)
@@ -1784,7 +1524,6 @@ mod tests {
             r#"{"input": [+5]}"#,                           // leading + (JSON-invalid)
             r#"{"input": [1], "dims": "hwc"}"#,             // non-array dims
             r#"{"input": [true]}"#,                         // non-number element
-            "{\"\\u0069nput\": [1]}",                       // escaped key
             r#"{"input": [1]}x"#,                           // trailing chars
             r#"{"input": [1],}"#,                           // trailing comma
             r#"["input"]"#,                                 // not an object
@@ -1837,6 +1576,166 @@ mod tests {
         let body = r#"{"a": {"deadline_ms": 1}, "deadline_ms": [2, "]"], "b": "x"}"#;
         let token = top_level_value(body, "deadline_ms").unwrap();
         assert_eq!(&body[token], r#"[2, "]"]"#);
+    }
+
+    /// Mutations of a valid single-sample body: members in any order, keys
+    /// plain or spelled with escapes, repeated members, number spellings an
+    /// integer field may or may not hold, decoys that spell `deadline_ms`
+    /// inside a nested value or a string, nesting on both sides of the depth
+    /// limit and long strings.
+    fn mutated_infer_bodies(rng: &mut rand::rngs::StdRng, count: usize) -> Vec<String> {
+        use rand::Rng;
+        let numbers = [
+            "1", "-0.0", "2.5", "1e-3", "6.02E23", "-1.5e+2", "1e999", "3", "0",
+        ];
+        let deadlines = [
+            "250", "1e3", "2.7", "-5", "1e30", "0", "null", "\"soon\"", "true", "[1]",
+        ];
+        let dims = [
+            "[4]",
+            "[1, 4]",
+            "[2.0, 2e0]",
+            "null",
+            "[1.5]",
+            "[-1]",
+            "\"hwc\"",
+        ];
+        let input_keys = [r#""input""#, r#""\u0069nput""#, r#""inp\u0075t""#];
+        let deadline_keys = [r#""deadline_ms""#, r#""deadline\u005fms""#];
+        let dims_keys = [r#""dims""#, r#""d\u0069ms""#];
+        let decoys = [
+            r#""meta": {"deadline_ms": 1}"#.to_string(),
+            r#""note": "\"deadline_ms\": 5, ]}""#.to_string(),
+            r#""x": [{"deadline_ms": 2}, "]"]"#.to_string(),
+            format!(r#""long": "{}\n""#, "é\\\"".repeat(20_000)),
+        ];
+        let pick = |rng: &mut rand::rngs::StdRng, options: &[&str]| {
+            options[rng.gen_range(0..options.len())].to_string()
+        };
+        let member = |rng: &mut rand::rngs::StdRng, kind: usize| match kind {
+            0 => {
+                let len = rng.gen_range(0..6);
+                let mut elements: Vec<String> = (0..len).map(|_| pick(rng, &numbers)).collect();
+                if rng.gen_range(0..8) == 0 {
+                    // Nesting inside the sample: total depth 127..=131.
+                    let depth = serde_json::MAX_DEPTH + rng.gen_range(0..5) - 3;
+                    elements.push(format!("{}1{}", "[".repeat(depth), "]".repeat(depth)));
+                }
+                format!("{}: [{}]", pick(rng, &input_keys), elements.join(", "))
+            }
+            1 => format!("{}: {}", pick(rng, &deadline_keys), pick(rng, &deadlines)),
+            _ => format!("{}: {}", pick(rng, &dims_keys), pick(rng, &dims)),
+        };
+        (0..count)
+            .map(|_| {
+                let mut members = vec![member(rng, 0)];
+                if rng.gen_range(0..3) > 0 {
+                    members.push(member(rng, 1));
+                }
+                if rng.gen_range(0..2) == 0 {
+                    members.push(member(rng, 2));
+                }
+                if rng.gen_range(0..4) == 0 {
+                    members.push(decoys[rng.gen_range(0..decoys.len())].clone());
+                }
+                // A repeat, its value drawn afresh: only the first counts.
+                if rng.gen_range(0..4) == 0 {
+                    let kind = rng.gen_range(0..3);
+                    members.push(member(rng, kind));
+                }
+                for i in (1..members.len()).rev() {
+                    members.swap(i, rng.gen_range(0..=i));
+                }
+                let gap = [" ", "", "\n\t"][rng.gen_range(0..3)];
+                format!("{{{gap}{}{gap}}}", members.join(&format!(",{gap}")))
+            })
+            .collect()
+    }
+
+    /// Generated bodies read alike on every path: the fast path either bails
+    /// or yields the generic `InferBody` bit for bit, and the router's
+    /// deadline read (`top_level_value`, then a `u64` decode) agrees with
+    /// the replica's value-tree decode wherever the body parses — a body
+    /// that does not parse answers 400 whatever the router splices into it.
+    /// The mutated bodies all parse or exceed the depth limit, so there the
+    /// two must agree outright.
+    #[test]
+    fn generated_bodies_read_alike_on_the_fast_path_and_the_router_scan() {
+        use rand::{Rng, SeedableRng};
+        let alphabet: Vec<char> = "{}[]\",:\\ \n-+.0123456789eEtruefalsné".chars().collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut bodies: Vec<(String, bool)> = (0..20_000)
+            .map(|_| {
+                let len = rng.gen_range(0..24);
+                let mut body: String = (0..len)
+                    .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                    .collect();
+                if rng.gen_range(0..2) == 0 {
+                    body.insert_str(0, "{\"input\":[1],\"deadline_ms\":");
+                }
+                (body, false)
+            })
+            .collect();
+        bodies.extend(
+            mutated_infer_bodies(&mut rng, 4_000)
+                .into_iter()
+                .map(|body| (body, true)),
+        );
+        let pool = BufferPool::new();
+        let (mut fast_hits, mut deadlines) = (0, 0);
+        for (body, mutated) in &bodies {
+            let tree = serde_json::parse_value(body);
+            if let Some(fast) = parse_infer_fast(body, &pool, 4) {
+                fast_hits += 1;
+                let generic = tree
+                    .as_ref()
+                    .ok()
+                    .and_then(|value| InferBody::from_value(value).ok())
+                    .unwrap_or_else(|| panic!("fast path accepted {body:?}"));
+                let bits = |input: &[f32]| input.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast.input), bits(&generic.input), "{body:?}");
+                assert_eq!(fast.dims, generic.dims, "{body:?}");
+                assert_eq!(fast.deadline_ms, generic.deadline_ms, "{body:?}");
+                pool.give(fast.input);
+            }
+            let scanned = top_level_value(body, "deadline_ms")
+                .and_then(|token| serde_json::from_str::<u64>(&body[token]).ok());
+            let decoded = tree
+                .as_ref()
+                .ok()
+                .and_then(|value| Option::<u64>::from_value(value.get("deadline_ms")?).ok()?);
+            if *mutated || tree.is_ok() {
+                assert_eq!(scanned, decoded, "{body:?}");
+            }
+            deadlines += usize::from(decoded.is_some());
+        }
+        // The generator reaches both outcomes often enough to mean something.
+        assert!(
+            fast_hits > 500 && deadlines > 500,
+            "{fast_hits} {deadlines}"
+        );
+    }
+
+    /// A 40 KB body nested 20,000 deep answers 400 — the reader's depth
+    /// limit, where a recursive parse once overflowed the handler thread's
+    /// stack and aborted the process — and the server keeps serving.
+    #[test]
+    fn deeply_nested_bodies_answer_400_and_the_server_survives() {
+        let server = HttpServer::bind("127.0.0.1:0", test_registry()).unwrap();
+        let addr = server.local_addr();
+        let body = format!(
+            r#"{{"input": {}{}}}"#,
+            "[".repeat(20_000),
+            "]".repeat(20_000)
+        );
+        for path in ["/v1/models/mini/infer", "/v1/models/mini/replan"] {
+            let (status, reply) = http_request(&addr, "POST", path, Some(&body)).unwrap();
+            assert_eq!(status, 400, "{path}: {reply}");
+            assert!(reply.contains("recursion limit"), "{path}: {reply}");
+        }
+        let (status, reply) = http_request(&addr, "GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200, "{reply}");
+        server.shutdown();
     }
 
     #[test]

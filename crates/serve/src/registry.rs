@@ -1384,14 +1384,15 @@ mod tests {
             )
             .unwrap();
 
-        // Flood "expiry" with impossible 1 ms deadlines…
+        // Flood "expiry" with zero deadlines, already due at enqueue (a 1 ms
+        // one can be met by a fast build)…
         const FLOOD: usize = 10;
         for _ in 0..FLOOD {
             let err = registry
                 .infer_with_deadline(
                     "expiry",
                     Tensor::zeros(vec![10, 10, 4]),
-                    Some(Duration::from_millis(1)),
+                    Some(Duration::ZERO),
                 )
                 .unwrap_err();
             assert!(matches!(err, ServeError::DeadlineExceeded { .. }));

@@ -1062,7 +1062,8 @@ mod tests {
         let descriptor = serving_descriptor("engine-deadline", 10, 4, 6);
         let cache = PlanCache::new(2);
         // A generous batch delay so an under-full batch would normally idle;
-        // the 1 ms deadline must release and expire the request long before.
+        // a zero deadline, already due at enqueue, must release and expire
+        // the request long before (a 1 ms one can be met by a fast build).
         let engine = ServeEngine::builder(&descriptor)
             .batching(BatchingOptions {
                 max_batch_size: 8,
@@ -1074,10 +1075,7 @@ mod tests {
             .unwrap();
         let started = Instant::now();
         let err = engine
-            .infer_with_deadline(
-                Tensor::zeros(vec![10, 10, 4]),
-                Some(Duration::from_millis(1)),
-            )
+            .infer_with_deadline(Tensor::zeros(vec![10, 10, 4]), Some(Duration::ZERO))
             .unwrap_err();
         assert!(
             matches!(err, ServeError::DeadlineExceeded { .. }),
@@ -1115,13 +1113,15 @@ mod tests {
             .batching(BatchingOptions {
                 max_batch_size: 8,
                 max_batch_delay: Duration::from_millis(300),
-                default_deadline: Some(Duration::from_millis(1)),
+                // The shortest default the options accept (zero is
+                // refused): due before the batch can even be formed.
+                default_deadline: Some(Duration::from_nanos(1)),
                 ..BatchingOptions::default()
             })
             .plan_cache(&cache)
             .build()
             .unwrap();
-        assert_eq!(engine.default_deadline(), Some(Duration::from_millis(1)));
+        assert_eq!(engine.default_deadline(), Some(Duration::from_nanos(1)));
         // Plain submit inherits the impossible default and expires…
         let err = engine.infer(Tensor::zeros(vec![10, 10, 4])).unwrap_err();
         assert!(matches!(err, ServeError::DeadlineExceeded { .. }));

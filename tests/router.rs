@@ -130,6 +130,36 @@ fn routed_inference_matches_a_direct_engine_bit_for_bit() {
     }
 }
 
+/// A body nested far past the JSON reader's depth limit is the replica's
+/// 400 routed too: it reaches one replica, is not failed over, and both
+/// replicas still serve afterwards.
+#[test]
+fn deeply_nested_bodies_answer_400_routed_and_every_replica_survives() {
+    let (servers, router, front) =
+        bind_fleet(2, manual_probe_options(RoutingPolicy::ConsistentHash));
+    let path = format!("/v1/models/{MODEL}/infer");
+    let body = format!(
+        r#"{{"input": {}{}}}"#,
+        "[".repeat(20_000),
+        "]".repeat(20_000)
+    );
+    let (status, reply) = http_request(&front.local_addr(), "POST", &path, Some(&body)).unwrap();
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("recursion limit"), "{reply}");
+    let metrics = router.metrics();
+    assert_eq!((metrics.forwarded_total, metrics.failovers_total), (1, 0));
+    for server in &servers {
+        let addr = server.local_addr();
+        let (status, reply) = http_request(&addr, "POST", &path, Some(&infer_body(None))).unwrap();
+        assert_eq!(status, 200, "{reply}");
+    }
+    router.stop();
+    front.stop();
+    for server in servers {
+        drain_replica(server);
+    }
+}
+
 /// The routed hop must not reintroduce the delayed-ACK stall on either of
 /// its sockets (front door and replica pool): 40 ms per leg when a message
 /// leaves in pieces, ~0.3 ms healthy.
