@@ -266,8 +266,7 @@ pub fn algorithm_latency_ms(alg: ConvAlgorithm, shape: &ConvShape, device: &Devi
         ConvAlgorithm::Tvm => TvmCost.latency_ms(shape, device),
         ConvAlgorithm::Tdc => {
             let model = LatencyModel::new(device.clone());
-            Tiling::enumerate(shape, device)
-                .into_iter()
+            Tiling::candidates(shape, device)
                 .filter_map(|t| {
                     model
                         .kernel_latency(&t.kernel_launch(shape, device))

@@ -46,7 +46,7 @@ pub mod tvm_scheme;
 
 pub use cost::{ConvAlgorithm, ConvCostModel};
 pub use shapes::ConvShape;
-pub use tdc_scheme::Tiling;
+pub use tdc_scheme::{Candidates, Tiling};
 
 /// Errors produced by convolution routines.
 #[derive(Debug, Clone, PartialEq)]

@@ -95,11 +95,13 @@ impl ConvShape {
     }
 
     /// Output height `H'`.
+    #[inline]
     pub fn out_h(&self) -> usize {
         (self.h + 2 * self.pad).saturating_sub(self.r) / self.stride + 1
     }
 
     /// Output width `W'`.
+    #[inline]
     pub fn out_w(&self) -> usize {
         (self.w + 2 * self.pad).saturating_sub(self.s) / self.stride + 1
     }

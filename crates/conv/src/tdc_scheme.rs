@@ -20,7 +20,7 @@ use crate::layout::{check_input_hwc, pad_hwc};
 use crate::shapes::ConvShape;
 use crate::{ConvError, Result};
 use serde::{Deserialize, Serialize};
-use tdc_gpu_sim::{DeviceSpec, KernelLaunch};
+use tdc_gpu_sim::{BlockResources, DeviceSpec, KernelLaunch};
 use tdc_tensor::Tensor;
 
 /// Tile sizes `(TH, TW, TC)` of the TDC core-convolution kernel.
@@ -67,6 +67,7 @@ impl Tiling {
 
     /// Number of thread blocks this tiling produces for a shape:
     /// `⌈H'/TH⌉ · ⌈W'/TW⌉ · ⌈C/TC⌉`.
+    #[inline]
     pub fn grid_blocks(&self, shape: &ConvShape) -> usize {
         shape.out_h().div_ceil(self.th)
             * shape.out_w().div_ceil(self.tw)
@@ -75,18 +76,21 @@ impl Tiling {
 
     /// Shared-memory bytes one block needs: the input cube
     /// `(TH+R−1)·(TW+S−1)·TC` in fp32.
+    #[inline]
     pub fn shared_mem_bytes(&self, shape: &ConvShape) -> usize {
         (self.th + shape.r - 1) * (self.tw + shape.s - 1) * self.tc * 4
     }
 
     /// Register estimate per thread: the `TH×TW` accumulator patch plus the
     /// `R×S` staged weights plus bookkeeping.
+    #[inline]
     pub fn regs_per_thread(&self, shape: &ConvShape) -> usize {
         self.th * self.tw + shape.r * shape.s + 24
     }
 
     /// FLOPs one block performs (paper Section 5.3):
     /// `2 · (TH+R−1) · (TW+S−1) · TC · N · R · S`.
+    #[inline]
     pub fn flops_per_block(&self, shape: &ConvShape) -> f64 {
         2.0 * (self.th + shape.r - 1) as f64
             * (self.tw + shape.s - 1) as f64
@@ -112,6 +116,18 @@ impl Tiling {
         (input, kernel, output)
     }
 
+    /// What one block asks of an SM: one thread per output channel, the
+    /// staged input cube, and the register estimate capped at the 255 a
+    /// thread can address.
+    #[inline]
+    pub fn block_resources(&self, shape: &ConvShape) -> BlockResources {
+        BlockResources {
+            threads: shape.n,
+            shared_mem: self.shared_mem_bytes(shape),
+            regs_per_thread: self.regs_per_thread(shape).min(255),
+        }
+    }
+
     /// Build the kernel-launch descriptor for this tiling on a device.
     pub fn kernel_launch(&self, shape: &ConvShape, device: &DeviceSpec) -> KernelLaunch {
         let (inp, ker, out) = self.traffic_bytes(shape);
@@ -122,9 +138,10 @@ impl Tiling {
         let useful = (self.th * self.tw) as f64;
         let divergence = (1.0 - useful / window) * 0.5;
         let _ = device;
-        KernelLaunch::new("tdc_core_conv", self.grid_blocks(shape), shape.n)
-            .with_shared_mem(self.shared_mem_bytes(shape))
-            .with_regs(self.regs_per_thread(shape).min(255))
+        let block = self.block_resources(shape);
+        KernelLaunch::new("tdc_core_conv", self.grid_blocks(shape), block.threads)
+            .with_shared_mem(block.shared_mem)
+            .with_regs(block.regs_per_thread)
             .with_flops_per_block(self.flops_per_block(shape))
             .with_global_traffic(inp + ker, out)
             .with_syncs(1)
@@ -132,9 +149,12 @@ impl Tiling {
     }
 
     /// Whether this tiling can be launched at all on the device (thread count,
-    /// shared memory, registers within limits).
+    /// shared memory, registers within limits). Allocates nothing unless the
+    /// tile exceeds the shape. A tile within the shape never makes an empty
+    /// grid, and its divergence is always in range, so the per-block check is
+    /// all that [`KernelLaunch::validate`] would add.
     pub fn is_launchable(&self, shape: &ConvShape, device: &DeviceSpec) -> bool {
-        self.validate(shape).is_ok() && self.kernel_launch(shape, device).validate(device).is_ok()
+        self.validate(shape).is_ok() && self.block_resources(shape).check(device).is_ok()
     }
 
     /// Candidate tile values used by both the oracle (exhaustive) and the
@@ -159,23 +179,67 @@ impl Tiling {
         vals
     }
 
-    /// Enumerate every candidate tiling for a shape that can launch on the device.
-    pub fn enumerate(shape: &ConvShape, device: &DeviceSpec) -> Vec<Tiling> {
-        let ths = Self::candidate_values(shape.out_h());
-        let tws = Self::candidate_values(shape.out_w());
-        let tcs = Self::candidate_values(shape.c);
-        let mut out = Vec::new();
-        for &th in &ths {
-            for &tw in &tws {
-                for &tc in &tcs {
-                    let t = Tiling::new(th, tw, tc);
-                    if t.is_launchable(shape, device) {
-                        out.push(t);
-                    }
+    /// Every candidate tiling of a shape that can launch on the device, one
+    /// at a time: `TH` outermost, then `TW`, then `TC`, each in
+    /// [`Tiling::candidate_values`] order.
+    pub fn candidates<'a>(shape: &ConvShape, device: &'a DeviceSpec) -> Candidates<'a> {
+        Candidates {
+            shape: *shape,
+            device,
+            ths: Self::candidate_values(shape.out_h()),
+            tws: Self::candidate_values(shape.out_w()),
+            tcs: Self::candidate_values(shape.c),
+            at: [0; 3],
+        }
+    }
+}
+
+/// The launchable tilings of one shape, walked without collecting them (see
+/// [`Tiling::candidates`]).
+#[derive(Debug, Clone)]
+pub struct Candidates<'a> {
+    shape: ConvShape,
+    device: &'a DeviceSpec,
+    ths: Vec<usize>,
+    tws: Vec<usize>,
+    tcs: Vec<usize>,
+    /// Positions in `ths`, `tws` and `tcs` of the next triple to try.
+    at: [usize; 3],
+}
+
+impl Candidates<'_> {
+    /// Number of `(TH, TW, TC)` triples the walk tries, launchable or not:
+    /// an upper bound on how many tilings it yields.
+    pub fn triples(&self) -> usize {
+        self.ths.len() * self.tws.len() * self.tcs.len()
+    }
+}
+
+impl Iterator for Candidates<'_> {
+    type Item = Tiling;
+
+    fn next(&mut self) -> Option<Tiling> {
+        if self.tws.is_empty() || self.tcs.is_empty() {
+            return None;
+        }
+        while let Some(&th) = self.ths.get(self.at[0]) {
+            let t = Tiling::new(th, self.tws[self.at[1]], self.tcs[self.at[2]]);
+            self.at[2] += 1;
+            if self.at[2] == self.tcs.len() {
+                self.at[2] = 0;
+                self.at[1] += 1;
+                if self.at[1] == self.tws.len() {
+                    self.at[1] = 0;
+                    self.at[0] += 1;
                 }
             }
+            // Candidate values never exceed their dimension, so the tile
+            // always fits the shape and only the per-block limits can fail.
+            if t.block_resources(&self.shape).check(self.device).is_ok() {
+                return Some(t);
+            }
         }
-        out
+        None
     }
 }
 
@@ -395,10 +459,40 @@ mod tests {
     fn candidate_enumeration_is_bounded_and_launchable() {
         let shape = ConvShape::same3x3(64, 32, 28, 28);
         let dev = DeviceSpec::a100();
-        let all = Tiling::enumerate(&shape, &dev);
+        let walk = Tiling::candidates(&shape, &dev);
+        assert_eq!(walk.triples(), 28 * 28 * 33);
+        let all: Vec<Tiling> = walk.collect();
         assert!(!all.is_empty());
         assert!(all.len() < 40_000);
         assert!(all.iter().all(|t| t.is_launchable(&shape, &dev)));
+    }
+
+    #[test]
+    fn candidates_are_the_launchable_triples_in_order() {
+        let dev = DeviceSpec::rtx2080ti();
+        for shape in [
+            ConvShape::same3x3(64, 32, 28, 28),
+            ConvShape::same3x3(48, 1024, 14, 14),
+            ConvShape::new(0, 0, 8, 8, 3, 3, 1, 1),
+        ] {
+            let mut expected = Vec::new();
+            for th in Tiling::candidate_values(shape.out_h()) {
+                for tw in Tiling::candidate_values(shape.out_w()) {
+                    for tc in Tiling::candidate_values(shape.c) {
+                        let t = Tiling::new(th, tw, tc);
+                        // The launch descriptor's own validation is the
+                        // reference for the allocation-free check.
+                        if t.validate(&shape).is_ok()
+                            && t.kernel_launch(&shape, &dev).validate(&dev).is_ok()
+                        {
+                            expected.push(t);
+                        }
+                    }
+                }
+            }
+            let walked: Vec<Tiling> = Tiling::candidates(&shape, &dev).collect();
+            assert_eq!(walked, expected, "{shape}");
+        }
     }
 
     #[test]

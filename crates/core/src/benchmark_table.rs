@@ -86,10 +86,7 @@ impl LayerPerfTable {
         strategy: TilingStrategy,
         step: usize,
     ) -> Result<Self> {
-        let (_, original_ms) = (
-            best_cudnn_latency_ms(shape, device).0,
-            best_cudnn_latency_ms(shape, device).1,
-        );
+        let (_, original_ms) = best_cudnn_latency_ms(shape, device);
         let mut entries = Vec::new();
         for rank in rank_candidates_with_step(shape, step) {
             let (tucker_ms, core_ms, tiling) =

@@ -6,23 +6,37 @@
 //! per-thread issue limits at low occupancy), this module deliberately stays
 //! with the paper's formulas so the selection procedure is reproduced as
 //! published.
+//!
+//! The one quantity the paper leaves to the hardware, occupancy, is not
+//! re-derived here: [`estimated_occupancy`] (and through it
+//! [`comp_latency_ms`]) asks the simulator's
+//! [`tdc_gpu_sim::occupancy::block_occupancy`], the same function behind
+//! [`tdc_gpu_sim::KernelLaunch::validate`] and
+//! [`tdc_gpu_sim::occupancy::occupancy`], so the model and the simulator
+//! cannot disagree on which tilings launch or how many blocks an SM holds.
+//! The compute-side functions are `#[inline]` because the tiling search
+//! scores every candidate through [`comp_latency_ms`]; inlined, the repeated
+//! block count is computed once per candidate.
 
 use tdc_conv::{ConvShape, Tiling};
-use tdc_gpu_sim::occupancy::occupancy;
+use tdc_gpu_sim::occupancy::block_occupancy;
 use tdc_gpu_sim::DeviceSpec;
 
 /// Number of thread blocks: `⌈H/TH⌉ · ⌈W/TW⌉ · ⌈C/TC⌉` (Section 5.3).
+#[inline]
 pub fn num_blocks(shape: &ConvShape, tiling: &Tiling) -> usize {
     tiling.grid_blocks(shape)
 }
 
 /// Total threads: one per output channel per block.
+#[inline]
 pub fn num_threads(shape: &ConvShape, tiling: &Tiling) -> usize {
     num_blocks(shape, tiling) * shape.n
 }
 
 /// FLOPs of one thread block (Section 5.3):
 /// `2 · (TH+R−1) · (TW+S−1) · TC · N · R · S`.
+#[inline]
 pub fn flops_per_block(shape: &ConvShape, tiling: &Tiling) -> f64 {
     tiling.flops_per_block(shape)
 }
@@ -30,6 +44,7 @@ pub fn flops_per_block(shape: &ConvShape, tiling: &Tiling) -> f64 {
 /// Per-block compute latency in milliseconds, exactly the paper's formula
 /// `comp_latency_blk = 2·(TH+R−1)·(TW+S−1)·TC·GPU_ths·R·S / GPU_peak`
 /// (the per-block FLOPs divided by the block's `N / GPU_ths` share of peak).
+#[inline]
 pub fn comp_latency_blk_ms(shape: &ConvShape, tiling: &Tiling, device: &DeviceSpec) -> f64 {
     let blk_peak = device.peak_flops() * shape.n as f64 / device.total_threads() as f64;
     flops_per_block(shape, tiling) / blk_peak * 1e3
@@ -37,9 +52,18 @@ pub fn comp_latency_blk_ms(shape: &ConvShape, tiling: &Tiling, device: &DeviceSp
 
 /// Occupancy of the kernel as estimated from the tiling's shared-memory,
 /// register and thread requirements (the paper queries NVCC; we compute the
-/// same bound analytically).
+/// same bound analytically). The figure comes from
+/// [`tdc_gpu_sim::occupancy::block_occupancy`], the simulator's own
+/// per-block limits and occupancy formula, fed the tiling's
+/// [`Tiling::block_resources`]: no launch descriptor is built and nothing is
+/// allocated. A tiling that breaks a per-block limit, or a shape with an empty
+/// grid, has occupancy 0.
+#[inline]
 pub fn estimated_occupancy(shape: &ConvShape, tiling: &Tiling, device: &DeviceSpec) -> f64 {
-    match occupancy(device, &tiling.kernel_launch(shape, device)) {
+    if num_blocks(shape, tiling) == 0 {
+        return 0.0;
+    }
+    match block_occupancy(device, &tiling.block_resources(shape)) {
         Ok(o) => o.occupancy,
         Err(_) => 0.0,
     }
@@ -47,6 +71,7 @@ pub fn estimated_occupancy(shape: &ConvShape, tiling: &Tiling, device: &DeviceSp
 
 /// Number of GPU waves (Eq. 14):
 /// `⌈ Num_ths / (GPU_ths · occupancy) ⌉`.
+#[inline]
 pub fn comp_waves(shape: &ConvShape, tiling: &Tiling, device: &DeviceSpec) -> usize {
     let occ = estimated_occupancy(shape, tiling, device);
     if occ <= 0.0 {
@@ -57,6 +82,7 @@ pub fn comp_waves(shape: &ConvShape, tiling: &Tiling, device: &DeviceSpec) -> us
 }
 
 /// Total compute latency (Eq. 15): `comp_waves · comp_latency_blk`.
+#[inline]
 pub fn comp_latency_ms(shape: &ConvShape, tiling: &Tiling, device: &DeviceSpec) -> f64 {
     let waves = comp_waves(shape, tiling, device);
     if waves == usize::MAX {
@@ -199,5 +225,8 @@ mod tests {
         let t = Tiling::new(56, 56, 512);
         assert_eq!(comp_waves(&s, &t, &dev), usize::MAX);
         assert!(comp_latency_ms(&s, &t, &dev).is_infinite());
+        // Neither can a shape with no input channels, whose grid is empty.
+        let empty = ConvShape::new(0, 8, 8, 8, 3, 3, 1, 1);
+        assert!(comp_latency_ms(&empty, &Tiling::new(1, 1, 1), &dev).is_infinite());
     }
 }

@@ -94,11 +94,13 @@ impl DeviceSpec {
 
     /// Total resident threads the whole device can hold
     /// (`GPU_ths` in the paper's Eq. 14).
+    #[inline]
     pub fn total_threads(&self) -> usize {
         self.sm_count * self.max_threads_per_sm
     }
 
     /// Peak FLOP/s of the whole device, as f64 FLOPs per second.
+    #[inline]
     pub fn peak_flops(&self) -> f64 {
         self.peak_fp32_gflops * 1e9
     }

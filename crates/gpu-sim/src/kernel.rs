@@ -11,6 +11,56 @@ use crate::device::DeviceSpec;
 use crate::{Result, SimError};
 use serde::{Deserialize, Serialize};
 
+/// The resources one thread block asks of an SM: everything that decides
+/// whether a block can launch at all and how many blocks an SM holds at once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockResources {
+    /// Threads per block.
+    pub threads: usize,
+    /// Shared memory per block, in bytes.
+    pub shared_mem: usize,
+    /// Registers per thread.
+    pub regs_per_thread: usize,
+}
+
+/// The per-block hardware limit a block breaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlockLimit {
+    /// The block has no threads.
+    NoThreads,
+    /// More threads than one block may have.
+    Threads,
+    /// More shared memory than one block may request.
+    SharedMemory,
+    /// More registers than one SM holds.
+    Registers,
+}
+
+impl BlockResources {
+    /// Registers the whole block needs.
+    #[inline]
+    pub fn regs_per_block(&self) -> usize {
+        self.regs_per_thread * self.threads
+    }
+
+    /// Check the block against the device's per-block limits. Allocates
+    /// nothing, so a search can call it once per candidate.
+    #[inline]
+    pub fn check(&self, device: &DeviceSpec) -> std::result::Result<(), BlockLimit> {
+        if self.threads == 0 {
+            Err(BlockLimit::NoThreads)
+        } else if self.threads > device.max_threads_per_block {
+            Err(BlockLimit::Threads)
+        } else if self.shared_mem > device.shared_mem_per_block {
+            Err(BlockLimit::SharedMemory)
+        } else if self.regs_per_block() > device.registers_per_sm {
+            Err(BlockLimit::Registers)
+        } else {
+            Ok(())
+        }
+    }
+}
+
 /// A single kernel launch, described analytically.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelLaunch {
@@ -136,6 +186,15 @@ impl KernelLaunch {
         }
     }
 
+    /// What one block of this launch asks of an SM.
+    pub fn block_resources(&self) -> BlockResources {
+        BlockResources {
+            threads: self.threads_per_block,
+            shared_mem: self.shared_mem_per_block,
+            regs_per_thread: self.regs_per_thread,
+        }
+    }
+
     /// Validate this launch against a device's hard limits.
     pub fn validate(&self, device: &DeviceSpec) -> Result<()> {
         if self.grid_blocks == 0 {
@@ -143,35 +202,26 @@ impl KernelLaunch {
                 reason: format!("{}: zero blocks", self.name),
             });
         }
-        if self.threads_per_block == 0 {
-            return Err(SimError::InvalidLaunch {
-                reason: format!("{}: zero threads per block", self.name),
-            });
-        }
-        if self.threads_per_block > device.max_threads_per_block {
-            return Err(SimError::InvalidLaunch {
-                reason: format!(
+        let block = self.block_resources();
+        if let Err(limit) = block.check(device) {
+            let reason = match limit {
+                BlockLimit::NoThreads => format!("{}: zero threads per block", self.name),
+                BlockLimit::Threads => format!(
                     "{}: {} threads per block exceeds device limit {}",
                     self.name, self.threads_per_block, device.max_threads_per_block
                 ),
-            });
-        }
-        if self.shared_mem_per_block > device.shared_mem_per_block {
-            return Err(SimError::InvalidLaunch {
-                reason: format!(
+                BlockLimit::SharedMemory => format!(
                     "{}: {} B shared memory per block exceeds device limit {} B",
                     self.name, self.shared_mem_per_block, device.shared_mem_per_block
                 ),
-            });
-        }
-        let regs_per_block = self.regs_per_thread * self.threads_per_block;
-        if regs_per_block > device.registers_per_sm {
-            return Err(SimError::InvalidLaunch {
-                reason: format!(
+                BlockLimit::Registers => format!(
                     "{}: {} registers per block exceeds the {} available per SM",
-                    self.name, regs_per_block, device.registers_per_sm
+                    self.name,
+                    block.regs_per_block(),
+                    device.registers_per_sm
                 ),
-            });
+            };
+            return Err(SimError::InvalidLaunch { reason });
         }
         if !(0.0..1.0).contains(&self.divergence_waste) {
             return Err(SimError::InvalidLaunch {

@@ -36,7 +36,7 @@ pub mod occupancy;
 
 pub use device::DeviceSpec;
 pub use engine::{ExecStats, SequenceStats, WaveEngine};
-pub use kernel::KernelLaunch;
+pub use kernel::{BlockLimit, BlockResources, KernelLaunch};
 pub use latency::{LatencyBreakdown, LatencyModel};
 pub use occupancy::OccupancyResult;
 

@@ -9,7 +9,7 @@
 //! occupancy is the resulting resident-thread fraction.
 
 use crate::device::DeviceSpec;
-use crate::kernel::KernelLaunch;
+use crate::kernel::{BlockLimit, BlockResources, KernelLaunch};
 use crate::Result;
 use serde::{Deserialize, Serialize};
 
@@ -47,21 +47,33 @@ pub struct OccupancyResult {
 /// exceeds a per-block hardware limit).
 pub fn occupancy(device: &DeviceSpec, kernel: &KernelLaunch) -> Result<OccupancyResult> {
     kernel.validate(device)?;
+    Ok(block_occupancy(device, &kernel.block_resources())
+        .expect("a validated launch is within every per-block limit"))
+}
+
+/// Occupancy of blocks asking `block` of each SM, or the per-block limit they
+/// break. The grid size plays no part, and nothing is allocated: the tiling
+/// search scores every candidate through this one function.
+#[inline]
+pub fn block_occupancy(
+    device: &DeviceSpec,
+    block: &BlockResources,
+) -> std::result::Result<OccupancyResult, BlockLimit> {
+    block.check(device)?;
 
     // Limit 1: resident threads.
-    let by_threads = device.max_threads_per_sm / kernel.threads_per_block;
+    let by_threads = device.max_threads_per_sm / block.threads;
 
     // Limit 2: shared memory. A kernel using no shared memory is unconstrained.
     let by_smem = device
         .shared_mem_per_sm
-        .checked_div(kernel.shared_mem_per_block)
+        .checked_div(block.shared_mem)
         .unwrap_or(usize::MAX);
 
     // Limit 3: registers.
-    let regs_per_block = kernel.regs_per_thread * kernel.threads_per_block;
     let by_regs = device
         .registers_per_sm
-        .checked_div(regs_per_block)
+        .checked_div(block.regs_per_block())
         .unwrap_or(usize::MAX);
 
     // Limit 4: hardware block slots.
@@ -81,8 +93,7 @@ pub fn occupancy(device: &DeviceSpec, kernel: &KernelLaunch) -> Result<Occupancy
         LimitingResource::BlockSlots
     };
 
-    let active_threads_per_sm =
-        (blocks_per_sm * kernel.threads_per_block).min(device.max_threads_per_sm);
+    let active_threads_per_sm = (blocks_per_sm * block.threads).min(device.max_threads_per_sm);
     let occupancy = active_threads_per_sm as f64 / device.max_threads_per_sm as f64;
     let blocks_per_wave = blocks_per_sm * device.sm_count;
 
@@ -178,6 +189,36 @@ mod tests {
             .with_regs(32);
         let occ = occupancy(&dev, &k).unwrap();
         assert_eq!(occ.blocks_per_sm, 1);
+    }
+
+    #[test]
+    fn block_occupancy_is_the_launch_occupancy_and_names_the_broken_limit() {
+        let dev = DeviceSpec::rtx2080ti();
+        for k in [
+            KernelLaunch::new("k", 100, 128).with_shared_mem(8 * 1024),
+            KernelLaunch::new("k", 7, 1024).with_regs(64),
+            KernelLaunch::new("k", 1, 33).with_shared_mem(40 * 1024),
+        ] {
+            assert_eq!(
+                block_occupancy(&dev, &k.block_resources()),
+                Ok(occupancy(&dev, &k).unwrap())
+            );
+        }
+        for (k, limit) in [
+            (KernelLaunch::new("k", 1, 0), BlockLimit::NoThreads),
+            (KernelLaunch::new("k", 1, 2048), BlockLimit::Threads),
+            (
+                KernelLaunch::new("k", 1, 64).with_shared_mem(1 << 20),
+                BlockLimit::SharedMemory,
+            ),
+            (
+                KernelLaunch::new("k", 1, 1024).with_regs(255),
+                BlockLimit::Registers,
+            ),
+        ] {
+            assert_eq!(block_occupancy(&dev, &k.block_resources()), Err(limit));
+            assert!(occupancy(&dev, &k).is_err());
+        }
     }
 
     #[test]
