@@ -107,8 +107,15 @@ impl ConvShape {
     }
 
     /// Whether the shape is a runnable convolution: every extent and the
-    /// stride positive, and the padded input at least as large as the filter.
+    /// stride positive, and the padded input representable and at least as
+    /// large as the filter. A valid shape's [`out_h`](Self::out_h) and
+    /// [`out_w`](Self::out_w) cannot overflow.
     pub fn is_valid(&self) -> bool {
+        let padded = |extent: usize| {
+            self.pad
+                .checked_mul(2)
+                .and_then(|both| both.checked_add(extent))
+        };
         self.c > 0
             && self.n > 0
             && self.h > 0
@@ -116,8 +123,8 @@ impl ConvShape {
             && self.r > 0
             && self.s > 0
             && self.stride > 0
-            && self.h + 2 * self.pad >= self.r
-            && self.w + 2 * self.pad >= self.s
+            && padded(self.h).is_some_and(|h| h >= self.r)
+            && padded(self.w).is_some_and(|w| w >= self.s)
     }
 
     /// Number of multiply-accumulate FLOPs (counting one MAC as 2 FLOPs):

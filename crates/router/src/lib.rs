@@ -25,21 +25,18 @@
 //!   applied rolling — one replica at a time — so serving capacity never
 //!   drops below N−1; `GET /v1/controller` aggregates every replica's own
 //!   controller status block into one [`FleetReply`].
-//! * [`testkit`] — shared fleet test support: in-process replica fleets
-//!   (`bind_replica` / `bind_fleet` / `drain_replica`), self-spawned
-//!   `serve_http` child replicas (`spawn_replica` / `shutdown_replica`),
-//!   keep-alive hammer clients and metrics polling. Used by the crate's
-//!   integration tests, the `router --smoke` self-test and the `tdc-lab`
-//!   chaos harness.
+//! * [`testkit`] — shared fleet support: in-process replica fleets
+//!   (`bind_replica` / `bind_fleet` / `drain_replica`), spawned
+//!   `serve_http` children (`spawn_replica` / `shutdown_replica`) and
+//!   keep-alive hammer clients, for the `tdc-lab` chaos harness,
+//!   `tests/router.rs` and the `router` binary's `--spawn`.
 //!
 //! ## Bins
 //!
 //! * `router` — the router process: `--replicas a:p,b:p` to front existing
 //!   replicas, `--spawn N` to self-spawn `serve_http` children on
-//!   ephemeral ports (one-command local fleet), `--smoke` for the
-//!   end-to-end self-test CI runs (fleet register → routed inference
-//!   bit-identical to a direct engine call → kill one replica under load
-//!   with zero client-visible failures → rolling replan under fire).
+//!   ephemeral ports (one-command local fleet); `tests/daemon.rs` drives
+//!   it end to end.
 
 pub mod replica;
 pub mod router;

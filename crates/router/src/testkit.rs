@@ -1,12 +1,10 @@
 //! Shared test support for fleet topologies.
 //!
 //! Spawning a replica fleet, draining it deterministically and hammering it
-//! over keep-alive connections used to be re-implemented by every consumer
-//! (the crate's integration tests, the `router --smoke` self-test, the
-//! serving benchmark's fleet phase). This module is the one copy. It ships
-//! in the library proper — not behind `cfg(test)` — because the `router`
-//! binary's smoke mode and the `tdc-lab` chaos harness link against it from
-//! outside the crate.
+//! over keep-alive connections is needed by the `tdc-lab` chaos harness, the
+//! workspace's `tests/router.rs` and the `router` binary's `--spawn`, all
+//! outside this crate, so this one copy ships in the library proper rather
+//! than behind `cfg(test)`.
 //!
 //! Two families of helpers:
 //!
@@ -17,7 +15,7 @@
 //!   mid-load by draining it;
 //! * **child-process fleets** — each replica is a spawned `serve_http`
 //!   process ([`spawn_replica`] / [`shutdown_replica`]): real processes with
-//!   real connection resets, the right shape for the end-to-end smoke.
+//!   real connection resets, what `router --spawn` runs.
 
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -26,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::{Router, RouterMetrics, RouterOptions, RoutingPolicy};
+use crate::{Router, RouterOptions, RoutingPolicy};
 use tdc_nn::models::ModelDescriptor;
 use tdc_serve::http::{http_request, InferBody};
 use tdc_serve::{
@@ -128,22 +126,14 @@ pub fn serve_http_bin() -> std::path::PathBuf {
     path
 }
 
-/// Spawn one `serve_http` child on an ephemeral port (or at a fixed
-/// address — how a smoke restarts a replica on its old port), parse the
-/// bound address from its startup line, and leave a thread draining the
-/// rest of its stdout so the child never blocks on a full pipe.
-pub fn spawn_replica(
-    index: usize,
-    addr: &str,
-    spill_dir: Option<&str>,
-) -> Result<ChildReplica, String> {
+/// Spawn one `serve_http` child on an ephemeral port, parse the bound
+/// address from its startup line, and leave a thread draining the rest of
+/// its stdout so the child never blocks on a full pipe.
+pub fn spawn_replica(index: usize, spill_dir: Option<&str>) -> Result<ChildReplica, String> {
     let bin = serve_http_bin();
     let mut command = Command::new(&bin);
     command
-        .arg("--addr")
-        .arg(addr)
-        .arg("--models")
-        .arg("2")
+        .args(["--addr", "127.0.0.1:0", "--models", "2"])
         .stdout(Stdio::piped())
         .stdin(Stdio::null());
     if let Some(dir) = spill_dir {
@@ -288,37 +278,4 @@ pub fn hammer(
         }
     }
     report
-}
-
-/// Fetch and parse a router front end's `GET /metrics`.
-pub fn router_metrics(addr: &SocketAddr) -> Result<RouterMetrics, String> {
-    let (status, body) =
-        http_request(addr, "GET", "/metrics", None).map_err(|e| format!("GET /metrics: {e}"))?;
-    if status != 200 {
-        return Err(format!("GET /metrics: status {status}"));
-    }
-    serde_json::from_str(&body).map_err(|e| format!("GET /metrics: bad body: {}", e.message))
-}
-
-/// Poll `predicate` over the router metrics until it holds or `wait` runs
-/// out.
-pub fn await_metrics(
-    addr: &SocketAddr,
-    wait: Duration,
-    predicate: impl Fn(&RouterMetrics) -> bool,
-) -> Result<RouterMetrics, String> {
-    let deadline = Instant::now() + wait;
-    loop {
-        let metrics = router_metrics(addr)?;
-        if predicate(&metrics) {
-            return Ok(metrics);
-        }
-        if Instant::now() >= deadline {
-            return Err(format!(
-                "metrics condition not reached within {wait:?}: {}",
-                serde_json::to_string(&metrics).unwrap_or_default()
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
 }

@@ -1289,7 +1289,7 @@ impl Drop for HttpServer {
 /// One parsed HTTP response: status, headers (lower-cased names) and body.
 pub type HttpResponseParts = (u16, Vec<(String, String)>, String);
 
-/// Minimal blocking HTTP/1.1 client for tests, smoke checks and examples:
+/// Minimal blocking HTTP/1.1 client for tests, examples and `router --spawn`:
 /// open a fresh connection, send one `Connection: close` request, read the
 /// full response, return `(status, body)`. For connection reuse, use
 /// [`HttpClient`].

@@ -27,6 +27,17 @@ use tdc_tensor::{init, Tensor};
 use tdc_tucker::tkd::tucker2;
 use tdc_tucker::TuckerConv;
 
+/// Most weights (convolution kernels plus FC matrices) a servable
+/// descriptor may hold: 2^28, 1 GiB of `f32`, about 1.9× the 138 M of
+/// VGG-16, the largest network in `tdc_nn::models`.
+pub const MAX_MODEL_WEIGHTS: usize = 1 << 28;
+
+/// Most elements one convolution's largest tensor may hold — its input, its
+/// output or its im2col column matrix (`H'·W' × C·R·S`): 2^26, 256 MiB of
+/// `f32`, about 2.3× the 28.9 M-element column matrix of VGG-16's second
+/// layer, the largest in `tdc_nn::models`.
+pub const MAX_LAYER_ELEMS: usize = 1 << 26;
+
 /// One executable layer of the compressed network.
 enum LayerExec {
     /// Kept dense: original CNRS kernel, run as im2col + GEMM. The
@@ -61,25 +72,43 @@ pub struct CompressedModel {
 impl CompressedModel {
     /// Check that `descriptor` is a network this executor can run: at least
     /// one convolution, every convolution a valid shape
-    /// ([`ConvShape::is_valid`]), each consuming the previous one's output,
-    /// and an FC chain that starts from the last convolution's channels.
+    /// ([`ConvShape::is_valid`]) whose largest tensor fits
+    /// [`MAX_LAYER_ELEMS`], each consuming the previous one's output, an FC
+    /// chain that starts from the last convolution's channels, and at most
+    /// [`MAX_MODEL_WEIGHTS`] weights in all.
     ///
     /// Engine construction runs this before planning, so a descriptor no
-    /// convolution can execute fails as [`ServeError::BadConfig`] or
-    /// [`ServeError::NotAChain`] instead of reaching the planner's
-    /// arithmetic.
+    /// convolution can execute, or one too large to materialize, fails as
+    /// [`ServeError::BadConfig`] or [`ServeError::NotAChain`] instead of
+    /// reaching the planner's arithmetic or the allocator.
     pub fn validate(descriptor: &ModelDescriptor) -> Result<()> {
+        // Saturating: an overflowing count saturates past either bound.
+        let elems = |factors: &[usize]| factors.iter().fold(1usize, |n, &f| n.saturating_mul(f));
         if descriptor.convs.is_empty() {
             return Err(ServeError::BadConfig {
                 reason: "descriptor has no convolutions".into(),
             });
         }
+        let mut weights = 0usize;
         for (i, shape) in descriptor.convs.iter().enumerate() {
             if !shape.is_valid() {
                 return Err(ServeError::BadConfig {
                     reason: format!("layer {i} is not a valid convolution: {shape}"),
                 });
             }
+            let (out_h, out_w) = (shape.out_h(), shape.out_w());
+            let largest = elems(&[shape.h, shape.w, shape.c])
+                .max(elems(&[out_h, out_w, shape.n]))
+                .max(elems(&[out_h, out_w, shape.c, shape.r, shape.s]));
+            if largest > MAX_LAYER_ELEMS {
+                return Err(ServeError::BadConfig {
+                    reason: format!(
+                        "layer {i} needs a tensor of {largest} elements, over the \
+                         {MAX_LAYER_ELEMS}-element bound: {shape}"
+                    ),
+                });
+            }
+            weights = weights.saturating_add(elems(&[shape.c, shape.n, shape.r, shape.s]));
         }
         for (i, pair) in descriptor.convs.windows(2).enumerate() {
             if pair[0].output_dims() != pair[1].input_dims() {
@@ -106,6 +135,14 @@ impl CompressedModel {
                 });
             }
             features = fc_out;
+            weights = weights.saturating_add(elems(&[fc_in, fc_out]));
+        }
+        if weights > MAX_MODEL_WEIGHTS {
+            return Err(ServeError::BadConfig {
+                reason: format!(
+                    "descriptor holds {weights} weights, over the {MAX_MODEL_WEIGHTS}-weight bound"
+                ),
+            });
         }
         Ok(())
     }
