@@ -1,7 +1,7 @@
 //! `tdc-ctrl` — an empty shim. The joint-knob SLO controller lives in
 //! `tdc-serve`: every registry tunes through
-//! [`ModelRegistry::tune`](tdc_serve::ModelRegistry::tune) and re-tunes on
-//! drift from its own watch loop. This crate stays only because the
+//! [`ModelRegistry::tune`](tdc_serve::ModelRegistry::tune) on request.
+//! This crate stays only because the
 //! stand-alone `benchmark/` package still calls [`install`]; it leaves with
 //! the next change to `benchmark/`.
 

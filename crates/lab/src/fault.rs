@@ -23,8 +23,7 @@
 //!   delegating: the replica stays *correct* but slow, which is how
 //!   brown-outs actually present. Delay faults raise measured latency
 //!   without corrupting outputs, so they exercise latency-driven
-//!   machinery (controller drift detection, probe-timeout ejection)
-//!   rather than the error paths.
+//!   machinery (probe-timeout ejection) rather than the error paths.
 //!
 //! Either way the invariant under test is the same: clients only ever
 //! see *typed* errors (or slow successes), and the engine's counters
@@ -106,7 +105,7 @@ impl FaultInjector {
     /// the next `count` batches, then disarm itself. Outputs stay
     /// bit-correct — the batch is merely late — so this is the brown-out
     /// fault: it drives measured p99 up for latency-sensitive machinery
-    /// (controller drift, slow-replica ejection) without error noise.
+    /// (slow-replica ejection) without error noise.
     pub fn arm_delays(&self, count: u32, delay: std::time::Duration) {
         self.set_mode(FaultMode::Delay(count, delay.as_millis() as u64));
     }

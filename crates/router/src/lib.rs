@@ -20,11 +20,10 @@
 //!   traffic fails over across replicas on 429/503/connect errors,
 //!   honouring `Retry-After` hints via [`backoff_decision`] and never
 //!   retrying past the request's `deadline_ms`; control-plane calls
-//!   (`PUT`/`DELETE /v1/models/{name}`, `/replan`, `/tune`,
-//!   `PUT /v1/controller`) fan out to the fleet, with replan/tune
-//!   applied rolling — one replica at a time — so serving capacity never
-//!   drops below N−1; `GET /v1/controller` aggregates every replica's own
-//!   controller status block into one [`FleetReply`].
+//!   (`PUT`/`DELETE /v1/models/{name}`, `/replan`, `/tune`) fan out to
+//!   the fleet and answer one [`FleetReply`], with replan/tune applied
+//!   rolling — one replica at a time — so serving capacity never drops
+//!   below N−1.
 //! * [`testkit`] — shared fleet support: in-process replica fleets
 //!   (`bind_replica` / `bind_fleet` / `drain_replica`), spawned
 //!   `serve_http` children (`spawn_replica` / `shutdown_replica`) and

@@ -70,7 +70,6 @@ struct Counters {
     fleet_retires: AtomicU64,
     fleet_replans: AtomicU64,
     fleet_tunes: AtomicU64,
-    fleet_controller_updates: AtomicU64,
 }
 
 struct Shared {
@@ -130,16 +129,17 @@ pub struct RouterMetrics {
     pub ejections_total: u64,
     /// Prober readmissions across the fleet.
     pub readmissions_total: u64,
-    /// Fleet-wide register fan-outs.
+    /// Fleet-wide register fan-outs that every replica accepted (the
+    /// router answered 200). A rejected or partly failed fan-out counts in
+    /// none of the four fleet counters.
     pub fleet_registers_total: u64,
-    /// Fleet-wide retire fan-outs.
+    /// Fleet-wide retire fan-outs that every replica accepted.
     pub fleet_retires_total: u64,
-    /// Rolling replan fan-outs.
+    /// Rolling replan fan-outs that every replica accepted.
     pub fleet_replans_total: u64,
-    /// Rolling controller-tune fan-outs (`POST .../tune`).
+    /// Rolling controller-tune fan-outs (`POST .../tune`) that every
+    /// replica accepted.
     pub fleet_tunes_total: u64,
-    /// Watch-loop config fan-outs (`PUT /v1/controller`).
-    pub fleet_controller_updates_total: u64,
 }
 
 /// `GET /healthz` payload of the router tier. Mirrors the replica
@@ -318,7 +318,6 @@ impl Router {
             fleet_retires_total: c.fleet_retires.load(Ordering::SeqCst),
             fleet_replans_total: c.fleet_replans.load(Ordering::SeqCst),
             fleet_tunes_total: c.fleet_tunes.load(Ordering::SeqCst),
-            fleet_controller_updates_total: c.fleet_controller_updates.load(Ordering::SeqCst),
         }
     }
 
@@ -471,7 +470,8 @@ impl Router {
     /// at the first non-200 so at most one replica is ever mid-mutation —
     /// the rolling guarantee that keeps ≥ N−1 replicas serving. Without it
     /// (register/retire) every replica is attempted so the fleet converges
-    /// even when one member is down.
+    /// even when one member is down. `counter` counts the fan-out only when
+    /// every replica answered 200.
     fn fleet_apply(
         &self,
         method: &str,
@@ -480,7 +480,6 @@ impl Router {
         stop_on_failure: bool,
         counter: &AtomicU64,
     ) -> RoutedResponse {
-        counter.fetch_add(1, Ordering::SeqCst);
         let snapshot = self.shared.replicas.load();
         let mut replies = Vec::with_capacity(snapshot.len());
         let mut overall: u16 = 200;
@@ -519,46 +518,8 @@ impl Router {
                 }
             }
         }
-        let reply = FleetReply {
-            ok: overall == 200,
-            replicas: replies,
-        };
-        RoutedResponse::json(overall, &reply)
-    }
-
-    /// Aggregate a read-only GET across the whole fleet into a
-    /// [`FleetReply`]: every replica is asked (nothing halts the walk) and
-    /// each answer rides back verbatim in its replica's row.
-    fn fleet_collect(&self, path: &str) -> RoutedResponse {
-        let snapshot = self.shared.replicas.load();
-        let mut replies = Vec::with_capacity(snapshot.len());
-        let mut overall: u16 = 200;
-        for replica in snapshot.iter() {
-            match replica.request("GET", path, None, REQUEST_TIMEOUT) {
-                Ok((status, _, reply)) => {
-                    if status != 200 && overall == 200 {
-                        overall = status;
-                    }
-                    replies.push(FleetReplicaReply {
-                        id: replica.id() as u64,
-                        addr: replica.addr().to_string(),
-                        status,
-                        body: reply,
-                    });
-                }
-                Err(error) => {
-                    replica.note_data_error();
-                    if overall == 200 {
-                        overall = 502;
-                    }
-                    replies.push(FleetReplicaReply {
-                        id: replica.id() as u64,
-                        addr: replica.addr().to_string(),
-                        status: 0,
-                        body: error_body(format!("replica unreachable: {error}")),
-                    });
-                }
-            }
+        if overall == 200 {
+            counter.fetch_add(1, Ordering::SeqCst);
         }
         let reply = FleetReply {
             ok: overall == 200,
@@ -575,18 +536,6 @@ impl HttpHandler for Router {
             ("GET", "/healthz") => RoutedResponse::json(200, &self.health()),
             ("GET", "/metrics") => RoutedResponse::json(200, &self.metrics()),
             ("GET", "/v1/models") => self.forward_read("/v1/models"),
-            // Controller status is aggregated, not proxied: the reply
-            // carries every replica's own status block so an operator sees
-            // per-replica tuning generations and drift counters side by
-            // side.
-            ("GET", "/v1/controller") => self.fleet_collect("/v1/controller"),
-            ("PUT", "/v1/controller") => self.fleet_apply(
-                method,
-                path,
-                Some(body),
-                false,
-                &counters.fleet_controller_updates,
-            ),
             ("POST", "/admin/shutdown") => {
                 self.shutdown.request();
                 RoutedResponse::json(200, &ShuttingDown::new())

@@ -111,6 +111,15 @@ fn a_spawned_fleet_registers_routes_retires_and_shuts_down_as_one() {
         let (status, reply) = http_request(replica, "GET", "/healthz", None).unwrap();
         assert_eq!(status, 200, "{reply}");
     }
+    // The rejected registers are not fleet registers.
+    let reply = router.request(200, "GET", "/metrics", None);
+    let m: RouterMetrics = serde_json::from_str(&reply).unwrap();
+    let fleet = [
+        m.fleet_registers_total,
+        m.fleet_replans_total,
+        m.fleet_retires_total,
+    ];
+    assert_eq!(fleet, [1, 1, 1], "{reply}");
 
     assert_eq!(router.shut_down(), Some(0));
     for replica in &replicas {

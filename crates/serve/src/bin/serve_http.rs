@@ -154,11 +154,6 @@ fn main() {
         flags.default_deadline,
         flags.spill_dir.as_deref(),
     ));
-    // One watch thread for the daemon's lifetime; `PUT /v1/controller`
-    // enables it. A tick upgrades its `Weak` to a strong handle, so the
-    // watch is dropped (stopped and joined) before every drain below
-    // unwraps the registry.
-    let watch = registry.watch();
     let names: Vec<String> = registry.names().iter().map(|s| s.to_string()).collect();
     let server = HttpServer::bind(&flags.addr, registry).unwrap_or_else(|e| fail(&e.to_string()));
     let addr = server.local_addr();
@@ -183,7 +178,6 @@ fn main() {
     signal.wait();
     println!("tdc-serve: shutdown requested, draining");
     let registry = server.shutdown();
-    drop(watch);
     let registry = Arc::try_unwrap(registry).unwrap_or_else(|_| panic!("registry still shared"));
     let reports = registry.shutdown();
     println!(

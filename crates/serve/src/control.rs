@@ -2,9 +2,9 @@
 //! entry and the types the SLO controller speaks.
 //!
 //! The operations themselves — hot register / retire, plan hot-swap, knob
-//! scoring, tune, the watch loop — are methods of
-//! [`ModelRegistry`], the one owner of the model table; this module holds
-//! what they are built from and what they exchange:
+//! scoring, tune — are methods of [`ModelRegistry`], the one owner of the
+//! model table; this module holds what they are built from and what they
+//! exchange:
 //!
 //! * **[`EpochSwap`]** — a small RCU-style primitive: readers take an `Arc`
 //!   snapshot of the whole routing table and never wait on writer work,
@@ -16,16 +16,15 @@
 //!   the four jointly tuned knobs, their wave-simulator score, and one
 //!   tune's parameters and outcome — plus the calibrated coordinate descent
 //!   that produces them, the body of [`ModelRegistry::tune`].
-//! * **[`ControllerConfig`] / [`ControllerStatus`] / [`MeasuredSlo`] /
-//!   [`TickReport`] / [`ControllerWatch`]** — the watch loop's live
-//!   configuration, its status snapshot, one tick's input and outcome, and
-//!   the handle that stops the loop.
+//! * **[`ControllerStatus`]** — the tune ledger's snapshot: the tune
+//!   counter plus each model's last target, expected and measured p99.
 //!
-//! Everything here is driven over HTTP by [`crate::http`]'s admin routes
-//! (`PUT`/`DELETE /v1/models/{name}`, `POST /v1/models/{name}/replan`,
-//! `POST /v1/models/{name}/tune`, `GET`/`PUT /v1/controller`) and surfaced
-//! in `GET /metrics` as the table epoch plus register/retire/replan
-//! counters and the controller status block.
+//! The controller tunes on request only: nothing re-tunes in the
+//! background. Everything here is driven over HTTP by [`crate::http`]'s
+//! admin routes (`PUT`/`DELETE /v1/models/{name}`,
+//! `POST /v1/models/{name}/replan`, `POST /v1/models/{name}/tune`) and
+//! surfaced in `GET /metrics` as the table epoch plus
+//! register/retire/replan counters and the controller status block.
 
 use crate::batcher::PendingResponse;
 use crate::registry::{ModelConfig, ModelInfo, ModelRegistry};
@@ -34,7 +33,7 @@ use crate::{Result, ServeError};
 use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 use tdc_nn::models::ModelDescriptor;
 use tdc_tensor::Tensor;
@@ -367,7 +366,7 @@ pub struct TuneReport {
     /// without measurements).
     pub calibration: f64,
     /// Calibrated p99 estimate at `after`, ms — the controller's objective
-    /// value, and what the watch loop compares live p99 against.
+    /// value.
     pub estimated_p99_ms: f64,
     /// Modelled saturated throughput at `after`, rps.
     pub estimated_throughput_rps: f64,
@@ -398,6 +397,9 @@ const MAX_FAIR_SHARE_WEIGHT: usize = 4;
 /// (a cold start, a stalled scrape) cannot catapult every estimate out of
 /// range.
 const CALIBRATION_LIMIT: f64 = 100.0;
+/// Fewest measured latency samples a model needs before its p99 calibrates
+/// the simulator, so a handful of warm-up requests cannot set the scale.
+const MIN_SAMPLES: u64 = 32;
 
 /// A scored candidate: the simulator's estimate plus the calibrated p99 the
 /// objective actually compares.
@@ -534,25 +536,24 @@ pub(crate) fn tune(
         .filter(|p99| p99.is_finite() && *p99 > 0.0);
 
     let base = registry.estimate_knobs(model, &before)?;
-    let (min_samples, recorded_target) = {
-        let ledger = registry.controller();
-        let target = ledger.models.get(model).map(|m| m.target_p99_ms);
-        (ledger.config.min_samples, target.filter(|t| *t > 0.0))
-    };
-    // Calibration anchors the simulator to the deployment. Gated on the
-    // watch loop's sample floor so a handful of warmup requests cannot set
-    // the scale.
+    let recorded_target = registry
+        .controller()
+        .models
+        .get(model)
+        .map(|m| m.target_p99_ms)
+        .filter(|t| *t > 0.0);
+    // Calibration anchors the simulator to the deployment.
     let calibration = match measured_p99_ms {
         Some(measured)
-            if metrics.total_latency.count as u64 >= min_samples && base.p99_ms > 0.0 =>
+            if metrics.total_latency.count as u64 >= MIN_SAMPLES && base.p99_ms > 0.0 =>
         {
             (measured / base.p99_ms).clamp(1.0 / CALIBRATION_LIMIT, CALIBRATION_LIMIT)
         }
         _ => 1.0,
     };
     // Without an explicit target, fall back to the ledger's recorded one (a
-    // watch-loop re-tune), then to the current calibrated operating point (a
-    // cold tune holds the line and optimizes throughput under it).
+    // re-tune), then to the current calibrated operating point (a cold tune
+    // holds the line and optimizes throughput under it).
     let target_ms = request
         .target_p99_ms
         .or(recorded_target)
@@ -619,9 +620,8 @@ pub(crate) fn tune(
         applied = true;
     }
     // The ledger records a tune only when its `after` knobs are what serves
-    // now: an expectation for knobs a dry run left unapplied would make the
-    // watch loop drift-check live p99 against a config nobody runs, and
-    // re-tune with `apply` on.
+    // now: an expectation for knobs a dry run left unapplied would describe
+    // a config nobody runs.
     let tuning_generation = {
         let mut ledger = registry.controller();
         if applied || after == before {
@@ -629,8 +629,6 @@ pub(crate) fn tune(
             let state = ledger.models.entry(model.to_string()).or_default();
             state.tuning_generation += 1;
             state.target_p99_ms = target_ms;
-            // The calibrated estimate at the winning knobs is what the watch
-            // loop drift-checks live p99 against.
             state.expected_p99_ms = incumbent.calibrated_p99_ms;
             if let Some(measured) = measured_p99_ms {
                 state.last_measured_p99_ms = measured;
@@ -657,87 +655,7 @@ pub(crate) fn tune(
     })
 }
 
-/// Watch-loop configuration, read live by the background thread on every
-/// tick (a `PUT /v1/controller` takes effect without a restart).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ControllerConfig {
-    /// Whether the watch loop acts on its ticks. A disabled loop still
-    /// sleeps and polls the config, so enabling is instant.
-    pub enabled: bool,
-    /// Milliseconds between watch ticks.
-    pub interval_ms: u64,
-    /// Re-tune when `|measured_p99 − expected_p99| / expected_p99` exceeds
-    /// this band.
-    pub drift_band_frac: f64,
-    /// Ignore models with fewer recorded latency samples than this — a
-    /// freshly swapped engine must first serve enough traffic for its p99
-    /// to mean anything.
-    pub min_samples: u64,
-}
-
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            enabled: false,
-            interval_ms: 1000,
-            drift_band_frac: 0.5,
-            min_samples: 32,
-        }
-    }
-}
-
-impl ControllerConfig {
-    /// Reject non-actionable values before they reach the watch loop.
-    pub fn validate(&self) -> Result<()> {
-        if self.interval_ms == 0 {
-            return Err(ServeError::BadConfig {
-                reason: "controller interval_ms must be positive".into(),
-            });
-        }
-        if !self.drift_band_frac.is_finite() || self.drift_band_frac <= 0.0 {
-            return Err(ServeError::BadConfig {
-                reason: "controller drift_band_frac must be finite and positive".into(),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// One model's live measurement, as fed into a controller tick — scraped
-/// from the engine's own metrics on real ticks, scripted in tests.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct MeasuredSlo {
-    /// Measured p99 end-to-end latency, ms.
-    pub p99_ms: f64,
-    /// Latency samples behind the percentile.
-    pub samples: u64,
-}
-
-impl MeasuredSlo {
-    /// Extract the controller's view from an engine metrics snapshot.
-    pub fn of(metrics: &crate::metrics::ServeMetrics) -> Self {
-        MeasuredSlo {
-            p99_ms: metrics.total_latency.p99_ms,
-            samples: metrics.total_latency.count as u64,
-        }
-    }
-}
-
-/// What one controller tick did — returned to tests and the watch loop.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct TickReport {
-    /// Models whose measurements were examined (enough samples + a tuned
-    /// baseline to compare against).
-    pub examined: u64,
-    /// Models whose measured p99 left the drift band this tick.
-    pub drifted: Vec<String>,
-    /// Models the tick re-tuned (a drifted model whose re-tune fails keeps
-    /// only the drift record).
-    pub retuned: Vec<String>,
-}
-
-/// Per-model controller state, as surfaced in `GET /v1/controller` and
-/// `/metrics`.
+/// Per-model controller state, as surfaced in `/metrics`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ModelControllerStatus {
     /// Routed model name.
@@ -746,32 +664,21 @@ pub struct ModelControllerStatus {
     pub tuning_generation: u64,
     /// The SLO the last tune targeted, ms (0 before the first tune).
     pub target_p99_ms: f64,
-    /// The controller's calibrated p99 estimate for the serving config, ms
-    /// — what live p99 is drift-checked against.
+    /// The last tune's calibrated p99 estimate for the serving config, ms.
     pub expected_p99_ms: f64,
-    /// The measured p99 most recently seen by a tick or tune, ms.
+    /// The measured p99 the last tune calibrated against, ms.
     pub last_measured_p99_ms: f64,
-    /// Drift-band violations recorded for this model.
-    pub drift_events: u64,
     /// Deadline-aware early batch releases on the model's current engine.
     pub early_releases: u64,
     /// The knob values the model currently serves with.
     pub knobs: KnobSet,
 }
 
-/// Controller status snapshot: watch-loop config plus per-model state.
+/// Controller status snapshot: the tune counter plus per-model state.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ControllerStatus {
-    /// The live watch-loop configuration.
-    pub config: ControllerConfig,
-    /// Number of running watch threads (0 or 1 in practice).
-    pub watchers: u64,
-    /// Watch ticks executed over the process lifetime.
-    pub ticks_total: u64,
     /// Controller tunes recorded over the process lifetime.
     pub tunes_total: u64,
-    /// Drift-band violations recorded over the process lifetime.
-    pub drift_events_total: u64,
     /// Per-model controller state, in name order.
     pub models: Vec<ModelControllerStatus>,
 }
@@ -783,51 +690,14 @@ pub(crate) struct ModelControlState {
     pub(crate) target_p99_ms: f64,
     pub(crate) expected_p99_ms: f64,
     pub(crate) last_measured_p99_ms: f64,
-    pub(crate) drift_events: u64,
 }
 
-/// The controller's bookkeeping: watch config, per-model tune state and the
-/// lifetime tick / tune / drift counters, behind the registry's one
-/// controller lock.
+/// The controller's bookkeeping: per-model tune state and the lifetime tune
+/// counter, behind the registry's one controller lock.
 #[derive(Default)]
 pub(crate) struct ControllerLedger {
-    pub(crate) config: ControllerConfig,
     pub(crate) models: BTreeMap<String, ModelControlState>,
-    pub(crate) ticks_total: u64,
     pub(crate) tunes_total: u64,
-    pub(crate) drift_events_total: u64,
-}
-
-/// Handle to a running [`ModelRegistry::watch`] thread. Dropping it (or
-/// calling [`ControllerWatch::stop`]) signals the loop and joins the thread,
-/// so the watch can never outlive its owner's scope.
-pub struct ControllerWatch {
-    pub(crate) stop: Arc<(Mutex<bool>, Condvar)>,
-    pub(crate) thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ControllerWatch {
-    /// Signal the loop to exit and join its thread. Idempotent.
-    pub fn stop(&mut self) {
-        {
-            let (lock, cvar) = &*self.stop;
-            let mut stopped = match lock.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            *stopped = true;
-            cvar.notify_all();
-        }
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for ControllerWatch {
-    fn drop(&mut self) {
-        self.stop();
-    }
 }
 
 #[cfg(test)]

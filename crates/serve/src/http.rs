@@ -40,8 +40,6 @@
 //! | `DELETE` | `/v1/models/{name}`           | graceful retire: unroute, drain, free — final counters |
 //! | `POST`   | `/v1/models/{name}/replan`    | re-plan at a new budget and hot-swap ([`ReplanReport`](crate::control::ReplanReport)) |
 //! | `POST`   | `/v1/models/{name}/tune`      | joint knob tune through the controller ([`TuneReport`](crate::control::TuneReport)) |
-//! | `GET`    | `/v1/controller`              | controller status ([`ControllerStatus`](crate::control::ControllerStatus)) |
-//! | `PUT`    | `/v1/controller`              | merge a partial [`ControllerBody`] onto the watch-loop config |
 //!
 //! The infer body comes in two forms:
 //!
@@ -75,7 +73,7 @@
 
 use crate::arena::BufferPool;
 use crate::batcher::InferenceResponse;
-use crate::control::{ControllerConfig, TuneRequest};
+use crate::control::TuneRequest;
 use crate::options::{BatchingOptions, PlanningOptions, RuntimeOptions};
 use crate::registry::{ModelConfig, ModelRegistry};
 use crate::wire::{Broken, Connection};
@@ -302,45 +300,6 @@ impl TuneBody {
             apply: self.apply.unwrap_or(defaults.apply),
             max_rounds: self.max_rounds.unwrap_or(defaults.max_rounds),
         }
-    }
-}
-
-/// JSON body of `PUT /v1/controller`: a partial [`ControllerConfig`] —
-/// present fields override the live config, absent ones keep their current
-/// values, so `{"enabled": true}` flips the watch loop on without
-/// re-stating the interval or band.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ControllerBody {
-    /// Whether the watch loop acts on its ticks.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub enabled: Option<bool>,
-    /// Milliseconds between watch ticks.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub interval_ms: Option<u64>,
-    /// Re-tune when measured p99 drifts beyond this fraction of expected.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub drift_band_frac: Option<f64>,
-    /// Minimum latency samples before a model's p99 is drift-checked.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub min_samples: Option<u64>,
-}
-
-impl ControllerBody {
-    /// The live config with this body's present fields overridden.
-    pub fn merged_onto(&self, mut config: ControllerConfig) -> ControllerConfig {
-        if let Some(enabled) = self.enabled {
-            config.enabled = enabled;
-        }
-        if let Some(interval_ms) = self.interval_ms {
-            config.interval_ms = interval_ms;
-        }
-        if let Some(drift_band_frac) = self.drift_band_frac {
-            config.drift_band_frac = drift_band_frac;
-        }
-        if let Some(min_samples) = self.min_samples {
-            config.min_samples = min_samples;
-        }
-        config
     }
 }
 
@@ -974,24 +933,6 @@ fn tune_model(registry: &ModelRegistry, name: &str, body: &str) -> Routed {
     }
 }
 
-/// `PUT /v1/controller` — merge a partial config onto the live watch-loop
-/// configuration and reply with the resulting controller status.
-fn put_controller(registry: &ModelRegistry, body: &str) -> Routed {
-    let parsed = if body.trim().is_empty() {
-        ControllerBody::default()
-    } else {
-        match serde_json::from_str::<ControllerBody>(body).map_err(bad_body) {
-            Ok(parsed) => parsed,
-            Err(e) => return serve_error_routed(registry, None, &e),
-        }
-    };
-    let merged = parsed.merged_onto(registry.controller_config());
-    match registry.set_controller_config(merged) {
-        Ok(_) => json_routed(200, &registry.controller_status()),
-        Err(e) => serve_error_routed(registry, None, &e),
-    }
-}
-
 /// Full request router, independent of any socket: maps one parsed request
 /// onto a reply with status, JSON body and optional Retry-After. Public so
 /// custom [`HttpHandler`]s (a chaos harness interposing on a replica, say)
@@ -1006,8 +947,6 @@ pub fn route_full(registry: &ModelRegistry, method: &str, path: &str, body: &str
             },
         ),
         ("GET", "/metrics") => json_routed(200, &registry.metrics()),
-        ("GET", "/v1/controller") => json_routed(200, &registry.controller_status()),
-        ("PUT", "/v1/controller") => put_controller(registry, body),
         ("POST", post_path) => {
             if let Some(model) = action_path(post_path, "/infer") {
                 match infer(registry, model, body) {
@@ -2077,6 +2016,12 @@ mod tests {
         let (status, metrics) = route(&registry, "GET", "/metrics", "");
         assert_eq!(status, 200);
         assert!(!metrics.contains("autotune"), "{metrics}");
+        // No watch-loop config route, on either method.
+        let watch_route = concat!("/v1/contr", "oller");
+        for (method, body) in [("GET", ""), ("PUT", "{\"enabled\": true}")] {
+            let gone = route_full(&registry, method, watch_route, body);
+            assert_eq!(gone.status, 404, "{method}: {}", gone.body);
+        }
     }
 
     /// Registration checks a descriptor before planning: one that no

@@ -37,7 +37,7 @@
 //!   registration/retirement behind an `Arc`; readers never block on
 //!   writers), with graceful retire, atomic plan hot-swap
 //!   ([`ModelRegistry::replan`]) and the joint-knob SLO controller
-//!   ([`ModelRegistry::tune`] plus its drift-watching loop).
+//!   ([`ModelRegistry::tune`], run on request).
 //! * [`control`] — what those operations are built from and exchange: the
 //!   [`EpochSwap`] primitive, [`EngineHandle`], the knob / tune / controller
 //!   report types and the coordinate descent behind every tune.
@@ -101,9 +101,8 @@ pub use batcher::{
     BatchQueue, DequeuedBatch, InferenceRequest, InferenceResponse, PendingResponse,
 };
 pub use control::{
-    ControllerConfig, ControllerStatus, ControllerWatch, EngineHandle, EpochSwap, KnobEstimate,
-    KnobSet, MeasuredSlo, ModelControllerStatus, ReplanReport, TickReport, TuneProbe, TuneReport,
-    TuneRequest,
+    ControllerStatus, EngineHandle, EpochSwap, KnobEstimate, KnobSet, ModelControllerStatus,
+    ReplanReport, TuneProbe, TuneReport, TuneRequest,
 };
 pub use http::{HealthReply, HttpClient, HttpHandler, HttpServer, RoutedResponse, ShutdownSignal};
 pub use metrics::{LatencySummary, ServeMetrics};
@@ -375,8 +374,8 @@ mod tests {
         assert!(ServeError::Closed.source().is_none());
     }
 
-    // The joint-knob controller: `ModelRegistry::tune`, the tick and the
-    // watch thread, driven end to end through a registry.
+    // The joint-knob controller: `ModelRegistry::tune` driven end to end
+    // through a registry, and the deadline-aware early release.
 
     use std::sync::Arc;
     use std::time::Duration;
@@ -488,9 +487,8 @@ mod tests {
     #[test]
     fn a_dry_run_that_finds_better_knobs_leaves_the_ledger_alone() {
         // The 8 ms delay misses a 5 ms target, so the search moves the knobs
-        // — and with `apply: false` nothing serves them. Recording that tune
-        // would hand the watch loop an expectation for unserved knobs: the
-        // drifting feed below would then re-tune with `apply` on.
+        // — and with `apply: false` nothing serves them, so the ledger must
+        // not record an expectation for knobs nobody runs.
         let registry = registry_with_model("dry", config(8, Duration::from_millis(8)));
         let report = registry
             .tune(
@@ -508,16 +506,6 @@ mod tests {
         let status = registry.controller_status();
         assert_eq!(status.tunes_total, 0);
         assert_eq!(status.models[0].tuning_generation, 0);
-
-        let drifting = vec![(
-            "dry".to_string(),
-            MeasuredSlo {
-                p99_ms: report.estimated_p99_ms * 3.0,
-                samples: 64,
-            },
-        )];
-        let tick = registry.controller_tick_with(&drifting);
-        assert!(tick.retuned.is_empty(), "{tick:?}");
         assert_eq!(registry.engine("dry").unwrap().info().generation, 1);
         Arc::try_unwrap(registry).ok().unwrap().shutdown();
     }
@@ -612,107 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn drifting_feed_retunes_exactly_once_and_stable_feed_not_at_all() {
-        // Fully deterministic: no watch thread, no clock — ticks are
-        // injected with a scripted metric feed.
-        let registry = registry_with_model("watched", config(4, Duration::from_millis(2)));
-        registry
-            .set_controller_config(ControllerConfig {
-                enabled: true,
-                interval_ms: 1,
-                drift_band_frac: 0.5,
-                min_samples: 4,
-            })
-            .unwrap();
-        let seed = registry
-            .tune(
-                "watched",
-                &TuneRequest {
-                    target_p99_ms: Some(25.0),
-                    apply: true,
-                    max_rounds: 2,
-                },
-            )
-            .unwrap();
-        let expected = seed.estimated_p99_ms;
-        assert!(expected > 0.0);
-
-        // Stable feed: measured p99 sits exactly on the expectation —
-        // zero drift events, zero re-tunes, however many ticks fire.
-        let stable = vec![(
-            "watched".to_string(),
-            MeasuredSlo {
-                p99_ms: expected,
-                samples: 64,
-            },
-        )];
-        for _ in 0..5 {
-            let tick = registry.controller_tick_with(&stable);
-            assert_eq!(tick.examined, 1);
-            assert!(tick.drifted.is_empty());
-            assert!(tick.retuned.is_empty());
-        }
-
-        // Drifting feed: measured p99 lands 3× outside the band → exactly
-        // one drift event and one re-tune on this tick.
-        let drifting = vec![(
-            "watched".to_string(),
-            MeasuredSlo {
-                p99_ms: expected * 3.0,
-                samples: 64,
-            },
-        )];
-        let tick = registry.controller_tick_with(&drifting);
-        assert_eq!(tick.drifted, vec!["watched".to_string()]);
-        assert_eq!(tick.retuned, vec!["watched".to_string()]);
-
-        let status = registry.controller_status();
-        assert_eq!(status.drift_events_total, 1);
-        assert_eq!(status.tunes_total, 2, "the seed tune plus one re-tune");
-        assert_eq!(status.models[0].tuning_generation, 2);
-
-        // Under-sampled feeds are ignored entirely: no examination, no
-        // drift, no re-tune.
-        let sparse = vec![(
-            "watched".to_string(),
-            MeasuredSlo {
-                p99_ms: expected * 10.0,
-                samples: 2,
-            },
-        )];
-        let tick = registry.controller_tick_with(&sparse);
-        assert_eq!(tick.examined, 0);
-        assert!(tick.retuned.is_empty());
-        Arc::try_unwrap(registry).ok().unwrap().shutdown();
-    }
-
-    #[test]
-    fn the_watch_thread_starts_ticks_and_stops_cleanly() {
-        let registry = registry_with_model("bg", config(4, Duration::from_millis(1)));
-        registry
-            .set_controller_config(ControllerConfig {
-                enabled: true,
-                interval_ms: 1,
-                drift_band_frac: 0.5,
-                min_samples: 1,
-            })
-            .unwrap();
-        let mut watch = registry.watch();
-        assert_eq!(registry.controller_status().watchers, 1);
-        // The loop ticks on its own; wait for evidence, bounded.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while registry.controller_status().ticks_total == 0 && std::time::Instant::now() < deadline
-        {
-            std::thread::yield_now();
-        }
-        assert!(registry.controller_status().ticks_total > 0);
-        watch.stop();
-        assert_eq!(registry.controller_status().watchers, 0);
-        drop(watch);
-        Arc::try_unwrap(registry).ok().unwrap().shutdown();
-    }
-
-    #[test]
     fn an_early_release_ships_at_deadline_minus_estimate_with_bit_identical_outputs() {
         // Engine with a batch-formation delay far beyond the request
         // deadline: without deadline-aware release the two requests below
@@ -721,10 +608,10 @@ mod tests {
         // no wall-clock assertions — the pinned facts are the early-release
         // counter, completion within deadline, and bit-parity. The sim-GPU
         // backend seeds a real (non-zero) exec estimate at build; the test
-        // then pins it to a deliberately large value (as the controller's
-        // measured-exec calibration would on a slow deployment) so the
-        // release point sits far from the deadline and the outcome cannot
-        // hinge on scheduler wake-up jitter.
+        // then pins it to a deliberately large value (as a slow deployment's
+        // measured exec time would be) so the release point sits far from
+        // the deadline and the outcome cannot hinge on scheduler wake-up
+        // jitter.
         let registry = registry_with_model("early", sim_config(8, Duration::from_secs(5)));
         let handle = registry.engine("early").unwrap();
         assert!(

@@ -34,13 +34,9 @@
 //! * **The SLO controller** — built from the vocabulary in
 //!   [`crate::control`]: [`estimate_knobs`](ModelRegistry::estimate_knobs)
 //!   scores a [`KnobSet`] on the wave simulator,
-//!   [`tune`](ModelRegistry::tune) runs the joint-knob coordinate descent
-//!   over such scores and hot-swaps the winner in, and
-//!   [`watch`](ModelRegistry::watch) runs the background loop that re-tunes
-//!   a model whose live p99 drifts out of the configured band. Ticks are
-//!   injectable
-//!   ([`controller_tick_with`](ModelRegistry::controller_tick_with)) so
-//!   tests drive the loop with a scripted metric feed and no clock.
+//!   and [`tune`](ModelRegistry::tune) runs the joint-knob coordinate
+//!   descent over such scores and hot-swaps the winner in. A tune runs on
+//!   request only; nothing re-tunes in the background.
 //!
 //! Routing is by registered name. Admission control is per model: every
 //! engine's queue is bounded by its
@@ -61,9 +57,9 @@
 use crate::arena::PoolStats;
 use crate::batcher::{InferenceResponse, PendingResponse};
 use crate::control::{
-    ControllerConfig, ControllerLedger, ControllerStatus, ControllerWatch, EngineHandle, EpochSwap,
-    KnobEstimate, KnobSet, MeasuredSlo, ModelControllerStatus, ModelTable, RegisteredModel,
-    ReplanReport, RouteTotals, TickReport, TuneReport, TuneRequest,
+    ControllerLedger, ControllerStatus, EngineHandle, EpochSwap, KnobEstimate, KnobSet,
+    ModelControllerStatus, ModelTable, RegisteredModel, ReplanReport, RouteTotals, TuneReport,
+    TuneRequest,
 };
 use crate::metrics::ServeMetrics;
 use crate::options::{BatchingOptions, PlanningOptions, RuntimeOptions};
@@ -71,7 +67,7 @@ use crate::plan_cache::{CacheOutcome, PlanCache, PlanCacheStats, PlanKey};
 use crate::server::{ServeEngine, ServeReport};
 use crate::{Result, ServeError};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tdc::lowering::lower_plan_with_fc;
 use tdc::TdcPipeline;
@@ -234,9 +230,9 @@ pub struct RegistryMetrics {
     /// zeros (with empty bands) when the registry fell back to per-engine
     /// private pools.
     pub executor: tdc_exec::ExecutorMetrics,
-    /// SLO-controller snapshot: watch config, tick/tune/drift counters and
-    /// per-model tuning state (generation, target, expected vs measured
-    /// p99, early-release counts, current knob values).
+    /// SLO-controller snapshot: the tune counter and per-model tuning state
+    /// (generation, target, expected vs measured p99, early-release counts,
+    /// current knob values).
     pub controller: ControllerStatus,
 }
 
@@ -361,10 +357,8 @@ pub struct ModelRegistry {
     drained_completed_total: AtomicU64,
     /// Deadline expiries on since-drained engines (same role).
     drained_deadline_exceeded_total: AtomicU64,
-    /// Watch-loop config, per-model tune state and controller counters.
+    /// Per-model tune state and the tune counter.
     controller: Mutex<ControllerLedger>,
-    /// Live [`ModelRegistry::watch`] threads (0 or 1 in practice).
-    watchers: AtomicU64,
 }
 
 impl ModelRegistry {
@@ -403,7 +397,6 @@ impl ModelRegistry {
             drained_completed_total: AtomicU64::new(0),
             drained_deadline_exceeded_total: AtomicU64::new(0),
             controller: Mutex::new(ControllerLedger::default()),
-            watchers: AtomicU64::new(0),
         }
     }
 
@@ -870,21 +863,8 @@ impl ModelRegistry {
         crate::control::tune(self, name, request)
     }
 
-    /// The live watch-loop configuration.
-    pub fn controller_config(&self) -> ControllerConfig {
-        self.controller().config
-    }
-
-    /// Replace the watch-loop configuration; a running watch picks it up on
-    /// its next tick. Returns the accepted config.
-    pub fn set_controller_config(&self, config: ControllerConfig) -> Result<ControllerConfig> {
-        config.validate()?;
-        self.controller().config = config;
-        Ok(config)
-    }
-
-    /// Controller snapshot: watch config, lifetime counters and per-model
-    /// tune state joined against the live routing table (knob values and
+    /// Controller snapshot: the tune counter and per-model tune state joined
+    /// against the live routing table (knob values and
     /// early-release counts come from the serving engines).
     pub fn controller_status(&self) -> ControllerStatus {
         let table = self.table.load();
@@ -899,164 +879,14 @@ impl ModelRegistry {
                     target_p99_ms: state.target_p99_ms,
                     expected_p99_ms: state.expected_p99_ms,
                     last_measured_p99_ms: state.last_measured_p99_ms,
-                    drift_events: state.drift_events,
                     early_releases: entry.engine.early_releases(),
                     knobs: KnobSet::of(&entry.config),
                 }
             })
             .collect();
         ControllerStatus {
-            config: ledger.config,
-            watchers: self.watchers.load(Ordering::Relaxed),
-            ticks_total: ledger.ticks_total,
             tunes_total: ledger.tunes_total,
-            drift_events_total: ledger.drift_events_total,
             models,
-        }
-    }
-
-    /// One watch tick on live measurements: scrape every routed engine's
-    /// latency metrics and hand them to
-    /// [`ModelRegistry::controller_tick_with`]. The scrape also calibrates
-    /// each engine's deadline-aware early release: once a model has
-    /// [`ControllerConfig::min_samples`] executed requests, its measured
-    /// exec-latency p99 replaces the build-time simulator seed as the
-    /// estimate the batcher subtracts from the earliest deadline — the
-    /// fourth actuator tracks the deployment, not the model.
-    pub fn controller_tick(&self) -> TickReport {
-        let min_samples = self.controller_config().min_samples;
-        // The table snapshot lives only for the scrape: held across the
-        // re-tune below it would be the hot-swap drain's holdout, and every
-        // drift re-tune would wait out `DRAIN_TIMEOUT`.
-        let feed: Vec<(String, MeasuredSlo)> = self
-            .table
-            .load()
-            .iter()
-            .map(|(name, entry)| {
-                let metrics = entry.engine.metrics();
-                if metrics.exec_latency.count as u64 >= min_samples
-                    && metrics.exec_latency.p99_ms.is_finite()
-                    && metrics.exec_latency.p99_ms > 0.0
-                {
-                    entry.engine.set_exec_estimate(Duration::from_secs_f64(
-                        metrics.exec_latency.p99_ms / 1e3,
-                    ));
-                }
-                (name.clone(), MeasuredSlo::of(&metrics))
-            })
-            .collect();
-        self.controller_tick_with(&feed)
-    }
-
-    /// One watch tick on an explicit measurement feed — the deterministic
-    /// seam: tests script the feed and call this directly (no clock, no
-    /// thread). For every tuned model with at least
-    /// [`ControllerConfig::min_samples`] samples, compare measured p99
-    /// against the controller's expected p99; outside the drift band, record
-    /// a drift event and re-tune the model (the re-tune itself refreshes the
-    /// expectation, closing the loop).
-    pub fn controller_tick_with(&self, feed: &[(String, MeasuredSlo)]) -> TickReport {
-        let mut report = TickReport::default();
-        let mut retunes: Vec<(String, f64)> = Vec::new();
-        {
-            let mut ledger = self.controller();
-            ledger.ticks_total += 1;
-            let config = ledger.config;
-            for (name, slo) in feed {
-                let Some(state) = ledger.models.get_mut(name) else {
-                    // Never tuned: no expectation to drift from. The model
-                    // enters the ledger through its first tune.
-                    continue;
-                };
-                if slo.samples > 0 {
-                    state.last_measured_p99_ms = slo.p99_ms;
-                }
-                if state.tuning_generation == 0 || state.expected_p99_ms <= 0.0 {
-                    continue;
-                }
-                if slo.samples < config.min_samples {
-                    // A freshly swapped engine must first serve enough
-                    // traffic for its p99 to mean anything.
-                    continue;
-                }
-                report.examined += 1;
-                let drift = (slo.p99_ms - state.expected_p99_ms).abs() / state.expected_p99_ms;
-                if drift > config.drift_band_frac {
-                    state.drift_events += 1;
-                    report.drifted.push(name.clone());
-                    retunes.push((name.clone(), state.target_p99_ms));
-                }
-            }
-            ledger.drift_events_total += report.drifted.len() as u64;
-        }
-        // Re-tunes run outside the ledger lock: the search plans candidate
-        // budgets and drains the old engine on apply — slow writer work that
-        // must not block status reads or concurrent ticks.
-        for (name, target) in retunes {
-            let request = TuneRequest {
-                target_p99_ms: (target > 0.0).then_some(target),
-                ..TuneRequest::default()
-            };
-            if self.tune(&name, &request).is_ok() {
-                report.retuned.push(name);
-            }
-        }
-        report
-    }
-
-    /// Start the background watch loop on a dedicated thread: every
-    /// [`ControllerConfig::interval_ms`] it re-reads the config (a
-    /// `PUT /v1/controller` takes effect without a restart) and, when
-    /// enabled, runs [`ModelRegistry::controller_tick`]. The thread holds
-    /// only a [`Weak`] registry handle, so it never keeps a torn-down
-    /// registry alive; it exits on its own when the registry drops. The
-    /// returned handle stops and joins the thread when dropped.
-    pub fn watch(self: &Arc<Self>) -> ControllerWatch {
-        self.watchers.fetch_add(1, Ordering::Relaxed);
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop_flag = Arc::clone(&stop);
-        let weak: Weak<ModelRegistry> = Arc::downgrade(self);
-        let thread = std::thread::spawn(move || {
-            loop {
-                let interval = {
-                    // Each cycle upgrades, reads the live config, and drops
-                    // the strong handle again before sleeping.
-                    let Some(registry) = weak.upgrade() else {
-                        return;
-                    };
-                    Duration::from_millis(registry.controller_config().interval_ms.max(1))
-                };
-                {
-                    let (lock, cvar) = &*stop_flag;
-                    let stopped = match lock.lock() {
-                        Ok(guard) => guard,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                    if *stopped {
-                        break;
-                    }
-                    let (stopped, _timeout) = match cvar.wait_timeout(stopped, interval) {
-                        Ok(outcome) => outcome,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                    if *stopped {
-                        break;
-                    }
-                }
-                let Some(registry) = weak.upgrade() else {
-                    return;
-                };
-                if registry.controller_config().enabled {
-                    registry.controller_tick();
-                }
-            }
-            if let Some(registry) = weak.upgrade() {
-                registry.watchers.fetch_sub(1, Ordering::Relaxed);
-            }
-        });
-        ControllerWatch {
-            stop,
-            thread: Some(thread),
         }
     }
 

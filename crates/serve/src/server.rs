@@ -767,11 +767,10 @@ impl ServeEngine {
     }
 
     /// Replace the execution-time estimate the deadline-aware early release
-    /// subtracts from the earliest deadline. Seeded at build from the
-    /// backend's latency report; the SLO controller refreshes it from
-    /// *measured* exec latency on watch ticks, so the release point tracks
-    /// the deployment rather than the model. Zero disables early release.
-    pub fn set_exec_estimate(&self, estimate: Duration) {
+    /// subtracts from the earliest deadline, which the build seeds from the
+    /// backend's latency report. Zero disables early release.
+    #[cfg(test)]
+    pub(crate) fn set_exec_estimate(&self, estimate: Duration) {
         self.core.queue.set_exec_estimate(estimate);
     }
 

@@ -1,16 +1,15 @@
 //! The `serve_http` daemon as a real process, driven with the flags a user
-//! passes: two processes warming plans through one `--spill-dir`, the
-//! daemon's own controller watch thread, graceful `POST /admin/shutdown`,
-//! and start-up errors that exit 2 before anything is bound.
+//! passes: two processes warming plans through one `--spill-dir`, graceful
+//! `POST /admin/shutdown`, and start-up errors that exit 2 before anything
+//! is bound.
 
 mod support;
 
 use std::net::TcpListener;
-use std::time::{Duration, Instant};
 
 use support::{assert_start_up_error, command, disk_hits, Daemon, TempDir};
 use tdc_serve::http::RegisterBody;
-use tdc_serve::{serving_descriptor, ControllerStatus};
+use tdc_serve::serving_descriptor;
 
 const SERVE_HTTP: &str = env!("CARGO_BIN_EXE_serve_http");
 const BANNER: &str = "tdc-serve HTTP front end on http://";
@@ -23,10 +22,9 @@ fn start(spill: &TempDir) -> Daemon {
 }
 
 /// A model `PUT` on the first daemon is planned and spilled; the same `PUT`
-/// on the second warms from disk. `main` starts the registry's watch
-/// thread, so enabling the controller over HTTP sets it ticking.
+/// on the second warms from disk.
 #[test]
-fn two_daemons_share_a_spill_dir_and_each_runs_its_watch_thread() {
+fn two_daemons_share_a_spill_dir() {
     let spill = TempDir::new("serve-spill");
     let (first, second) = (start(&spill), start(&spill));
     let descriptor = serving_descriptor("daemon-hot", 10, 4, 6);
@@ -35,20 +33,6 @@ fn two_daemons_share_a_spill_dir_and_each_runs_its_watch_thread() {
     let before = disk_hits(&second.addr);
     second.request(200, "PUT", "/v1/models/hot", Some(&body));
     assert!(disk_hits(&second.addr) >= before + 1.0, "re-planned");
-
-    let enable = r#"{"enabled": true, "interval_ms": 20}"#;
-    first.request(200, "PUT", "/v1/controller", Some(enable));
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let reply = first.request(200, "GET", "/v1/controller", None);
-        let status: ControllerStatus = serde_json::from_str(&reply).unwrap();
-        assert_eq!(status.watchers, 1, "{reply}");
-        if status.ticks_total > 0 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "the watch loop is not ticking");
-        std::thread::sleep(Duration::from_millis(10));
-    }
     assert_eq!(first.shut_down(), Some(0));
     assert_eq!(second.shut_down(), Some(0));
 }

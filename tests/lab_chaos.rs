@@ -10,16 +10,17 @@
 //! * after the fault budget drains, a replay on the **same** deployment
 //!   produces outputs bit-identical to a never-faulted run.
 //!
-//! A second drill covers the latency fault: a backend brown-out on a tuned
-//! model must be caught by the controller's live-metrics tick and re-tuned.
+//! A second drill covers the wrapper across a tune: the engine a tune swaps
+//! in keeps the model's fault injector, so a brown-out armed afterwards
+//! still lands on the serving engine.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use tdc_repro::lab::FaultInjector;
 use tdc_repro::serve::{
-    serving_descriptor, BackendKind, BackendWrapper, BatchingOptions, ControllerConfig,
-    ModelConfig, ModelRegistry, RuntimeOptions, TuneRequest,
+    serving_descriptor, BackendKind, BackendWrapper, BatchingOptions, ModelConfig, ModelRegistry,
+    RuntimeOptions, TuneRequest,
 };
 use tdc_repro::tensor::Tensor;
 
@@ -99,14 +100,8 @@ fn burst_trace_with_mid_trace_worker_panic_heals_bit_identically() {
 }
 
 #[test]
-fn a_backend_brown_out_drifts_a_tuned_model_and_the_live_tick_retunes_it() {
+fn a_tune_keeps_the_fault_injector_on_the_swapped_engine() {
     let registry = ModelRegistry::new(2);
-    registry
-        .set_controller_config(ControllerConfig {
-            min_samples: 16,
-            ..ControllerConfig::default()
-        })
-        .expect("controller config");
     let injector = FaultInjector::new();
     let config = ModelConfig {
         batching: BatchingOptions {
@@ -140,8 +135,8 @@ fn a_backend_brown_out_drifts_a_tuned_model_and_the_live_tick_retunes_it() {
     };
 
     // Tune against half the 12 ms window: reachable only by moving knobs.
-    // The 24 untuned samples calibrate the search.
-    serve(24);
+    // The 32 untuned samples (the calibration floor) calibrate the search.
+    serve(32);
     let tuned = registry
         .tune(
             "brown",
@@ -157,29 +152,13 @@ fn a_backend_brown_out_drifts_a_tuned_model_and_the_live_tick_retunes_it() {
         "the delay knob must move: {tuned:?}"
     );
 
-    // A quiet tick on the freshly swapped engine finds nothing to do (no
-    // samples yet), then the brown-out stalls every batch 40 ms — far
-    // outside the drift band around any expectation the tune could have
-    // recorded — and the next live tick must both record and re-tune it.
-    let quiet = registry.controller_tick();
-    assert!(quiet.drifted.is_empty() && quiet.retuned.is_empty());
-    injector.arm_delays(10_000, Duration::from_millis(40));
-    serve(16);
-    let started = std::time::Instant::now();
-    let tick = registry.controller_tick();
-    assert_eq!(tick.drifted, vec!["brown".to_string()]);
-    assert_eq!(tick.retuned, vec!["brown".to_string()]);
-    assert!(
-        started.elapsed() < Duration::from_secs(10),
-        "the tick's own table snapshot was the re-tune drain's holdout"
-    );
-    assert!(injector.injected_delays() >= 16);
+    // A brown-out armed after the swap stalls the tuned engine's batches:
+    // the wrapper rode the hot-swap.
+    let before = injector.injected_delays();
+    injector.arm_delays(10_000, Duration::from_millis(2));
+    serve(4);
+    assert!(injector.injected_delays() >= before + 4);
     injector.disarm();
-
-    let status = registry.controller_status();
-    assert_eq!(status.drift_events_total, 1);
-    assert_eq!(status.models[0].tuning_generation, 2);
-    // The re-tuned engine still serves, wrapper intact.
     serve(1);
     registry.shutdown();
 }

@@ -16,8 +16,8 @@ use tdc_repro::serve::http::{
     http_request, http_request_with_headers, BatchInferBody, BatchInferReply, InferBody, InferReply,
 };
 use tdc_repro::serve::{
-    serving_descriptor, BatchingOptions, ControllerStatus, HttpClient, HttpServer, ModelConfig,
-    ModelRegistry, PlanningOptions, RuntimeOptions, ServeEngine, TuneReport,
+    serving_descriptor, BatchingOptions, HttpClient, HttpServer, ModelConfig, ModelRegistry,
+    PlanningOptions, RegistryMetrics, RuntimeOptions, ServeEngine, TuneReport,
 };
 use tdc_repro::tensor::Tensor;
 
@@ -366,7 +366,7 @@ fn rolling_replan_keeps_serving_and_converges_every_replica() {
 }
 
 #[test]
-fn a_fleet_tune_rolls_every_replica_and_controller_state_aggregates() {
+fn a_fleet_tune_rolls_every_replica_and_each_records_it() {
     let (servers, router, front) = bind_fleet(2, manual_probe_options(RoutingPolicy::LeastLoaded));
     let addr = front.local_addr();
     let path = format!("/v1/models/{MODEL}/infer");
@@ -412,27 +412,13 @@ fn a_fleet_tune_rolls_every_replica_and_controller_state_aggregates() {
         );
     }
 
-    // The controller config fans out like any other control-plane write...
-    let (status, reply) = http_request(
-        &addr,
-        "PUT",
-        "/v1/controller",
-        Some("{\"enabled\": true, \"interval_ms\": 50}"),
-    )
-    .unwrap();
-    assert_eq!(status, 200, "fleet controller update failed: {reply}");
-
-    // ...and the status read aggregates every replica's own block, so the
-    // tune and the config change are both visible per replica.
-    let (status, reply) = http_request(&addr, "GET", "/v1/controller", None).unwrap();
-    assert_eq!(status, 200, "fleet controller status failed: {reply}");
-    let fleet: FleetReply = serde_json::from_str(&reply).unwrap();
-    assert!(fleet.ok);
-    assert_eq!(fleet.replicas.len(), 2);
-    for row in &fleet.replicas {
-        let controller: ControllerStatus = serde_json::from_str(&row.body).unwrap();
-        assert!(controller.config.enabled);
-        assert_eq!(controller.config.interval_ms, 50);
+    // Each replica's own `/metrics` records the tune it ran.
+    for server in &servers {
+        let (status, reply) = http_request(&server.local_addr(), "GET", "/metrics", None).unwrap();
+        assert_eq!(status, 200, "replica metrics failed: {reply}");
+        let controller = serde_json::from_str::<RegistryMetrics>(&reply)
+            .unwrap()
+            .controller;
         assert_eq!(controller.tunes_total, 1);
         let model = controller
             .models
@@ -441,10 +427,14 @@ fn a_fleet_tune_rolls_every_replica_and_controller_state_aggregates() {
             .expect("tuned model missing from controller status");
         assert_eq!(model.tuning_generation, 1);
     }
+    assert_eq!(router.metrics().fleet_tunes_total, 1);
 
-    let metrics = router.metrics();
-    assert_eq!(metrics.fleet_tunes_total, 1);
-    assert_eq!(metrics.fleet_controller_updates_total, 1);
+    // No watch-loop config route through the router either.
+    let watch_route = concat!("/v1/contr", "oller");
+    for (method, body) in [("GET", None), ("PUT", Some("{\"enabled\": true}"))] {
+        let (status, reply) = http_request(&addr, method, watch_route, body).unwrap();
+        assert_eq!(status, 404, "{method}: {reply}");
+    }
 
     router.stop();
     front.stop();
