@@ -121,12 +121,32 @@ pub fn conv2d_rscn_into(x: &[f32], k_rscn: &[f32], out: &mut [f32], shape: &Conv
     }
 }
 
+/// Output positions per step of [`conv2d_rscn_into`]'s interior columns.
+const RSCN_POSITIONS: usize = 4;
+
 /// [`conv2d_rscn_into`]'s loop nest for a compile-time output width.
+///
+/// Interior columns — those where every `s` tap lies inside the input — are
+/// computed [`RSCN_POSITIONS`] at a time, each position with its own
+/// accumulator block, so the adds of neighbouring positions overlap instead
+/// of one position's dependent add chain waiting on the last. Border columns
+/// run the single-position loop with hoisted tap bounds. Both visit, per
+/// output element, exactly the in-bounds taps in `(r, s, c)` order.
 fn rscn_body<const N: usize>(x: &[f32], k_rscn: &[f32], out: &mut [f32], shape: &ConvShape) {
     let (h, w, c) = (shape.h as isize, shape.w as isize, shape.c);
     let out_w = shape.out_w();
     let (r, s) = (shape.r, shape.s);
     let (pad, stride) = (shape.pad as isize, shape.stride as isize);
+    // Interior columns `ox_lo..ox_hi`: `ox·stride ≥ pad` and
+    // `ox·stride − pad + s ≤ w`.
+    let ox_lo = shape.pad.div_ceil(shape.stride).min(out_w);
+    let ox_hi = if shape.w + shape.pad >= s {
+        ((shape.w + shape.pad - s) / shape.stride + 1).clamp(ox_lo, out_w)
+    } else {
+        ox_lo
+    };
+    let groups = (ox_hi - ox_lo) / RSCN_POSITIONS;
+    let interior = ox_lo..ox_lo + groups * RSCN_POSITIONS;
 
     out.chunks_mut(out_w * N).enumerate().for_each(|(oy, row)| {
         // The valid tap ranges only depend on the output coordinate, so
@@ -136,7 +156,8 @@ fn rscn_body<const N: usize>(x: &[f32], k_rscn: &[f32], out: &mut [f32], shape: 
         // exactly those the bounds-checked form visits.
         let rr_lo = (pad - oy as isize * stride).max(0) as usize;
         let rr_hi = (h + pad - oy as isize * stride).min(r as isize).max(0) as usize;
-        for (ox, acc_out) in row.chunks_exact_mut(N).enumerate() {
+        rscn_interior::<N>(x, k_rscn, shape, oy, rr_lo..rr_hi, interior.clone(), row);
+        for ox in (0..interior.start).chain(interior.end..out_w) {
             let ss_lo = (pad - ox as isize * stride).max(0) as usize;
             let ss_hi = (w + pad - ox as isize * stride).min(s as isize).max(0) as usize;
             let mut acc = [0.0f32; N];
@@ -155,9 +176,49 @@ fn rscn_body<const N: usize>(x: &[f32], k_rscn: &[f32], out: &mut [f32], shape: 
                     }
                 }
             }
-            acc_out.copy_from_slice(&acc);
+            row[ox * N..(ox + 1) * N].copy_from_slice(&acc);
         }
     });
+}
+
+/// The interior columns `cols` of output row `oy` of [`rscn_body`],
+/// [`RSCN_POSITIONS`] at a time (`cols` holds whole groups) over the kernel
+/// rows `rows`: every `s` tap is in bounds, each position keeps its own
+/// accumulators, and the taps run in the same `(r, s, c)` order as the
+/// single-position loop.
+#[inline(never)]
+fn rscn_interior<const N: usize>(
+    x: &[f32],
+    k_rscn: &[f32],
+    shape: &ConvShape,
+    oy: usize,
+    rows: std::ops::Range<usize>,
+    cols: std::ops::Range<usize>,
+    row: &mut [f32],
+) {
+    let (c, s) = (shape.c, shape.s);
+    let step = shape.stride * c;
+    for ox in cols.step_by(RSCN_POSITIONS) {
+        let mut acc = [[0.0f32; N]; RSCN_POSITIONS];
+        for rr in rows.clone() {
+            let iy = oy * shape.stride + rr - shape.pad;
+            for ss in 0..s {
+                let ix = ox * shape.stride + ss - shape.pad;
+                let x_base = (iy * shape.w + ix) * c;
+                let tap = &k_rscn[(rr * s + ss) * c * N..(rr * s + ss + 1) * c * N];
+                for ch in 0..c {
+                    let wrow = &tap[ch * N..(ch + 1) * N];
+                    for (p, pacc) in acc.iter_mut().enumerate() {
+                        let xv = x[x_base + p * step + ch];
+                        for (a, &wv) in pacc.iter_mut().zip(wrow) {
+                            *a += xv * wv;
+                        }
+                    }
+                }
+            }
+        }
+        row[ox * N..(ox + RSCN_POSITIONS) * N].copy_from_slice(acc.as_flattened());
+    }
 }
 
 /// [`conv2d_rscn_into`]'s loop nest for a runtime output width (uncommon

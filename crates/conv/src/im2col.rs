@@ -1,11 +1,19 @@
-//! im2col + GEMM convolution — the cuDNN `IMPLICIT_GEMM` analogue.
+//! im2col + GEMM convolution, and its implicit form — the cuDNN
+//! `IMPLICIT_GEMM` analogue.
 //!
-//! The convolution is lowered to a single matrix product: each output position
-//! becomes a row of the patch matrix (`H'·W'` rows, `C·R·S` columns), the
-//! kernel becomes a `C·R·S × N` matrix, and the product is the `H'·W' × N`
-//! output. cuDNN's implicit-GEMM algorithm performs this lowering on the fly
-//! inside the kernel; the CPU reference materialises the patch matrix because
-//! correctness, not footprint, is what it is for.
+//! The convolution is a single matrix product: each output position is a row
+//! of the patch matrix (`H'·W'` rows, `C·R·S` columns), the kernel is a
+//! `C·R·S × N` matrix, and the product is the `H'·W' × N` output.
+//!
+//! * [`conv2d`] materialises the patch matrix ([`im2col`]) and multiplies it
+//!   with [`matmul::gemm_blocked_into`]. It is the bit-exact reference, and
+//!   what `CompressedModel::forward` and training run.
+//! * [`conv2d_implicit_into`] never writes the patch matrix: like cuDNN's
+//!   implicit-GEMM algorithm it reads each patch element straight from a
+//!   zero-padded copy of the input inside a register-tiled loop. Per output
+//!   element it performs the identical sequence of f32 operations as
+//!   [`conv2d`], so the two agree bit for bit for any weights. The serving
+//!   path runs kept-dense layers through it.
 
 use crate::layout::{check_input_hwc, check_kernel_cnrs};
 use crate::shapes::ConvShape;
@@ -112,6 +120,149 @@ pub fn kernel_matrix(kernel: &Tensor, shape: &ConvShape) -> Result<Tensor> {
         }
     }
     Ok(Tensor::from_vec(vec![rows, shape.n], out)?)
+}
+
+/// Output positions (consecutive columns of one output row) per register
+/// tile of [`conv2d_implicit_into`].
+pub const IMPLICIT_MP: usize = 8;
+/// Output channels per register tile of [`conv2d_implicit_into`], and the
+/// width of every panel of [`pack_kernel`].
+pub const IMPLICIT_NT: usize = 32;
+
+/// Length of [`pack_kernel`]'s output for `shape`: `C·R·S` rows of every
+/// panel.
+pub fn packed_kernel_len(shape: &ConvShape) -> usize {
+    shape.c * shape.r * shape.s * shape.n.div_ceil(IMPLICIT_NT) * IMPLICIT_NT
+}
+
+/// Pack a CNRS kernel for [`conv2d_implicit_into`]: the [`kernel_matrix`]
+/// (`(c, r, s)` rows, `N` columns) cut into [`IMPLICIT_NT`]-wide column
+/// panels, each stored as a contiguous `C·R·S × IMPLICIT_NT` block. The last
+/// panel's columns past `N` are zero, so a channel-remainder tile runs the
+/// full-width multiply-add (its dead lanes accumulate values that are never
+/// stored) instead of a narrower loop.
+pub fn pack_kernel(kernel: &Tensor, shape: &ConvShape) -> Result<Vec<f32>> {
+    let kmat = kernel_matrix(kernel, shape)?;
+    let n = shape.n;
+    let mut packed = Vec::with_capacity(packed_kernel_len(shape));
+    for j0 in (0..n).step_by(IMPLICIT_NT) {
+        let nr = IMPLICIT_NT.min(n - j0);
+        for row in kmat.data().chunks_exact(n) {
+            packed.extend_from_slice(&row[j0..j0 + nr]);
+            packed.resize(packed.len() + IMPLICIT_NT - nr, 0.0);
+        }
+    }
+    Ok(packed)
+}
+
+/// Implicit-GEMM convolution on slices: `out[H'·W' × N]` from the
+/// zero-padded HWC input `xpad` (`(H + 2·pad) × (W + 2·pad) × C`, see
+/// [`crate::layout::pad_hwc_into`]; the input itself when `pad == 0`) and the
+/// [`pack_kernel`] panels. Overwrite semantics: every element of `out` is
+/// stored.
+///
+/// The output is computed in tiles of up to [`IMPLICIT_MP`] consecutive
+/// positions of one row × [`IMPLICIT_NT`] channels whose accumulators stay
+/// in registers, while K walks the patch in [`im2col`]'s `(c, r, s)` order.
+/// Per output element that is exactly the sequence
+/// [`matmul::gemm_blocked_into`] performs on the materialised patch matrix:
+/// `+0.0`, then `acc += x · w` for k = 0..C·R·S. There is no zero-skip, so
+/// padding taps add the same `0 · w` products as the patch matrix's literal
+/// zeros, and the result is bit-identical to [`conv2d`] for any weights.
+pub fn conv2d_implicit_into(xpad: &[f32], kpack: &[f32], out: &mut [f32], shape: &ConvShape) {
+    let (out_h, out_w, n) = (shape.out_h(), shape.out_w(), shape.n);
+    let k = shape.c * shape.r * shape.s;
+    assert_eq!(
+        xpad.len(),
+        (shape.h + 2 * shape.pad) * (shape.w + 2 * shape.pad) * shape.c,
+        "padded input has wrong length"
+    );
+    assert_eq!(
+        kpack.len(),
+        packed_kernel_len(shape),
+        "packed kernel has wrong length"
+    );
+    assert_eq!(out.len(), out_h * out_w * n, "output has wrong length");
+
+    for (j0, panel) in (0..n)
+        .step_by(IMPLICIT_NT)
+        .zip(kpack.chunks_exact(k * IMPLICIT_NT))
+    {
+        implicit_panel(xpad, panel, out, shape, j0, IMPLICIT_NT.min(n - j0));
+    }
+}
+
+/// One kernel panel of [`conv2d_implicit_into`]: output channels
+/// `j0..j0 + nr` of every position, one position tile at a time.
+///
+/// Kept out of line, like the blocked GEMM's row block, so the register
+/// tile is compiled as a loop nest of its own.
+#[inline(never)]
+fn implicit_panel(
+    xpad: &[f32],
+    panel: &[f32],
+    out: &mut [f32],
+    shape: &ConvShape,
+    j0: usize,
+    nr: usize,
+) {
+    let (out_w, n) = (shape.out_w(), shape.n);
+    let prow = (shape.w + 2 * shape.pad) * shape.c;
+    // Input distance between horizontally neighbouring output positions.
+    let step = shape.stride * shape.c;
+    for (oy, orow) in out.chunks_exact_mut(out_w * n).enumerate() {
+        let row_base = oy * shape.stride * prow;
+        let mut ox0 = 0;
+        while ox0 < out_w {
+            let mp = IMPLICIT_MP.min(out_w - ox0);
+            let base = row_base + ox0 * step;
+            // The full tile gets `mp` as a constant, so its position loop
+            // unrolls; the remainder tile runs the same loop `mp` times.
+            let acc = if mp == IMPLICIT_MP {
+                implicit_tile(xpad, panel, shape, base, IMPLICIT_MP)
+            } else {
+                implicit_tile(xpad, panel, shape, base, mp)
+            };
+            for (p, arow) in acc.iter().enumerate().take(mp) {
+                let off = (ox0 + p) * n + j0;
+                orow[off..off + nr].copy_from_slice(&arow[..nr]);
+            }
+            ox0 += mp;
+        }
+    }
+}
+
+/// The register tile of [`implicit_panel`]: `mp` positions starting at input
+/// offset `base` against one panel, K in `(c, r, s)` order.
+#[inline(always)]
+fn implicit_tile(
+    xpad: &[f32],
+    panel: &[f32],
+    shape: &ConvShape,
+    base: usize,
+    mp: usize,
+) -> [[f32; IMPLICIT_NT]; IMPLICIT_MP] {
+    let c = shape.c;
+    let prow = (shape.w + 2 * shape.pad) * c;
+    let step = shape.stride * c;
+    let mut acc = [[0.0f32; IMPLICIT_NT]; IMPLICIT_MP];
+    let mut brows = panel.chunks_exact(IMPLICIT_NT);
+    for ch in 0..c {
+        for rr in 0..shape.r {
+            let tap_row = base + rr * prow + ch;
+            for ss in 0..shape.s {
+                let brow = brows.next().expect("panel holds C·R·S rows");
+                let at = tap_row + ss * c;
+                for (p, arow) in acc.iter_mut().enumerate().take(mp) {
+                    let xv = xpad[at + p * step];
+                    for (slot, &wv) in arow.iter_mut().zip(brow) {
+                        *slot += xv * wv;
+                    }
+                }
+            }
+        }
+    }
+    acc
 }
 
 /// im2col + GEMM convolution. Produces the same `H'×W'×N` output as

@@ -75,6 +75,31 @@ pub fn cnrs_to_rscn(kernel: &Tensor) -> Result<Tensor> {
     Ok(kernel.permute(&[2, 3, 0, 1])?)
 }
 
+/// Slice-level zero padding of `shape`'s HWC input: writes the
+/// `(H + 2·pad) × (W + 2·pad) × C` copy of `x` into `out`. Every element is
+/// written (border taps store literal `0.0`), so `out` need not be zeroed
+/// first — the serving path stages it in a scratch arena.
+pub fn pad_hwc_into(x: &[f32], out: &mut [f32], shape: &ConvShape) {
+    let row = shape.w * shape.c;
+    let prow = (shape.w + 2 * shape.pad) * shape.c;
+    let edge = shape.pad * shape.c;
+    assert_eq!(x.len(), shape.h * row, "input has wrong length");
+    assert_eq!(
+        out.len(),
+        (shape.h + 2 * shape.pad) * prow,
+        "padded buffer has wrong length"
+    );
+    let (top, rest) = out.split_at_mut(shape.pad * prow);
+    let (body, bottom) = rest.split_at_mut(shape.h * prow);
+    top.fill(0.0);
+    bottom.fill(0.0);
+    for (dst, src) in body.chunks_exact_mut(prow).zip(x.chunks_exact(row)) {
+        dst[..edge].fill(0.0);
+        dst[edge..edge + row].copy_from_slice(src);
+        dst[edge + row..].fill(0.0);
+    }
+}
+
 /// Zero-pad an HWC input tensor symmetrically in both spatial dimensions.
 pub fn pad_hwc(input: &Tensor, pad: usize) -> Result<Tensor> {
     if input.rank() != 3 {
@@ -143,6 +168,21 @@ mod tests {
         assert_eq!(p.get(&[3, 3, 0]), 0.0);
         // pad = 0 is a no-op clone
         assert_eq!(pad_hwc(&x, 0).unwrap(), x);
+    }
+
+    #[test]
+    fn slice_padding_matches_tensor_padding_over_a_dirty_buffer() {
+        let mut rng = StdRng::seed_from_u64(4);
+        for shape in [
+            ConvShape::new(3, 1, 5, 7, 3, 3, 2, 1),
+            ConvShape::new(2, 1, 4, 3, 1, 1, 0, 1),
+        ] {
+            let x = init::uniform(shape.input_dims(), -1.0, 1.0, &mut rng);
+            let expected = pad_hwc(&x, shape.pad).unwrap();
+            let mut out = vec![f32::NAN; expected.numel()];
+            pad_hwc_into(x.data(), &mut out, &shape);
+            assert_eq!(out.as_slice(), expected.data(), "shape {shape}");
+        }
     }
 
     #[test]

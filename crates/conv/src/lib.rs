@@ -13,8 +13,9 @@
 //!   latency on the A100 / RTX 2080 Ti device models, and
 //! * **CPU implementations** operating on [`tdc_tensor::Tensor`]s of the
 //!   convolutions that run here: the direct correctness reference, the
-//!   im2col path that serves and trains dense layers, and executable forms of
-//!   the TVM and TDC schemes.
+//!   im2col + GEMM path that trains dense layers and is the serving path's
+//!   bit-exact reference, the implicit GEMM that serves them, and executable
+//!   forms of the TVM and TDC schemes.
 //!
 //! Data conventions follow the paper's notation (Table 1): the input is
 //! `X ∈ R^{H×W×C}` (HWC, batch size 1 — the latency-critical inference case),
@@ -28,7 +29,8 @@
 //!   the TDC kernel uses for coalesced weight loads.
 //! * [`direct`] — direct (row-at-a-time loop nest) convolution, the correctness
 //!   reference for everything else.
-//! * [`im2col`] — im2col + GEMM convolution (cuDNN IMPLICIT_GEMM analogue).
+//! * [`im2col`] — im2col + GEMM convolution and its implicit form, which
+//!   never writes the patch matrix (the cuDNN IMPLICIT_GEMM analogue).
 //! * [`tvm_scheme`] — the TVM convolution scheme of paper Listing 1 (CPU
 //!   emulation + cost model).
 //! * [`tdc_scheme`] — the TDC convolution scheme of paper Listing 2 (CPU

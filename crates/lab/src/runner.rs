@@ -26,8 +26,8 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tdc_serve::{
-    serving_descriptor, BackendKind, BatchingOptions, ModelConfig, ModelRegistry, PendingResponse,
-    RuntimeOptions, ServeError,
+    serving_descriptor, BackendKind, BatchingOptions, LatencySummary, ModelConfig, ModelRegistry,
+    PendingResponse, RuntimeOptions, ServeError,
 };
 use tdc_tensor::{init, Tensor};
 
@@ -162,14 +162,17 @@ pub struct ReplayReport {
     /// Completed samples per wall-clock second.
     pub throughput_rps: f64,
     /// Highest per-model p99 total latency among models that completed
-    /// work, ms.
+    /// work in this replay, ms — over this replay's responses only, not the
+    /// engines' lifetime.
     pub p99_ms: f64,
-    /// Median total latency of the busiest model, ms.
+    /// Median total latency of the model that completed the most samples in
+    /// this replay, over this replay's responses, ms.
     pub p50_ms: f64,
 }
 
 enum SampleOutcome {
-    Admitted(PendingResponse),
+    /// Admitted for the model at this index of the spec.
+    Admitted(usize, PendingResponse),
     Shed,
 }
 
@@ -220,7 +223,11 @@ pub fn replay(
             .registry
             .submit_many(&model.name, inputs, deadline)
         {
-            Ok(handles) => pending.extend(handles.into_iter().map(SampleOutcome::Admitted)),
+            Ok(handles) => pending.extend(
+                handles
+                    .into_iter()
+                    .map(|handle| SampleOutcome::Admitted(event.model, handle)),
+            ),
             Err(ServeError::Overloaded { .. }) => {
                 shed += event.samples as u64;
                 pending.extend((0..event.samples).map(|_| SampleOutcome::Shed));
@@ -243,14 +250,17 @@ pub fn replay(
     let mut failed = 0u64;
     let mut submitted = 0u64;
     let mut hasher = Fnv1a::new();
+    // This replay's end-to-end latencies, per model.
+    let mut latencies: Vec<Vec<f64>> = vec![Vec::new(); spec.models.len()];
     for (index, outcome) in pending.into_iter().enumerate() {
         match outcome {
             SampleOutcome::Shed => hasher.update(b"shed"),
-            SampleOutcome::Admitted(handle) => {
+            SampleOutcome::Admitted(model, handle) => {
                 submitted += 1;
                 match handle.wait() {
                     Ok(response) => {
                         completed += 1;
+                        latencies[model].push(response.total_ms());
                         for value in response.output.data() {
                             hasher.update(&value.to_bits().to_le_bytes());
                         }
@@ -274,17 +284,15 @@ pub fn replay(
     }
     let elapsed_s = started.elapsed().as_secs_f64();
 
-    let metrics = deployment.registry.metrics();
     let mut p99_ms = 0.0f64;
     let mut p50_ms = 0.0f64;
     let mut busiest = 0usize;
-    for entry in &metrics.models {
-        if entry.metrics.completed_requests > 0 {
-            p99_ms = p99_ms.max(entry.metrics.total_latency.p99_ms);
-            if entry.metrics.completed_requests as usize >= busiest {
-                busiest = entry.metrics.completed_requests as usize;
-                p50_ms = entry.metrics.total_latency.p50_ms;
-            }
+    for samples in latencies.iter().filter(|samples| !samples.is_empty()) {
+        let summary = LatencySummary::from_samples(samples);
+        p99_ms = p99_ms.max(summary.p99_ms);
+        if summary.count >= busiest {
+            busiest = summary.count;
+            p50_ms = summary.p50_ms;
         }
     }
 
@@ -421,6 +429,52 @@ mod tests {
         let totals = reconcile(&deployment.registry).expect("reconcile");
         assert_eq!(totals.submitted, first.submitted + second.submitted);
         assert_eq!(totals.rejected, 0);
+    }
+
+    #[test]
+    fn each_replay_reports_percentiles_over_its_own_responses() {
+        // The first replay delays four batches by 250 ms; the second runs
+        // the same trace clean on the same engines, whose lifetime latency
+        // store still holds the delayed samples.
+        const DELAY_MS: f64 = 250.0;
+        let spec = WorkloadSpec::parse(
+            r#"{"name": "runner-unit", "seed": 11,
+                "models": [{"name": "ru-m", "spatial": 8, "base_channels": 4, "classes": 4}],
+                "size_mix": {"kind": "bounded-pareto", "alpha": 1.5, "min": 1, "max": 3},
+                "phases": [{"label": "p", "duration_ms": 120,
+                            "arrival": {"kind": "uniform", "rate_hz": 250}}],
+                "faults": [{"at_ms": 0, "kind": "backend-delay", "model": "ru-m",
+                            "count": 4, "delay_ms": 250}]}"#,
+        )
+        .expect("spec");
+        let mut clean = spec.clone();
+        clean.faults.clear();
+        let trace = generate(&spec);
+        let options = ReplayOptions::default();
+        let deployment = deploy(&spec, &trace, &options).expect("deploy");
+
+        let delayed = replay(&deployment, &spec, &trace, &options);
+        let steady = replay(&deployment, &clean, &trace, &options);
+        for report in [&delayed, &steady] {
+            assert!(report.unexpected.is_empty(), "{:?}", report.unexpected);
+            assert_eq!(report.completed, trace.total_samples());
+        }
+        assert!(delayed.p99_ms >= DELAY_MS, "delayed p99 {}", delayed.p99_ms);
+        let lifetime = deployment.registry.metrics().models[0]
+            .metrics
+            .total_latency;
+        assert_eq!(lifetime.count as u64, delayed.completed + steady.completed);
+        assert!(
+            lifetime.p99_ms >= DELAY_MS,
+            "lifetime p99 {}",
+            lifetime.p99_ms
+        );
+        assert!(
+            steady.p99_ms < DELAY_MS && steady.p50_ms <= steady.p99_ms,
+            "the clean replay reported p50 {} / p99 {} ms: the delayed replay's samples leaked in",
+            steady.p50_ms,
+            steady.p99_ms
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! handle the execution API threads through
 //! [`crate::backend::ExecutionBackend::forward_batch`]. Once a worker has
 //! processed enough requests to populate its classes, every staging buffer on
-//! the CPU path — im2col patch matrices, Tucker intermediates, pooled
+//! the CPU path — zero-padded layer inputs, Tucker intermediates, pooled
 //! features, output tensors, even the parsed HTTP input — is a pool hit, and
 //! steady-state serving performs **zero** per-request f32 allocations. The
 //! pool's telemetry ([`PoolStats`], surfaced per engine via
@@ -118,11 +118,11 @@ impl BufferPool {
     /// **unspecified** (recycled buffers keep their previous values).
     ///
     /// For consumers that overwrite every element before reading any —
-    /// overwrite-semantics GEMM outputs, im2col patch matrices, parse
-    /// staging. Using it for a buffer that is *accumulated into* (or only
-    /// partially written) would leak stale values into results; [`take`] is
-    /// the safe default. Skipping the zero-fill matters: the im2col patch
-    /// matrix alone is hundreds of KB per request.
+    /// overwrite-semantics GEMM and convolution outputs, zero-padded layer
+    /// inputs, parse staging. Using it for a buffer that is *accumulated
+    /// into* (or only partially written) would leak stale values into
+    /// results; [`take`] is the safe default. Skipping the zero-fill matters:
+    /// a layer's output alone is tens to hundreds of KB per request.
     ///
     /// [`take`]: BufferPool::take
     pub fn take_full(&self, len: usize) -> Vec<f32> {

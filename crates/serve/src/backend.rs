@@ -4,8 +4,9 @@
 //! way of running a batch lives behind [`ExecutionBackend`], and engines are
 //! built against the trait. Two backends ship with the crate:
 //!
-//! * [`CpuBackend`] — the real CPU executor: kept layers as im2col + GEMM,
-//!   decomposed layers as the three-stage Tucker-2 convolution, every
+//! * [`CpuBackend`] — the real CPU executor: kept layers as an implicit GEMM
+//!   that never writes the im2col patch matrix, decomposed layers as the
+//!   three-stage Tucker-2 convolution, every
 //!   intermediate staged in the dispatch's
 //!   [`ScratchArena`]. Its latency report is the *predicted* per-layer
 //!   GPU latency from the compression plan (the planning oracle's view).
@@ -170,7 +171,7 @@ pub trait ExecutionBackend: Send + Sync {
 
     /// Execute one batch and return the outputs in submission order together
     /// with the backend's latency account for the batch. Every staging
-    /// buffer (im2col patches, Tucker intermediates, output tensors) comes
+    /// buffer (padded inputs, Tucker intermediates, output tensors) comes
     /// from `arena` — the engine passes one per dispatch — so a warm batch
     /// allocates nothing; a wrapper forwards the arena to the backend it
     /// wraps.

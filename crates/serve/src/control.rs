@@ -668,8 +668,6 @@ pub struct ModelControllerStatus {
     pub expected_p99_ms: f64,
     /// The measured p99 the last tune calibrated against, ms.
     pub last_measured_p99_ms: f64,
-    /// Deadline-aware early batch releases on the model's current engine.
-    pub early_releases: u64,
     /// The knob values the model currently serves with.
     pub knobs: KnobSet,
 }

@@ -14,8 +14,8 @@
 //!   until either `max_batch_size` is reached or the oldest request has
 //!   waited `max_batch_delay`, then the batch is handed to a worker.
 //! * [`backend`] — pluggable execution behind the [`ExecutionBackend`]
-//!   trait: [`CpuBackend`] runs real CPU forward passes — im2col + GEMM for
-//!   kept layers, the three-stage Tucker-2 convolution for decomposed ones,
+//!   trait: [`CpuBackend`] runs real CPU forward passes — an implicit GEMM
+//!   for kept layers, the three-stage Tucker-2 convolution for decomposed ones,
 //!   every intermediate staged in a [`ScratchArena`];
 //!   [`SimGpuBackend`] runs the same numerics *and* lowers the plan to
 //!   kernel-launch sequences replayed on `tdc-gpu-sim`'s wave engine, so

@@ -4,8 +4,10 @@
 //! A [`CompressedModel`] is built from a model descriptor plus the per-layer
 //! decisions of a [`tdc::CompressionPlan`]:
 //!
-//! * layers the plan **keeps dense** execute as im2col + GEMM — the library
-//!   path the paper keeps for "other layers";
+//! * layers the plan **keeps dense** execute as an implicit GEMM
+//!   ([`im2col::conv2d_implicit_into`], the cuDNN `IMPLICIT_GEMM` analogue the
+//!   paper keeps for "other layers") on the serving path, and as im2col + GEMM
+//!   in the bit-exact reference [`CompressedModel::forward`];
 //! * layers the plan **decomposes** execute the paper's three-stage Tucker-2
 //!   pipeline (1×1 → R×S core → 1×1) via [`tdc_tucker::TuckerConv`], with the
 //!   factors obtained by Tucker-2 decomposition of the materialized kernel.
@@ -20,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tdc::rank_select::Decision;
 use tdc::CompressionPlan;
-use tdc_conv::{direct, im2col, ConvShape};
+use tdc_conv::{direct, im2col, layout, ConvShape};
 use tdc_nn::models::ModelDescriptor;
 use tdc_tensor::matmul::{gemm_blocked_into, matmul};
 use tdc_tensor::{init, Tensor};
@@ -33,20 +35,22 @@ use tdc_tucker::TuckerConv;
 pub const MAX_MODEL_WEIGHTS: usize = 1 << 28;
 
 /// Most elements one convolution's largest tensor may hold — its input, its
-/// output or its im2col column matrix (`H'·W' × C·R·S`): 2^26, 256 MiB of
+/// zero-padded input, its output or its im2col column matrix
+/// (`H'·W' × C·R·S`): 2^26, 256 MiB of
 /// `f32`, about 2.3× the 28.9 M-element column matrix of VGG-16's second
 /// layer, the largest in `tdc_nn::models`.
 pub const MAX_LAYER_ELEMS: usize = 1 << 26;
 
 /// One executable layer of the compressed network.
 enum LayerExec {
-    /// Kept dense: original CNRS kernel, run as im2col + GEMM. The
-    /// `(C·R·S) × N` GEMM operand (`kmat`) is cached at materialization so
-    /// the per-request path never rebuilds it.
+    /// Kept dense: original CNRS kernel, run as im2col + GEMM by
+    /// [`CompressedModel::forward`]. The arena path runs it as an implicit
+    /// GEMM against `kpack`, the kernel matrix packed into column panels
+    /// ([`im2col::pack_kernel`]) once at materialization.
     Dense {
         shape: ConvShape,
         kernel: Tensor,
-        kmat: Tensor,
+        kpack: Vec<f32>,
     },
     /// Decomposed: the three-stage Tucker-2 convolution. The core kernel is
     /// additionally cached in RSCN layout so the arena hot path runs the
@@ -97,7 +101,9 @@ impl CompressedModel {
                 });
             }
             let (out_h, out_w) = (shape.out_h(), shape.out_w());
+            let padded = |extent: usize| extent.saturating_add(shape.pad.saturating_mul(2));
             let largest = elems(&[shape.h, shape.w, shape.c])
+                .max(elems(&[padded(shape.h), padded(shape.w), shape.c]))
                 .max(elems(&[out_h, out_w, shape.n]))
                 .max(elems(&[out_h, out_w, shape.c, shape.r, shape.s]));
             if largest > MAX_LAYER_ELEMS {
@@ -187,14 +193,14 @@ impl CompressedModel {
             layers.push(match decision.decision {
                 Decision::Keep { .. } => LayerExec::Dense {
                     shape: *shape,
-                    kmat: im2col::kernel_matrix(&kernel, shape)?,
+                    kpack: im2col::pack_kernel(&kernel, shape)?,
                     kernel,
                 },
                 Decision::Decompose { rank, .. } => {
                     let factors = tucker2(&kernel, rank.d1, rank.d2)?;
                     decomposed_layers += 1;
                     let conv = Box::new(TuckerConv::from_factors(*shape, &factors)?);
-                    let core_rscn = tdc_conv::layout::cnrs_to_rscn(&conv.core)?;
+                    let core_rscn = layout::cnrs_to_rscn(&conv.core)?;
                     LayerExec::Tucker { conv, core_rscn }
                 }
             });
@@ -287,18 +293,20 @@ impl CompressedModel {
             .map_err(Into::into)
     }
 
-    /// [`CompressedModel::forward`] staging every intermediate — im2col patch
-    /// matrices, Tucker stage outputs, pooled features and the returned
-    /// logits — in `arena` instead of allocating.
+    /// [`CompressedModel::forward`] staging every intermediate — zero-padded
+    /// inputs, Tucker stage outputs, pooled features and the returned logits —
+    /// in `arena` instead of allocating.
     ///
-    /// Bit-identical to [`CompressedModel::forward`]: each stage runs the
-    /// same kernel ([`gemm_blocked_into`], [`direct::conv2d_into`],
-    /// [`im2col::im2col_into`]) on the same operands in the same order, only
-    /// the buffers' provenance differs. Dense layers use the `kmat` cached at
-    /// materialization (the same [`im2col::kernel_matrix`] reordering, so the
-    /// same values). On a warm arena this path performs zero f32 allocations;
-    /// the returned tensor's storage comes from the pool and is expected to
-    /// be recycled by the caller once serialized.
+    /// Kept-dense layers run as an implicit GEMM
+    /// ([`im2col::conv2d_implicit_into`]), which never writes the patch
+    /// matrix, and Tucker cores as [`direct::conv2d_rscn_into`]; the 1×1
+    /// stages and FC layers run [`gemm_blocked_into`]. Bit-identical to
+    /// [`CompressedModel::forward`] on finite inputs: per output element each
+    /// kernel performs the same f32 operations in the same order as the
+    /// reference's im2col + GEMM and [`direct::conv2d`], only the loop tiling
+    /// and the buffers' provenance differ. On a warm arena this path performs
+    /// zero f32 allocations; the returned tensor's storage comes from the
+    /// pool and is expected to be recycled by the caller once serialized.
     pub fn forward_in(&self, input: &Tensor, arena: &mut ScratchArena) -> Result<Tensor> {
         if input.dims() != self.input_dims.as_slice() {
             return Err(ServeError::BadInput {
@@ -314,16 +322,19 @@ impl CompressedModel {
         for layer in &self.layers {
             let src: &[f32] = cur.as_deref().unwrap_or_else(|| input.data());
             let next = match layer {
-                LayerExec::Dense { shape, kmat, .. } => {
-                    let m = shape.out_h() * shape.out_w();
-                    let kdim = shape.c * shape.r * shape.s;
-                    // im2col writes every patch slot and the GEMM overwrites
-                    // `out`, so neither buffer needs the zero-fill.
-                    let mut patches = arena.take_full(m * kdim);
-                    im2col::im2col_into(src, &mut patches, shape);
-                    let mut out = arena.take_full(m * shape.n);
-                    gemm_blocked_into(&patches, kmat.data(), &mut out, m, kdim, shape.n);
-                    arena.give(patches);
+                LayerExec::Dense { shape, kpack, .. } => {
+                    // The padding copy and the implicit GEMM write every
+                    // element, so neither buffer needs the zero-fill.
+                    let mut out = arena.take_full(shape.out_h() * shape.out_w() * shape.n);
+                    if shape.pad == 0 {
+                        im2col::conv2d_implicit_into(src, kpack, &mut out, shape);
+                    } else {
+                        let (ph, pw) = (h + 2 * shape.pad, w + 2 * shape.pad);
+                        let mut xpad = arena.take_full(ph * pw * c);
+                        layout::pad_hwc_into(src, &mut xpad, shape);
+                        im2col::conv2d_implicit_into(&xpad, kpack, &mut out, shape);
+                        arena.give(xpad);
+                    }
                     (h, w, c) = (shape.out_h(), shape.out_w(), shape.n);
                     out
                 }
@@ -463,6 +474,22 @@ mod tests {
             // Recycle the output like the production loop does.
             arena.give(staged.into_data());
         }
+    }
+
+    #[test]
+    fn a_padded_input_over_the_layer_bound_is_rejected() {
+        // Every other tensor of this layer is tiny, but the zero-padded input
+        // the serving path stages is 10001 × 10001.
+        let wide_pad = ModelDescriptor {
+            name: "wide-pad".into(),
+            convs: vec![ConvShape::new(1, 1, 1, 1, 1, 1, 5000, 10_000)],
+            fc: vec![(1, 2)],
+        };
+        assert!(wide_pad.convs[0].is_valid());
+        assert!(matches!(
+            CompressedModel::validate(&wide_pad),
+            Err(ServeError::BadConfig { reason }) if reason.contains("element bound")
+        ));
     }
 
     #[test]

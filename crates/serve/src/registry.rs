@@ -864,8 +864,8 @@ impl ModelRegistry {
     }
 
     /// Controller snapshot: the tune counter and per-model tune state joined
-    /// against the live routing table (knob values and
-    /// early-release counts come from the serving engines).
+    /// against the live routing table (knob values come from the serving
+    /// engines' configs).
     pub fn controller_status(&self) -> ControllerStatus {
         let table = self.table.load();
         let ledger = self.controller();
@@ -879,7 +879,6 @@ impl ModelRegistry {
                     target_p99_ms: state.target_p99_ms,
                     expected_p99_ms: state.expected_p99_ms,
                     last_measured_p99_ms: state.last_measured_p99_ms,
-                    early_releases: entry.engine.early_releases(),
                     knobs: KnobSet::of(&entry.config),
                 }
             })
