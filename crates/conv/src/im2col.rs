@@ -124,23 +124,23 @@ pub fn kernel_matrix(kernel: &Tensor, shape: &ConvShape) -> Result<Tensor> {
 
 /// Output positions (consecutive columns of one output row) per register
 /// tile of [`conv2d_implicit_into`].
-pub const IMPLICIT_MP: usize = 8;
+const IMPLICIT_MP: usize = 8;
 /// Output channels per register tile of [`conv2d_implicit_into`], and the
 /// width of every panel of [`pack_kernel`].
-pub const IMPLICIT_NT: usize = 32;
+const IMPLICIT_NT: usize = 32;
 
 /// Length of [`pack_kernel`]'s output for `shape`: `C·R·S` rows of every
 /// panel.
-pub fn packed_kernel_len(shape: &ConvShape) -> usize {
+fn packed_kernel_len(shape: &ConvShape) -> usize {
     shape.c * shape.r * shape.s * shape.n.div_ceil(IMPLICIT_NT) * IMPLICIT_NT
 }
 
 /// Pack a CNRS kernel for [`conv2d_implicit_into`]: the [`kernel_matrix`]
-/// (`(c, r, s)` rows, `N` columns) cut into [`IMPLICIT_NT`]-wide column
-/// panels, each stored as a contiguous `C·R·S × IMPLICIT_NT` block. The last
-/// panel's columns past `N` are zero, so a channel-remainder tile runs the
-/// full-width multiply-add (its dead lanes accumulate values that are never
-/// stored) instead of a narrower loop.
+/// (`(c, r, s)` rows, `N` columns) cut into 32-wide column panels, each
+/// stored as a contiguous `C·R·S × 32` block. The last panel's columns past
+/// `N` are zero, so a channel-remainder tile runs the full-width multiply-add
+/// (its dead lanes accumulate values that are never stored) instead of a
+/// narrower loop.
 pub fn pack_kernel(kernel: &Tensor, shape: &ConvShape) -> Result<Vec<f32>> {
     let kmat = kernel_matrix(kernel, shape)?;
     let n = shape.n;
@@ -161,9 +161,9 @@ pub fn pack_kernel(kernel: &Tensor, shape: &ConvShape) -> Result<Vec<f32>> {
 /// [`pack_kernel`] panels. Overwrite semantics: every element of `out` is
 /// stored.
 ///
-/// The output is computed in tiles of up to [`IMPLICIT_MP`] consecutive
-/// positions of one row × [`IMPLICIT_NT`] channels whose accumulators stay
-/// in registers, while K walks the patch in [`im2col`]'s `(c, r, s)` order.
+/// The output is computed in tiles of up to 8 consecutive positions of one
+/// row × 32 channels whose accumulators stay in registers, while K walks the
+/// patch in [`im2col`]'s `(c, r, s)` order.
 /// Per output element that is exactly the sequence
 /// [`matmul::gemm_blocked_into`] performs on the materialised patch matrix:
 /// `+0.0`, then `acc += x · w` for k = 0..C·R·S. There is no zero-skip, so

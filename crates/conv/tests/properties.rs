@@ -120,15 +120,35 @@ proptest! {
         let rs = [1usize, 3, 5][rs_idx];
         let shape = ConvShape::new(c, n, h, w, rs, rs, pad, stride);
         prop_assume!(shape.is_valid());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let input = init::uniform(shape.input_dims(), -1.0, 1.0, &mut rng);
-        let kernel = init::uniform(shape.kernel_dims(), -1.0, 1.0, &mut rng);
-        let rscn = layout::cnrs_to_rscn(&kernel).unwrap();
-        let len = shape.out_h() * shape.out_w() * n;
-        let (mut ours, mut reference) = (vec![0.0f32; len], vec![0.0f32; len]);
-        direct::conv2d_rscn_into(input.data(), rscn.data(), &mut ours, &shape);
-        direct::conv2d_into(input.data(), kernel.data(), &mut reference, &shape);
-        prop_assert!(same_bits(&ours, &reference), "shape {}", shape);
+        prop_assert!(rscn_matches_cnrs(&shape, seed), "shape {}", shape);
+    }
+}
+
+/// The RSCN core convolution against the CNRS direct reference on random
+/// data drawn from `seed`.
+fn rscn_matches_cnrs(shape: &ConvShape, seed: u64) -> bool {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let input = init::uniform(shape.input_dims(), -1.0, 1.0, &mut rng);
+    let kernel = init::uniform(shape.kernel_dims(), -1.0, 1.0, &mut rng);
+    let rscn = layout::cnrs_to_rscn(&kernel).unwrap();
+    let len = shape.out_h() * shape.out_w() * shape.n;
+    let (mut ours, mut reference) = (vec![0.0f32; len], vec![0.0f32; len]);
+    direct::conv2d_rscn_into(input.data(), rscn.data(), &mut ours, shape);
+    direct::conv2d_into(input.data(), kernel.data(), &mut reference, shape);
+    same_bits(&ours, &reference)
+}
+
+#[test]
+fn rscn_core_conv_is_bit_identical_through_every_interior_width() {
+    // Each monomorphised rank width through the four-position interior
+    // loop: a 21-wide row leaves 9 to 21 interior columns for these
+    // strides, pads and filters, so every shape runs two or more whole
+    // groups of four plus a remainder on the border loop.
+    for n in [2usize, 4, 8, 16] {
+        for (rs, pad, stride) in [(3, 0, 1), (3, 1, 1), (3, 0, 2), (3, 1, 2), (1, 0, 1)] {
+            let shape = ConvShape::new(3, n, 5, 21, rs, rs, pad, stride);
+            assert!(rscn_matches_cnrs(&shape, n as u64), "shape {shape}");
+        }
     }
 }
 

@@ -6,10 +6,10 @@
 //!
 //! * [`CpuBackend`] — the real CPU executor: kept layers as an implicit GEMM
 //!   that never writes the im2col patch matrix, decomposed layers as the
-//!   three-stage Tucker-2 convolution, every
-//!   intermediate staged in the dispatch's
-//!   [`ScratchArena`]. Its latency report is the *predicted* per-layer
-//!   GPU latency from the compression plan (the planning oracle's view).
+//!   three-stage Tucker-2 convolution, every intermediate staged in the
+//!   dispatch's [`ScratchArena`]. Its latency report is the *predicted*
+//!   per-layer GPU latency from the compression plan (the planning oracle's
+//!   view).
 //! * [`SimGpuBackend`] — the same numerics (outputs are bit-identical to the
 //!   CPU backend for the same seed and plan) plus a *measured-in-simulation*
 //!   latency account: every planned layer is lowered to its
