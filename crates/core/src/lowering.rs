@@ -3,9 +3,10 @@
 //! A [`CompressionPlan`] records *what* each layer should run (keep dense, or
 //! decompose at some ranks with some core tiling). This module turns those
 //! decisions into the concrete [`KernelLaunch`] sequences a GPU would execute,
-//! so execution layers — e.g. `tdc-serve`'s simulated-GPU backend — can replay
-//! an entire plan through the wave-level simulator instead of treating the
-//! simulator as a closed-form latency oracle:
+//! so callers — `tdc-serve`'s knob scoring (`ModelRegistry::estimate_knobs`)
+//! and the benchmark's replay probe — can replay an entire plan through the
+//! wave-level simulator instead of treating the simulator as a closed-form
+//! latency oracle:
 //!
 //! * a **kept** layer lowers to the library path (cuDNN `IMPLICIT_GEMM`, the
 //!   same cost model the paper's end-to-end runs fix for "other layers");

@@ -32,7 +32,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use tdc_serve::backend::{BackendLatencyReport, BackendWrapper, BatchExecution, ExecutionBackend};
+use tdc_serve::backend::{BackendWrapper, ExecutionBackend};
 use tdc_serve::{ScratchArena, ServeError};
 use tdc_tensor::Tensor;
 
@@ -204,10 +204,6 @@ impl FaultBackend {
 }
 
 impl ExecutionBackend for FaultBackend {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
     fn input_dims(&self) -> &[usize] {
         self.inner.input_dims()
     }
@@ -222,7 +218,7 @@ impl ExecutionBackend for FaultBackend {
         &self,
         inputs: &[&Tensor],
         arena: &mut ScratchArena,
-    ) -> Result<BatchExecution, ServeError> {
+    ) -> Result<Vec<Tensor>, ServeError> {
         match self.take_fault() {
             FaultMode::Off => self.inner.forward_batch(inputs, arena),
             FaultMode::Panic(_) => {
@@ -241,10 +237,6 @@ impl ExecutionBackend for FaultBackend {
                 self.inner.forward_batch(inputs, arena)
             }
         }
-    }
-
-    fn latency_report(&self, batch_size: usize) -> Result<BackendLatencyReport, ServeError> {
-        self.inner.latency_report(batch_size)
     }
 }
 
@@ -295,7 +287,7 @@ mod tests {
             "armed delay must stall the batch"
         );
         assert_eq!(
-            slow.outputs[0].data(),
+            slow[0].data(),
             input.data(),
             "a delayed batch must still be bit-correct"
         );
@@ -377,13 +369,13 @@ mod tests {
         let pool = Arc::new(BufferPool::new());
         let mut arena = ScratchArena::new(Arc::clone(&pool));
         let first = backend.forward_batch(&refs, &mut arena).unwrap();
-        assert_eq!(first.outputs, reference, "cold batch diverged");
-        for out in first.outputs {
+        assert_eq!(first, reference, "cold batch diverged");
+        for out in first {
             arena.give(out.into_data());
         }
         let warm = pool.stats();
         let second = backend.forward_batch(&refs, &mut arena).unwrap();
-        assert_eq!(second.outputs, reference, "warm batch diverged");
+        assert_eq!(second, reference, "warm batch diverged");
         let after = pool.stats();
         assert_eq!(after.allocated_buffers, warm.allocated_buffers);
         assert_eq!(after.allocated_f32, warm.allocated_f32);
@@ -395,9 +387,6 @@ mod tests {
     struct NullBackend;
 
     impl ExecutionBackend for NullBackend {
-        fn name(&self) -> &str {
-            "null"
-        }
         fn input_dims(&self) -> &[usize] {
             &[]
         }
@@ -408,16 +397,8 @@ mod tests {
             &self,
             inputs: &[&Tensor],
             _arena: &mut ScratchArena,
-        ) -> Result<BatchExecution, ServeError> {
-            Ok(BatchExecution {
-                outputs: inputs.iter().map(|t| (*t).clone()).collect(),
-                simulated_gpu_ms: 0.0,
-            })
-        }
-        fn latency_report(&self, _batch_size: usize) -> Result<BackendLatencyReport, ServeError> {
-            Err(ServeError::ExecutionFailed {
-                reason: "null backend has no latency report".into(),
-            })
+        ) -> Result<Vec<Tensor>, ServeError> {
+            Ok(inputs.iter().map(|t| (*t).clone()).collect())
         }
     }
 }

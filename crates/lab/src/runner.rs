@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tdc_serve::{
-    serving_descriptor, BackendKind, BatchingOptions, LatencySummary, ModelConfig, ModelRegistry,
+    serving_descriptor, BatchingOptions, LatencySummary, ModelConfig, ModelRegistry,
     PendingResponse, RuntimeOptions, ServeError,
 };
 use tdc_tensor::{init, Tensor};
@@ -38,8 +38,6 @@ use crate::trace::{fnv1a, Fnv1a, Trace};
 /// How the runner builds engines and paces the trace.
 #[derive(Debug, Clone)]
 pub struct ReplayOptions {
-    /// Execution backend for every model.
-    pub backend: BackendKind,
     /// Fair-share weight / worker count per model.
     pub workers: usize,
     /// Maximum requests per batch.
@@ -59,7 +57,6 @@ pub struct ReplayOptions {
 impl Default for ReplayOptions {
     fn default() -> Self {
         ReplayOptions {
-            backend: BackendKind::Cpu,
             workers: 2,
             max_batch_size: 8,
             max_batch_delay: Duration::from_millis(2),
@@ -113,7 +110,6 @@ pub fn deploy(
             runtime: RuntimeOptions {
                 workers: options.workers,
                 qos: model.qos.unwrap_or_default(),
-                backend: options.backend,
                 ..RuntimeOptions::default()
             },
             backend_wrapper: wrapper,

@@ -88,9 +88,10 @@ fn a_spawned_fleet_registers_routes_retires_and_shuts_down_as_one() {
     ];
     assert_eq!(fleet, [1, 1, 1], "{reply}");
 
-    // Padding that overflows the shape arithmetic, or weights or an
-    // activation too large to materialize, answer 400 from a replica and
-    // routed, and both replicas still serve.
+    // Padding that overflows the shape arithmetic, weights or an activation
+    // too large to materialize, or a layer of about 2^40 multiply-accumulates
+    // per sample answer 400 from a replica and routed, and both replicas
+    // still serve.
     let big = |c: u64, hw: u64, pad: &str| {
         format!(
             r#"{{"descriptor": {{"name": "big", "fc": [[{c}, 6]], "convs": [{{"c": {c}, "n": {c}, "h": {hw}, "w": {hw}, "r": 3, "s": 3, "pad": {pad}, "stride": 1}}]}}}}"#
@@ -100,6 +101,7 @@ fn a_spawned_fleet_registers_routes_retires_and_shuts_down_as_one() {
         big(4, 10, "1e19"),
         big(100_000, 10, "1"),
         big(1, 100_000, "1"),
+        r#"{"descriptor": {"name": "big", "fc": [[16000, 10]], "convs": [{"c": 16384, "n": 16000, "h": 64, "w": 64, "r": 1, "s": 1, "pad": 0, "stride": 1}]}}"#.to_string(),
     ] {
         for addr in [replicas[0], router.addr] {
             let (status, reply) =

@@ -15,9 +15,9 @@
 //! * **batch assembly** — a forming batch never waits past the earliest
 //!   deadline among the requests it would dispatch, so one urgent request
 //!   releases the batch instead of idling out the full delay. When the
-//!   engine has published an **execution-time estimate** (the backend's
-//!   full-batch `latency_report`, see
-//!   [`BatchQueue::set_exec_estimate`]), the release is pulled further in
+//!   engine has published an **execution-time estimate** (its measured
+//!   full-batch execution time, see [`BatchQueue::record_exec`]), the
+//!   release is pulled further in
 //!   to `deadline − estimated_exec_time`: the batch ships while there is
 //!   still time to *run* it, so a deadline bounds the answer, not merely
 //!   the dequeue — deadline enforcement and batch-delay tuning share one
@@ -86,13 +86,6 @@ pub struct InferenceResponse {
     pub exec_ms: f64,
     /// Size of the batch this request rode in.
     pub batch_size: usize,
-    /// Predicted GPU latency for the whole batch on the planned device, ms
-    /// (from `tdc::inference`, per-sample latency × batch size).
-    pub predicted_gpu_batch_ms: f64,
-    /// Simulated GPU latency for the whole batch as measured by the execution
-    /// backend's simulator, ms — `0.0` on backends that do not simulate
-    /// (e.g. the CPU backend).
-    pub simulated_gpu_batch_ms: f64,
 }
 
 impl InferenceResponse {
@@ -182,14 +175,28 @@ impl BatchQueue {
         }
     }
 
-    /// Publish the estimated execution time of a full batch (typically the
-    /// backend's `latency_report` at `max_batch_size`). With an estimate in
-    /// place, a forming batch with a member deadline releases at
-    /// `deadline − estimate` instead of at the deadline itself, so the
-    /// batch ships while there is still time to execute it.
-    /// [`Duration::ZERO`] disables early release.
-    pub fn set_exec_estimate(&self, estimate: Duration) {
+    /// Pin the full-batch execution estimate (tests only: the engine
+    /// measures it through [`BatchQueue::record_exec`]). [`Duration::ZERO`]
+    /// disables early release until the next measurement.
+    #[cfg(test)]
+    pub(crate) fn set_exec_estimate(&self, estimate: Duration) {
         let ns = u64::try_from(estimate.as_nanos()).unwrap_or(u64::MAX);
+        self.exec_estimate_ns.store(ns, Ordering::Relaxed);
+    }
+
+    /// Publish the estimated execution time of a full batch from a
+    /// measurement: `elapsed` spent executing `samples` samples, scaled
+    /// linearly to `max_batch_size`. With an estimate in place, a forming
+    /// batch with a member deadline releases at `deadline − estimate`
+    /// instead of at the deadline itself, so the batch ships while there is
+    /// still time to execute it. Linear
+    /// scaling is right for the CPU backend, which runs a batch's samples
+    /// one after another. The engine calls this with its timed warmup probe
+    /// (one sample) at build and with every successfully executed batch.
+    pub fn record_exec(&self, elapsed: Duration, samples: usize) {
+        let scale = self.max_batch_size as f64 / samples.max(1) as f64;
+        // `as` saturates, so an absurd batch bound cannot overflow.
+        let ns = (elapsed.as_nanos() as f64 * scale) as u64;
         self.exec_estimate_ns.store(ns, Ordering::Relaxed);
     }
 
@@ -355,14 +362,17 @@ impl BatchQueue {
         }
     }
 
-    /// Take the next batch without blocking: a pool worker must never park
-    /// inside the batcher, so instead of waiting out batch formation this
-    /// returns [`TryBatch::NotReady`] with the release instant and the
-    /// executor re-polls on a timer. A full batch, a reached release
-    /// instant, or a closed queue dispatches immediately. Never returns an
-    /// empty dispatch, and requests whose deadline passed while queued come
-    /// back in [`DequeuedBatch::expired`] instead of the live set.
-    pub fn try_next_batch(&self) -> TryBatch {
+    /// Take the next batch as of `now` without blocking: a pool worker must
+    /// never park inside the batcher, so instead of waiting out batch
+    /// formation this returns [`TryBatch::NotReady`] with the release
+    /// instant and the executor re-polls on a timer. A full batch, a
+    /// release instant at or before `now`, or a closed queue dispatches
+    /// immediately. Never returns an empty dispatch, and requests whose
+    /// deadline is at or before `now` come back in
+    /// [`DequeuedBatch::expired`] instead of the live set. The release check
+    /// and the expiry split both read the one `now`, so they cannot
+    /// disagree about the time.
+    pub fn try_next_batch(&self, now: Instant) -> TryBatch {
         let mut state = self.state();
         if state.fifo.is_empty() {
             return if state.closed {
@@ -373,13 +383,12 @@ impl BatchQueue {
         }
         if state.fifo.len() < self.max_batch_size && !state.closed {
             if let Some(verdict) = self.release_verdict(&state) {
-                if Instant::now() < verdict.at {
+                if now < verdict.at {
                     return TryBatch::NotReady(verdict.at);
                 }
             }
         }
         let take = state.fifo.len().min(self.max_batch_size);
-        let now = Instant::now();
         self.note_early_release(&state, take, now);
         let (expired, live): (Vec<_>, Vec<_>) = state
             .fifo
@@ -452,7 +461,7 @@ mod tests {
     /// once the queue is closed and drained.
     fn next_batch(queue: &BatchQueue) -> Option<DequeuedBatch> {
         loop {
-            match queue.try_next_batch() {
+            match queue.try_next_batch(Instant::now()) {
                 TryBatch::Batch(batch) => return Some(batch),
                 TryBatch::NotReady(at) => {
                     std::thread::sleep(at.saturating_duration_since(Instant::now()));
@@ -651,13 +660,16 @@ mod tests {
     fn try_next_batch_never_blocks() {
         let queue = BatchQueue::new(4, Duration::from_secs(60), usize::MAX);
         // Empty and open.
-        assert!(matches!(queue.try_next_batch(), TryBatch::Empty));
+        assert!(matches!(
+            queue.try_next_batch(Instant::now()),
+            TryBatch::Empty
+        ));
         // Under-full inside the release window: not ready, with the
         // release instant (here the oldest request's 60 s delay horizon).
         let (req, _rx) = request(0);
         let enqueued_at = req.enqueued_at;
         queue.push(req).unwrap();
-        match queue.try_next_batch() {
+        match queue.try_next_batch(enqueued_at) {
             TryBatch::NotReady(release) => {
                 assert_eq!(release, enqueued_at + Duration::from_secs(60));
             }
@@ -668,18 +680,21 @@ mod tests {
         for id in 1..4 {
             queue.push(request(id).0).unwrap();
         }
-        match queue.try_next_batch() {
+        match queue.try_next_batch(enqueued_at) {
             TryBatch::Batch(batch) => assert_eq!(batch.live.len(), 4),
             _ => panic!("a full batch must dispatch"),
         }
         // Close: queued leftovers still dispatch, then Closed.
         queue.push(request(9).0).unwrap();
         queue.close();
-        match queue.try_next_batch() {
+        match queue.try_next_batch(enqueued_at) {
             TryBatch::Batch(batch) => assert_eq!(batch.live.len(), 1),
             _ => panic!("a closed queue dispatches its remainder immediately"),
         }
-        assert!(matches!(queue.try_next_batch(), TryBatch::Closed));
+        assert!(matches!(
+            queue.try_next_batch(enqueued_at),
+            TryBatch::Closed
+        ));
     }
 
     #[test]
@@ -688,9 +703,9 @@ mod tests {
         queue.set_exec_estimate(Duration::from_millis(40));
         assert_eq!(queue.exec_estimate(), Duration::from_millis(40));
         let (req, _rx) = request_with_deadline(0, Some(Duration::from_secs(30)));
-        let deadline = req.deadline.unwrap();
+        let (enqueued_at, deadline) = (req.enqueued_at, req.deadline.unwrap());
         queue.push(req).unwrap();
-        match queue.try_next_batch() {
+        match queue.try_next_batch(enqueued_at) {
             TryBatch::NotReady(release) => {
                 assert_eq!(
                     release,
@@ -704,6 +719,15 @@ mod tests {
     }
 
     #[test]
+    fn record_exec_scales_a_measurement_linearly_to_a_full_batch() {
+        let queue = BatchQueue::new(8, Duration::from_millis(1), usize::MAX);
+        queue.record_exec(Duration::from_millis(10), 2);
+        assert_eq!(queue.exec_estimate(), Duration::from_millis(40));
+        queue.record_exec(Duration::from_millis(3), 8);
+        assert_eq!(queue.exec_estimate(), Duration::from_millis(3));
+    }
+
+    #[test]
     fn an_early_release_ships_live_requests_and_is_counted() {
         // The estimate covers the whole distance to the deadline, so the
         // pulled release instant is already in the past: the very next poll
@@ -713,8 +737,9 @@ mod tests {
         let queue = BatchQueue::new(4, Duration::from_secs(60), usize::MAX);
         queue.set_exec_estimate(Duration::from_secs(30));
         let (req, _rx) = request_with_deadline(0, Some(Duration::from_secs(20)));
+        let now = req.enqueued_at;
         queue.push(req).unwrap();
-        match queue.try_next_batch() {
+        match queue.try_next_batch(now) {
             TryBatch::Batch(batch) => {
                 assert_eq!(batch.live.len(), 1, "the request must ship live");
                 assert!(batch.expired.is_empty());
@@ -727,7 +752,7 @@ mod tests {
         let (plain, _rx2) = request(1);
         let enqueued_at = plain.enqueued_at;
         queue.push(plain).unwrap();
-        match queue.try_next_batch() {
+        match queue.try_next_batch(enqueued_at) {
             TryBatch::NotReady(release) => {
                 assert_eq!(release, enqueued_at + Duration::from_secs(60));
             }
@@ -740,9 +765,9 @@ mod tests {
     fn try_next_batch_release_follows_the_earliest_deadline() {
         let queue = BatchQueue::new(4, Duration::from_secs(60), usize::MAX);
         let (req, _rx) = request_with_deadline(0, Some(Duration::from_millis(5)));
-        let deadline = req.deadline.unwrap();
+        let (enqueued_at, deadline) = (req.enqueued_at, req.deadline.unwrap());
         queue.push(req).unwrap();
-        match queue.try_next_batch() {
+        match queue.try_next_batch(enqueued_at) {
             TryBatch::NotReady(release) => {
                 assert_eq!(
                     release, deadline,
@@ -751,15 +776,38 @@ mod tests {
             }
             _ => panic!("inside the window the batch is still forming"),
         }
-        // Once the deadline passes, the same poll takes the batch and
-        // splits the request out as expired.
-        std::thread::sleep(Duration::from_millis(10));
-        match queue.try_next_batch() {
+        // At the deadline the same poll takes the batch and splits the
+        // request out as expired.
+        match queue.try_next_batch(deadline) {
             TryBatch::Batch(batch) => {
                 assert!(batch.live.is_empty());
                 assert_eq!(batch.expired.len(), 1);
             }
             _ => panic!("a passed release instant must dispatch"),
         }
+    }
+
+    #[test]
+    fn a_forming_batch_is_not_ready_before_its_delay_horizon_and_ships_at_it() {
+        // Explicit instants, no sleep: one nanosecond before
+        // `enqueued_at + max_batch_delay` the batch is still forming; at that
+        // instant it ships, and the request is live.
+        let queue = BatchQueue::new(4, Duration::from_millis(30), usize::MAX);
+        let (req, _rx) = request(0);
+        let horizon = req.enqueued_at + Duration::from_millis(30);
+        queue.push(req).unwrap();
+        match queue.try_next_batch(horizon - Duration::from_nanos(1)) {
+            TryBatch::NotReady(release) => assert_eq!(release, horizon),
+            _ => panic!("before the delay horizon the batch is still forming"),
+        }
+        assert_eq!(queue.depth(), 1);
+        match queue.try_next_batch(horizon) {
+            TryBatch::Batch(batch) => {
+                assert_eq!(batch.live.len(), 1);
+                assert!(batch.expired.is_empty());
+            }
+            _ => panic!("at the delay horizon the batch must ship"),
+        }
+        assert_eq!(queue.early_releases(), 0, "a plain delay release");
     }
 }

@@ -1,8 +1,7 @@
 //! The HTTP serving daemon: a multi-model registry behind the std-only
 //! HTTP/1.1 front end.
 //!
-//! Registers `--models N` miniature models (alternating CPU and sim-GPU
-//! backends so one process demonstrates both execution paths), binds the
+//! Registers `--models N` miniature models of different sizes, binds the
 //! front end and serves until `POST /admin/shutdown` or a kill.
 //! `--default-deadline-ms D` gives every model a default per-request
 //! deadline (requests not served within `D` ms answer `504`; per-request
@@ -32,8 +31,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tdc_serve::{
-    serving_descriptor, BackendKind, BatchingOptions, HttpServer, ModelConfig, ModelRegistry,
-    PlanCache, RuntimeOptions,
+    serving_descriptor, BatchingOptions, HttpServer, ModelConfig, ModelRegistry, PlanCache,
 };
 
 struct Flags {
@@ -101,10 +99,9 @@ fn parse_flags() -> Flags {
 }
 
 /// Register `n` miniature models: sizes vary so the models are genuinely
-/// different networks, and the backend alternates CPU / sim-GPU. With a
-/// spill directory, every planned model is persisted as JSON — a later
-/// replica pointed at the same directory warms its plan cache from disk
-/// instead of re-running rank selection.
+/// different networks. With a spill directory, every planned model is
+/// persisted as JSON — a later replica pointed at the same directory warms
+/// its plan cache from disk instead of re-running rank selection.
 fn build_registry(
     n: usize,
     default_deadline: Option<Duration>,
@@ -122,20 +119,11 @@ fn build_registry(
     };
     for index in 0..n {
         let descriptor = serving_descriptor(&format!("svc-{index}"), 10 + 2 * index, 4, 6);
-        let backend = if index % 2 == 0 {
-            BackendKind::Cpu
-        } else {
-            BackendKind::SimGpu
-        };
         let config = ModelConfig {
             batching: BatchingOptions {
                 max_batch_size: 8,
                 default_deadline,
                 ..BatchingOptions::default()
-            },
-            runtime: RuntimeOptions {
-                backend,
-                ..RuntimeOptions::default()
             },
             ..ModelConfig::default()
         };

@@ -77,7 +77,7 @@ use crate::control::TuneRequest;
 use crate::options::{BatchingOptions, PlanningOptions, RuntimeOptions};
 use crate::registry::{ModelConfig, ModelRegistry};
 use crate::wire::{Broken, Connection};
-use crate::{BackendKind, Result, ServeError};
+use crate::{Result, ServeError};
 use serde::Deserialize;
 use serde_json::Reader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -148,9 +148,6 @@ pub struct RegisterBody {
     /// Planning/simulation device: `"a100"` (default) or `"rtx2080ti"`.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub device: Option<String>,
-    /// Execution backend: `"cpu"` (default) or `"sim-gpu"`.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub backend: Option<String>,
     /// Maximum requests per executed batch.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub max_batch_size: Option<usize>,
@@ -187,7 +184,6 @@ impl RegisterBody {
             rank_step: None,
             theta: None,
             device: None,
-            backend: None,
             max_batch_size: None,
             max_batch_delay_ms: None,
             max_queue_depth: None,
@@ -199,7 +195,7 @@ impl RegisterBody {
     }
 
     /// Resolve the body's knobs into a full [`ModelConfig`], filling gaps
-    /// with the defaults. Unknown device or backend labels are a
+    /// with the defaults. Unknown device or QoS labels are a
     /// [`ServeError::BadConfig`] (HTTP 400).
     pub fn model_config(&self) -> Result<ModelConfig> {
         let device = match self.device.as_deref() {
@@ -210,12 +206,6 @@ impl RegisterBody {
                     reason: format!("unknown device {other:?}; use \"a100\" or \"rtx2080ti\""),
                 })
             }
-        };
-        let backend = match self.backend.as_deref() {
-            None => BackendKind::Cpu,
-            Some(label) => BackendKind::parse(label).ok_or_else(|| ServeError::BadConfig {
-                reason: format!("unknown backend {label:?}; use \"cpu\" or \"sim-gpu\""),
-            })?,
         };
         let planning_defaults = PlanningOptions::default();
         let batching_defaults = BatchingOptions::default();
@@ -252,7 +242,6 @@ impl RegisterBody {
                     })?,
                 },
                 seed: self.seed.unwrap_or(runtime_defaults.seed),
-                backend,
             },
             backend_wrapper: None,
         })
@@ -318,8 +307,6 @@ pub struct RegisterReply {
 pub struct RetireReply {
     /// The name that was retired.
     pub model: String,
-    /// Backend the retired engine ran.
-    pub backend: String,
     /// Requests the engine completed over its lifetime (everything admitted
     /// before the retire was drained and answered).
     pub completed_requests: u64,
@@ -336,8 +323,6 @@ pub struct RetireReply {
 pub struct InferReply {
     /// Registered model name that served the request.
     pub model: String,
-    /// Execution backend identity.
-    pub backend: String,
     /// Output logits, flat.
     pub output: Vec<f32>,
     /// Dims of `output`.
@@ -346,12 +331,8 @@ pub struct InferReply {
     pub batch_size: usize,
     /// Queue wait, ms.
     pub queue_ms: f64,
-    /// Executor time for the batch, ms.
+    /// Executor time for the batch, measured on the serving host, ms.
     pub exec_ms: f64,
-    /// Predicted GPU latency for the batch, ms.
-    pub predicted_gpu_batch_ms: f64,
-    /// Simulated GPU latency for the batch, ms (0 on non-simulating backends).
-    pub simulated_gpu_batch_ms: f64,
 }
 
 /// JSON reply of the batched infer form: one entry per submitted input, in
@@ -360,8 +341,6 @@ pub struct InferReply {
 pub struct BatchInferReply {
     /// Registered model name that served the group.
     pub model: String,
-    /// Execution backend identity.
-    pub backend: String,
     /// Per-input output logits, flat, in submission order — bit-identical
     /// to N sequential single-sample calls.
     pub outputs: Vec<Vec<f32>>,
@@ -661,21 +640,17 @@ fn infer_single(
         .deadline_ms
         .map(Duration::from_millis)
         .or_else(|| engine.default_deadline());
-    let backend = engine.backend_name().to_string();
     let pool = engine.buffer_pool();
     let pending = engine.submit_counted(input, deadline)?;
     drop(engine);
     let response: InferenceResponse = pending.wait()?;
     let reply = InferReply {
         model: model.to_string(),
-        backend,
         output: response.output.data().to_vec(),
         dims: response.output.dims().to_vec(),
         batch_size: response.batch_size,
         queue_ms: response.queue_ms,
         exec_ms: response.exec_ms,
-        predicted_gpu_batch_ms: response.predicted_gpu_batch_ms,
-        simulated_gpu_batch_ms: response.simulated_gpu_batch_ms,
     };
     pool.give(response.output.into_data());
     Ok(reply)
@@ -711,7 +686,6 @@ fn infer_batch(
         .deadline_ms
         .map(Duration::from_millis)
         .or_else(|| engine.default_deadline());
-    let backend = engine.backend_name().to_string();
     let pool = engine.buffer_pool();
     let pending = engine.submit_many_counted(tensors, deadline)?;
     drop(engine);
@@ -727,7 +701,6 @@ fn infer_batch(
     }
     Ok(BatchInferReply {
         model: model.to_string(),
-        backend,
         count: outputs.len(),
         outputs,
         dims: out_dims,
@@ -880,7 +853,6 @@ fn delete_model(registry: &ModelRegistry, name: &str) -> Routed {
             200,
             &RetireReply {
                 model: name.to_string(),
-                backend: report.backend,
                 completed_requests: report.metrics.completed_requests,
                 deadline_exceeded: report.metrics.deadline_exceeded,
                 plan_fingerprint: format!("{:016x}", report.plan_fingerprint),
@@ -2116,7 +2088,6 @@ mod tests {
         // PUT a brand-new model on the running server.
         let body = serde_json::to_string(&RegisterBody {
             budget: Some(0.5),
-            backend: Some("sim-gpu".to_string()),
             max_batch_size: Some(4),
             max_batch_delay_ms: Some(1),
             ..RegisterBody::for_descriptor(crate::serving_descriptor("http-hot", 12, 8, 10))
@@ -2126,7 +2097,6 @@ mod tests {
         assert_eq!(status, 200, "{reply}");
         let reply: RegisterReply = serde_json::from_str(&reply).unwrap();
         assert_eq!(reply.registered.name, "hot");
-        assert_eq!(reply.registered.backend, "sim-gpu");
         assert_eq!(reply.registered.generation, 1);
         let first_fingerprint = reply.registered.plan_fingerprint.clone();
 
@@ -2274,7 +2244,6 @@ mod tests {
             rank_step: Some(2),
             theta: Some(0.1),
             device: Some("rtx2080ti".to_string()),
-            backend: Some("sim-gpu".to_string()),
             max_batch_size: Some(4),
             max_batch_delay_ms: Some(3),
             max_queue_depth: Some(64),
@@ -2289,7 +2258,6 @@ mod tests {
         let config = full.model_config().unwrap();
         assert_eq!(config.planning.budget, 0.4);
         assert_eq!(config.planning.device.name, "NVIDIA GeForce RTX 2080 Ti");
-        assert_eq!(config.runtime.backend, crate::BackendKind::SimGpu);
         assert_eq!(config.runtime.qos, tdc_exec::QosClass::Batch);
         assert_eq!(config.runtime.fair_share_weight(), 3);
         assert_eq!(config.batching.max_queue_depth, 64);
@@ -2302,15 +2270,13 @@ mod tests {
         let text = serde_json::to_string(&bare).unwrap();
         assert!(!text.contains("budget") && !text.contains("workers"));
         assert_eq!(serde_json::from_str::<RegisterBody>(&text).unwrap(), bare);
+        // A body from before the single backend still sends `backend`: it is
+        // ignored like any other unknown key.
+        let legacy = text.replacen('{', r#"{"backend":"sim-gpu","#, 1);
+        assert_eq!(serde_json::from_str::<RegisterBody>(&legacy).unwrap(), bare);
         assert!(serde_json::from_str::<RegisterBody>("{}").is_err());
         assert!(RegisterBody {
             device: Some("tpu".into()),
-            ..bare.clone()
-        }
-        .model_config()
-        .is_err());
-        assert!(RegisterBody {
-            backend: Some("npu".into()),
             ..bare.clone()
         }
         .model_config()

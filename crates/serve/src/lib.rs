@@ -7,28 +7,30 @@
 //! long-lived, concurrent service:
 //!
 //! * [`plan_cache`] — memoizes [`tdc::CompressionPlan`]s behind a
-//!   `(model, device, backend, FLOPs-budget)` key: in-memory LRU with an
+//!   `(model, device, FLOPs-budget)` key: in-memory LRU with an
 //!   optional JSON spill directory, so a restarted server skips rank
 //!   selection entirely.
 //! * [`batcher`] — a request queue with a dynamic batcher: requests coalesce
 //!   until either `max_batch_size` is reached or the oldest request has
 //!   waited `max_batch_delay`, then the batch is handed to a worker.
-//! * [`backend`] — pluggable execution behind the [`ExecutionBackend`]
-//!   trait: [`CpuBackend`] runs real CPU forward passes — an implicit GEMM
-//!   for kept layers, the three-stage Tucker-2 convolution for decomposed ones,
-//!   every intermediate staged in a [`ScratchArena`];
-//!   [`SimGpuBackend`] runs the same numerics *and* lowers the plan to
-//!   kernel-launch sequences replayed on `tdc-gpu-sim`'s wave engine, so
-//!   every batch carries a simulated per-layer GPU latency breakdown.
-//! * [`model`] — the materialized compressed network both backends execute.
+//! * [`backend`] — execution behind the [`ExecutionBackend`] trait:
+//!   [`CpuBackend`] runs the CPU forward passes — an implicit GEMM for kept
+//!   layers, the three-stage Tucker-2 convolution for decomposed ones, every
+//!   intermediate staged in a [`ScratchArena`]. A [`BackendWrapper`] lets a
+//!   harness interpose on it (fault injection, call recording).
+//! * [`model`] — the materialized compressed network the backend executes.
 //! * [`options`] + [`server`] — the typed engine builder:
 //!   [`ServeEngine::builder`] takes [`PlanningOptions`], [`BatchingOptions`]
 //!   and [`RuntimeOptions`], validates them at build, and registers the
 //!   engine on a `tdc-exec` executor (shared fleet-wide when
 //!   attached via [`ServeEngineBuilder::executor`], private otherwise) with
 //!   a [`QosClass`] and fair-share weight, graceful drain on shutdown and
-//!   [`metrics`] (throughput, latency percentiles, batch-size distribution,
-//!   predicted and simulated GPU totals).
+//!   [`metrics`] (throughput, latency percentiles, batch-size distribution).
+//!   Every latency the engine reports is measured on the serving host: the
+//!   full-batch execution estimate behind deadline-aware early release and
+//!   the `Retry-After` hint is seeded by the timed warmup probe and
+//!   refreshed from every executed batch. The A100 latency model stays on
+//!   the planning side (rank selection, [`ModelRegistry::estimate_knobs`]).
 //! * [`registry`] — N named models behind one router, each with its own
 //!   engine and a per-model admission bound (typed [`ServeError::Overloaded`]
 //!   rejection instead of unbounded queues), sharing one plan cache and
@@ -93,10 +95,7 @@ pub mod server;
 mod wire;
 
 pub use arena::{BufferPool, PoolStats, ScratchArena};
-pub use backend::{
-    BackendKind, BackendLatencyReport, BackendWrapper, BatchExecution, CpuBackend,
-    ExecutionBackend, LayerSimLatency, SimGpuBackend,
-};
+pub use backend::{BackendWrapper, CpuBackend, ExecutionBackend};
 pub use batcher::{
     BatchQueue, DequeuedBatch, InferenceRequest, InferenceResponse, PendingResponse,
 };
@@ -396,12 +395,6 @@ mod tests {
         }
     }
 
-    fn sim_config(batch: usize, delay: Duration) -> ModelConfig {
-        let mut cfg = config(batch, delay);
-        cfg.runtime.backend = BackendKind::SimGpu;
-        cfg
-    }
-
     fn registry_with_model(name: &str, cfg: ModelConfig) -> Arc<ModelRegistry> {
         let registry = Arc::new(ModelRegistry::new(8));
         registry
@@ -517,7 +510,7 @@ mod tests {
         // plan misses what a mid-range, feasible budget serves at — the
         // search must move the budget knob to the feasible side of the
         // cliff. (`registry_with_model`'s 8×8×4 model has no such cliff.)
-        let mut over_provisioned = sim_config(4, Duration::from_millis(1));
+        let mut over_provisioned = config(4, Duration::from_millis(1));
         over_provisioned.planning.budget = 0.9;
         let registry = Arc::new(ModelRegistry::new(8));
         registry
@@ -606,17 +599,17 @@ mod tests {
         // would expire waiting for the window; with it the batch ships at
         // `deadline − estimated_exec` and completes in time. No sleeps and
         // no wall-clock assertions — the pinned facts are the early-release
-        // counter, completion within deadline, and bit-parity. The sim-GPU
-        // backend seeds a real (non-zero) exec estimate at build; the test
-        // then pins it to a deliberately large value (as a slow deployment's
-        // measured exec time would be) so the release point sits far from
-        // the deadline and the outcome cannot hinge on scheduler wake-up
-        // jitter.
-        let registry = registry_with_model("early", sim_config(8, Duration::from_secs(5)));
+        // counter, completion within deadline, and bit-parity. The timed
+        // warmup probe seeds a real (non-zero) exec estimate at build; the
+        // test then pins it to a deliberately large value (as a slow
+        // deployment's measured exec time would be) so the release point
+        // sits far from the deadline and the outcome cannot hinge on
+        // scheduler wake-up jitter.
+        let registry = registry_with_model("early", config(8, Duration::from_secs(5)));
         let handle = registry.engine("early").unwrap();
         assert!(
             handle.exec_estimate() > Duration::ZERO,
-            "the sim-GPU latency report must seed the estimate"
+            "the timed warmup probe must seed the estimate"
         );
         handle.set_exec_estimate(Duration::from_millis(150));
         drop(handle);

@@ -64,8 +64,6 @@ impl LatencySummary {
 /// Aggregated metrics for one serving engine.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ServeMetrics {
-    /// Identity of the execution backend that produced these metrics.
-    pub backend: String,
     /// Requests admitted past the queue door
     /// ([`ServeEngine::submit`](crate::ServeEngine::submit) and friends
     /// returning `Ok`). Rejected
@@ -103,18 +101,11 @@ pub struct ServeMetrics {
     pub queue_latency: LatencySummary,
     /// Executor-only latency percentiles.
     pub exec_latency: LatencySummary,
-    /// Sum over batches of the predicted GPU latency from `tdc::inference`
-    /// (what the planned device model would have spent on this workload), ms.
-    pub predicted_gpu_ms_total: f64,
-    /// Sum over batches of the simulated GPU latency reported by the
-    /// execution backend (wave-level simulation), ms — stays `0.0` on
-    /// backends that do not simulate.
-    pub simulated_gpu_ms_total: f64,
 }
 
 /// Lock-light metric recorder shared by the worker pool.
+#[derive(Default)]
 pub struct MetricsRecorder {
-    backend: String,
     submitted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
@@ -123,36 +114,9 @@ pub struct MetricsRecorder {
     max_batch: AtomicU64,
     /// (total_ms, queue_ms, exec_ms) per completed request.
     samples: Mutex<Vec<(f64, f64, f64)>>,
-    /// Predicted GPU milliseconds, accumulated as integer nanoseconds so the
-    /// counter can stay atomic.
-    predicted_gpu_ns: AtomicU64,
-    /// Simulated GPU milliseconds (same integer-nanosecond trick).
-    simulated_gpu_ns: AtomicU64,
-}
-
-impl Default for MetricsRecorder {
-    fn default() -> Self {
-        MetricsRecorder::new("")
-    }
 }
 
 impl MetricsRecorder {
-    /// A recorder tagged with the execution backend feeding it.
-    pub fn new(backend: impl Into<String>) -> Self {
-        MetricsRecorder {
-            backend: backend.into(),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
-            samples: Mutex::new(Vec::new()),
-            predicted_gpu_ns: AtomicU64::new(0),
-            simulated_gpu_ns: AtomicU64::new(0),
-        }
-    }
-
     fn samples(&self) -> MutexGuard<'_, Vec<(f64, f64, f64)>> {
         match self.samples.lock() {
             Ok(guard) => guard,
@@ -160,25 +124,11 @@ impl MetricsRecorder {
         }
     }
 
-    /// Record one executed batch with the predicted and (backend-)simulated
-    /// GPU latencies for the whole batch.
-    pub fn record_batch(
-        &self,
-        batch_size: usize,
-        predicted_gpu_batch_ms: f64,
-        simulated_gpu_batch_ms: f64,
-    ) {
+    /// Record one executed batch of `batch_size` requests.
+    pub fn record_batch(&self, batch_size: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.max_batch
             .fetch_max(batch_size as u64, Ordering::Relaxed);
-        self.predicted_gpu_ns.fetch_add(
-            (predicted_gpu_batch_ms * 1e6).round() as u64,
-            Ordering::Relaxed,
-        );
-        self.simulated_gpu_ns.fetch_add(
-            (simulated_gpu_batch_ms * 1e6).round() as u64,
-            Ordering::Relaxed,
-        );
     }
 
     /// Record one completed request.
@@ -224,8 +174,6 @@ impl MetricsRecorder {
         self.batches.store(0, Ordering::Relaxed);
         self.max_batch.store(0, Ordering::Relaxed);
         self.samples().clear();
-        self.predicted_gpu_ns.store(0, Ordering::Relaxed);
-        self.simulated_gpu_ns.store(0, Ordering::Relaxed);
     }
 
     /// Aggregate everything recorded so far.
@@ -237,7 +185,6 @@ impl MetricsRecorder {
         let completed = self.completed.load(Ordering::Relaxed);
         let batches = self.batches.load(Ordering::Relaxed);
         ServeMetrics {
-            backend: self.backend.clone(),
             submitted_requests: self.submitted.load(Ordering::Relaxed),
             completed_requests: completed,
             failed_requests: self.failed.load(Ordering::Relaxed),
@@ -253,8 +200,6 @@ impl MetricsRecorder {
             total_latency: LatencySummary::from_samples(&total),
             queue_latency: LatencySummary::from_samples(&queue),
             exec_latency: LatencySummary::from_samples(&exec),
-            predicted_gpu_ms_total: self.predicted_gpu_ns.load(Ordering::Relaxed) as f64 / 1e6,
-            simulated_gpu_ms_total: self.simulated_gpu_ns.load(Ordering::Relaxed) as f64 / 1e6,
         }
     }
 }
@@ -286,11 +231,11 @@ mod tests {
 
     #[test]
     fn recorder_aggregates_batches_and_requests() {
-        let rec = MetricsRecorder::new("sim-gpu");
+        let rec = MetricsRecorder::default();
         rec.record_submitted(4);
         rec.record_submitted(2);
-        rec.record_batch(3, 0.9, 1.5);
-        rec.record_batch(1, 0.3, 0.5);
+        rec.record_batch(3);
+        rec.record_batch(1);
         for (t, q, e) in [
             (1.0, 0.4, 0.6),
             (2.0, 1.0, 1.0),
@@ -302,7 +247,6 @@ mod tests {
         rec.record_deadline_exceeded();
         rec.record_failed();
         let m = rec.snapshot();
-        assert_eq!(m.backend, "sim-gpu");
         assert_eq!(m.submitted_requests, 6);
         assert_eq!(m.completed_requests, 4);
         assert_eq!(m.failed_requests, 1);
@@ -320,8 +264,6 @@ mod tests {
         assert_eq!(m.mean_batch_size, 2.0);
         assert_eq!(m.max_batch_size, 3);
         assert_eq!(m.total_latency.count, 4);
-        assert!((m.predicted_gpu_ms_total - 1.2).abs() < 1e-9);
-        assert!((m.simulated_gpu_ms_total - 2.0).abs() < 1e-9);
         assert_eq!(m.total_latency.max_ms, 4.0);
     }
 }

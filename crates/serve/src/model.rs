@@ -41,6 +41,13 @@ pub const MAX_MODEL_WEIGHTS: usize = 1 << 28;
 /// layer, the largest in `tdc_nn::models`.
 pub const MAX_LAYER_ELEMS: usize = 1 << 26;
 
+/// Most multiply-accumulates one convolution may cost per sample
+/// (`H'·W'·N·C·R·S`): 2^32, about 2.3× the 1.85·10⁹ of VGG-16's largest layer
+/// at 224², the largest in `tdc_nn::models`. The element and weight bounds
+/// alone still admit a single layer of about 2^40 MACs, hours of CPU time
+/// per request.
+pub const MAX_LAYER_MACS: usize = 1 << 32;
+
 /// One executable layer of the compressed network.
 enum LayerExec {
     /// Kept dense: original CNRS kernel, run as im2col + GEMM by
@@ -77,7 +84,8 @@ impl CompressedModel {
     /// Check that `descriptor` is a network this executor can run: at least
     /// one convolution, every convolution a valid shape
     /// ([`ConvShape::is_valid`]) whose largest tensor fits
-    /// [`MAX_LAYER_ELEMS`], each consuming the previous one's output, an FC
+    /// [`MAX_LAYER_ELEMS`] and whose work fits [`MAX_LAYER_MACS`], each
+    /// consuming the previous one's output, an FC
     /// chain that starts from the last convolution's channels, and at most
     /// [`MAX_MODEL_WEIGHTS`] weights in all.
     ///
@@ -111,6 +119,15 @@ impl CompressedModel {
                     reason: format!(
                         "layer {i} needs a tensor of {largest} elements, over the \
                          {MAX_LAYER_ELEMS}-element bound: {shape}"
+                    ),
+                });
+            }
+            let macs = elems(&[out_h, out_w, shape.n, shape.c, shape.r, shape.s]);
+            if macs > MAX_LAYER_MACS {
+                return Err(ServeError::BadConfig {
+                    reason: format!(
+                        "layer {i} costs {macs} multiply-accumulates per sample, over the \
+                         {MAX_LAYER_MACS}-MAC bound: {shape}"
                     ),
                 });
             }
@@ -490,6 +507,34 @@ mod tests {
             CompressedModel::validate(&wide_pad),
             Err(ServeError::BadConfig { reason }) if reason.contains("element bound")
         ));
+    }
+
+    #[test]
+    fn a_layer_over_the_mac_bound_is_rejected() {
+        // Every tensor and the weight count fit their bounds, but the one
+        // 1×1 layer costs 64·64·16000·16384 ≈ 2^40 MACs per sample.
+        let costly = ModelDescriptor {
+            name: "costly".into(),
+            convs: vec![ConvShape::new(16384, 16000, 64, 64, 1, 1, 0, 1)],
+            fc: vec![(16000, 10)],
+        };
+        assert!(costly.convs[0].is_valid());
+        assert!(matches!(
+            CompressedModel::validate(&costly),
+            Err(ServeError::BadConfig { reason }) if reason.contains("MAC bound")
+        ));
+        // Every layer of the paper's networks fits, VGG-16's at 224² included.
+        for model in tdc_nn::models::all_descriptors() {
+            for shape in &model.convs {
+                let layer = ModelDescriptor {
+                    name: model.name.clone(),
+                    convs: vec![*shape],
+                    fc: vec![],
+                };
+                let verdict = CompressedModel::validate(&layer);
+                assert!(verdict.is_ok(), "{}: {shape}: {verdict:?}", model.name);
+            }
+        }
     }
 
     #[test]

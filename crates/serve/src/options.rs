@@ -2,14 +2,12 @@
 //!
 //! The engine builder takes three narrow option structs instead of one flat
 //! config: [`PlanningOptions`] (everything that determines *which plan* is
-//! served — these fields form the plan-cache key together with the backend),
-//! [`BatchingOptions`] (dynamic-batcher shape) and [`RuntimeOptions`]
-//! (fair-share weight, QoS class, weight seed and execution backend). Each
-//! struct validates
+//! served — these fields form the plan-cache key), [`BatchingOptions`]
+//! (dynamic-batcher shape) and [`RuntimeOptions`] (fair-share weight, QoS
+//! class and weight seed). Each struct validates
 //! itself; [`ServeEngineBuilder::build`](crate::ServeEngineBuilder::build)
 //! runs all three validations before any planning work starts.
 
-use crate::backend::BackendKind;
 use crate::{Result, ServeError};
 use std::time::Duration;
 use tdc::rank_select::RankSelectionConfig;
@@ -33,8 +31,7 @@ use tdc_gpu_sim::DeviceSpec;
 /// ```
 #[derive(Debug, Clone)]
 pub struct PlanningOptions {
-    /// Target device model for planning and predicted-latency reporting
-    /// (also the device the sim-GPU backend replays launches on).
+    /// Target device model the planner's latency tables are built for.
     pub device: DeviceSpec,
     /// Tiling strategy used when planning.
     pub strategy: TilingStrategy,
@@ -171,18 +168,17 @@ impl BatchingOptions {
     }
 }
 
-/// Scheduling share, weight materialization and execution backend.
+/// Scheduling share and weight materialization.
 ///
 /// # Examples
 ///
 /// ```
 /// use tdc_exec::QosClass;
-/// use tdc_serve::{BackendKind, RuntimeOptions};
+/// use tdc_serve::RuntimeOptions;
 ///
 /// let runtime = RuntimeOptions {
 ///     workers: 4,
 ///     qos: QosClass::Interactive,
-///     backend: BackendKind::SimGpu,
 ///     ..RuntimeOptions::default()
 /// };
 /// assert!(runtime.validate().is_ok());
@@ -208,8 +204,6 @@ pub struct RuntimeOptions {
     pub qos: QosClass,
     /// Seed for weight materialization.
     pub seed: u64,
-    /// Which execution backend runs the batches.
-    pub backend: BackendKind,
 }
 
 impl Default for RuntimeOptions {
@@ -218,7 +212,6 @@ impl Default for RuntimeOptions {
             workers: 2,
             qos: QosClass::Standard,
             seed: 0x7DC,
-            backend: BackendKind::Cpu,
         }
     }
 }

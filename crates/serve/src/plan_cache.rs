@@ -23,9 +23,8 @@ use tdc::rank_select::RankSelectionConfig;
 use tdc::tiling::TilingStrategy;
 use tdc::CompressionPlan;
 
-/// The identity of a cached plan: the model, the device, the execution
-/// backend that will serve it, and **every** rank-selection input that can
-/// change the plan. Omitting any of these would let an engine started under
+/// The identity of a cached plan: the model, the device, and **every**
+/// rank-selection input that can change the plan. Omitting any of these would let an engine started under
 /// a different configuration silently serve a stale plan.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
@@ -33,10 +32,6 @@ pub struct PlanKey {
     pub model: String,
     /// Device name (`DeviceSpec::name`).
     pub device: String,
-    /// Execution-backend identity
-    /// ([`BackendKind::label`](crate::backend::BackendKind::label)), so the
-    /// backend a plan was admitted for travels with the cached entry.
-    pub backend: String,
     /// FLOPs-reduction budget in micro-units (`round(budget · 1e6)`), so the
     /// key is hashable and immune to float-formatting noise.
     pub budget_micro: u64,
@@ -49,17 +44,15 @@ pub struct PlanKey {
 }
 
 impl PlanKey {
-    /// Build a key from the planning inputs and the serving backend.
+    /// Build a key from the planning inputs.
     pub fn new(
         model: impl Into<String>,
         device: impl Into<String>,
-        backend: impl Into<String>,
         cfg: &RankSelectionConfig,
     ) -> Self {
         PlanKey {
             model: model.into(),
             device: device.into(),
-            backend: backend.into(),
             budget_micro: (cfg.budget * 1e6).round() as u64,
             strategy: cfg.strategy,
             theta_micro: (cfg.theta * 1e6).round() as u64,
@@ -83,7 +76,6 @@ impl PlanKey {
         };
         eat(self.model.as_bytes());
         eat(self.device.as_bytes());
-        eat(self.backend.as_bytes());
         eat(self.strategy.label().as_bytes());
         eat(&self.budget_micro.to_le_bytes());
         eat(&self.theta_micro.to_le_bytes());
@@ -96,10 +88,9 @@ impl std::fmt::Display for PlanKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} @ {} / {} (budget {:.2}, {}, theta {:.2}, step {})",
+            "{} @ {} (budget {:.2}, {}, theta {:.2}, step {})",
             self.model,
             self.device,
-            self.backend,
             self.budget(),
             self.strategy.label(),
             self.theta_micro as f64 / 1e6,
@@ -401,7 +392,7 @@ mod tests {
     #[test]
     fn memory_hit_after_miss() {
         let cache = PlanCache::new(4);
-        let key = PlanKey::new("cache-test", "NVIDIA A100 80GB", "cpu", &selection(0.5));
+        let key = PlanKey::new("cache-test", "NVIDIA A100 80GB", &selection(0.5));
         let (first, outcome) = cache.get_or_compute(&key, || compute_plan(0.5)).unwrap();
         assert_eq!(outcome, CacheOutcome::Miss);
         let (second, outcome) = cache
@@ -419,8 +410,8 @@ mod tests {
     #[test]
     fn distinct_budgets_are_distinct_keys() {
         let cache = PlanCache::new(4);
-        let a = PlanKey::new("cache-test", "dev", "cpu", &selection(0.5));
-        let b = PlanKey::new("cache-test", "dev", "cpu", &selection(0.4));
+        let a = PlanKey::new("cache-test", "dev", &selection(0.5));
+        let b = PlanKey::new("cache-test", "dev", &selection(0.4));
         assert_ne!(a, b);
         cache.get_or_compute(&a, || compute_plan(0.5)).unwrap();
         let (_, outcome) = cache.get_or_compute(&b, || compute_plan(0.4)).unwrap();
@@ -431,9 +422,9 @@ mod tests {
     #[test]
     fn lru_evicts_the_least_recently_used() {
         let cache = PlanCache::new(2);
-        let k1 = PlanKey::new("m", "d", "cpu", &selection(0.3));
-        let k2 = PlanKey::new("m", "d", "cpu", &selection(0.4));
-        let k3 = PlanKey::new("m", "d", "cpu", &selection(0.5));
+        let k1 = PlanKey::new("m", "d", &selection(0.3));
+        let k2 = PlanKey::new("m", "d", &selection(0.4));
+        let k3 = PlanKey::new("m", "d", &selection(0.5));
         cache.get_or_compute(&k1, || compute_plan(0.3)).unwrap();
         cache.get_or_compute(&k2, || compute_plan(0.4)).unwrap();
         // Touch k1 so k2 becomes the eviction candidate.
@@ -455,9 +446,9 @@ mod tests {
     #[test]
     fn per_key_hit_counts_and_eviction_log_name_what_was_lost() {
         let cache = PlanCache::new(2);
-        let hot = PlanKey::new("m", "d", "cpu", &selection(0.3));
-        let cold = PlanKey::new("m", "d", "cpu", &selection(0.4));
-        let newcomer = PlanKey::new("m", "d", "cpu", &selection(0.5));
+        let hot = PlanKey::new("m", "d", &selection(0.3));
+        let cold = PlanKey::new("m", "d", &selection(0.4));
+        let newcomer = PlanKey::new("m", "d", &selection(0.5));
         cache.get_or_compute(&cold, || compute_plan(0.4)).unwrap();
         cache.get_or_compute(&hot, || compute_plan(0.3)).unwrap();
         for _ in 0..3 {
@@ -501,7 +492,7 @@ mod tests {
     fn disk_spill_survives_a_cold_memory_cache() {
         let dir = std::env::temp_dir().join(format!("tdc-serve-spill-{}", std::process::id()));
         let cache = PlanCache::new(4).with_spill_dir(&dir).unwrap();
-        let key = PlanKey::new("cache-test", "NVIDIA A100 80GB", "cpu", &selection(0.5));
+        let key = PlanKey::new("cache-test", "NVIDIA A100 80GB", &selection(0.5));
         let (original, outcome) = cache.get_or_compute(&key, || compute_plan(0.5)).unwrap();
         assert_eq!(outcome, CacheOutcome::Miss);
 

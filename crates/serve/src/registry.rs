@@ -5,7 +5,7 @@
 //! [`ServeEngine`]
 //! (backend, dynamic batcher, worker pool, metrics) so that one model's
 //! traffic cannot starve another's workers, while sharing one [`PlanCache`]
-//! so models planned under the same `(model, device, backend, budget)` key
+//! so models planned under the same `(model, device, budget)` key
 //! skip rank selection on re-registration.
 //!
 //! The registry is **shareable and live**. It is the one owner of the model
@@ -79,14 +79,14 @@ use tdc_tensor::Tensor;
 /// Everything one registered model needs: the three engine option groups.
 ///
 /// Each model in a registry gets its own configuration — different budgets,
-/// backends, batch shapes and admission bounds can coexist behind one router.
+/// batch shapes and admission bounds can coexist behind one router.
 #[derive(Clone, Default)]
 pub struct ModelConfig {
     /// Plan identity: device, strategy, budget, rank step, θ.
     pub planning: PlanningOptions,
     /// Batch shape and admission bound.
     pub batching: BatchingOptions,
-    /// Fair-share weight, QoS class, weight seed, execution backend.
+    /// Fair-share weight, QoS class, weight seed.
     pub runtime: RuntimeOptions,
     /// Optional backend interposer (fault injection, call recording),
     /// applied to every engine built for this model — including the rebuilt
@@ -119,8 +119,6 @@ impl std::fmt::Debug for ModelConfig {
 pub struct ModelInfo {
     /// Registered (routing) name.
     pub name: String,
-    /// Execution backend identity (`"cpu"`, `"sim-gpu"`).
-    pub backend: String,
     /// Device the plan was selected for.
     pub device: String,
     /// Expected HWC dims of one input sample.
@@ -209,10 +207,6 @@ pub struct RegistryMetrics {
     pub total_deadline_exceeded: u64,
     /// Sum of executed batches across models.
     pub total_batches: u64,
-    /// Sum of predicted GPU milliseconds across models.
-    pub predicted_gpu_ms_total: f64,
-    /// Sum of simulated GPU milliseconds across models.
-    pub simulated_gpu_ms_total: f64,
     /// Routing-table epoch (swaps since start: registers + retires +
     /// replans).
     pub epoch: u64,
@@ -288,11 +282,9 @@ fn take_exclusive(mut entry: Arc<RegisteredModel>, timeout: Duration) -> Option<
 /// for its final report.
 fn report_snapshot(engine: &ServeEngine) -> ServeReport {
     ServeReport {
-        backend: engine.backend_name().to_string(),
         metrics: engine.metrics(),
         plan_outcome: engine.plan_outcome(),
         plan_fingerprint: engine.plan().fingerprint(),
-        backend_latency: engine.backend_latency_report().clone(),
     }
 }
 
@@ -488,7 +480,6 @@ impl ModelRegistry {
         let engine = builder.build()?;
         let info = ModelInfo {
             name: name.to_string(),
-            backend: engine.backend_name().to_string(),
             device: config.planning.device.name.clone(),
             input_dims: engine.model().input_dims().to_vec(),
             output_classes: engine.model().output_classes(),
@@ -747,8 +738,7 @@ impl ModelRegistry {
 
     /// Score an arbitrary [`KnobSet`] for `name` on the wave simulator —
     /// the controller's objective function. Planning happens at
-    /// `knobs.flops_budget` (through the probe cache, under the sim-GPU
-    /// key), lowering at `knobs.max_batch_size`, and the batching-delay and
+    /// `knobs.flops_budget` (through the probe cache), lowering at `knobs.max_batch_size`, and the batching-delay and
     /// fair-share-weight knobs enter the modelled p99 and throughput
     /// analytically (see [`KnobEstimate`]).
     ///
@@ -772,14 +762,7 @@ impl ModelRegistry {
             });
         }
         let cfg = planning.selection_config();
-        let key = PlanKey::new(
-            &entry.descriptor.name,
-            &planning.device.name,
-            // Estimates are always scored by the simulator, whatever backend
-            // serves the model.
-            "sim-gpu",
-            &cfg,
-        );
+        let key = PlanKey::new(&entry.descriptor.name, &planning.device.name, &cfg);
         let descriptor = entry.descriptor.clone();
         let device = planning.device.clone();
         let strategy = planning.strategy;
@@ -1017,14 +1000,6 @@ impl ModelRegistry {
                 .sum::<u64>()
                 + drained_deadline_exceeded,
             total_batches: models.iter().map(|m| m.metrics.batches).sum(),
-            predicted_gpu_ms_total: models
-                .iter()
-                .map(|m| m.metrics.predicted_gpu_ms_total)
-                .sum(),
-            simulated_gpu_ms_total: models
-                .iter()
-                .map(|m| m.metrics.simulated_gpu_ms_total)
-                .sum(),
             epoch: self.table.epoch(),
             models_registered_total: self.registered_total.load(Ordering::Relaxed),
             models_retired_total: self.retired_total.load(Ordering::Relaxed),
@@ -1065,7 +1040,7 @@ impl ModelRegistry {
 mod tests {
     use super::*;
     use crate::serving_descriptor;
-    use crate::{BackendKind, CacheOutcome, ServeError};
+    use crate::{CacheOutcome, ServeError};
     use std::time::Duration;
 
     fn quick_config() -> ModelConfig {
@@ -1265,15 +1240,9 @@ mod tests {
             .unwrap();
         registry
             .register(
-                "sim",
-                &serving_descriptor("mix-sim", 10, 4, 6),
-                ModelConfig {
-                    runtime: RuntimeOptions {
-                        backend: BackendKind::SimGpu,
-                        ..RuntimeOptions::default()
-                    },
-                    ..quick_config()
-                },
+                "other",
+                &serving_descriptor("mix-other", 10, 4, 6),
+                quick_config(),
             )
             .unwrap();
         // Without FC layers the model answers its last convolution's
@@ -1287,8 +1256,7 @@ mod tests {
             .register("headless", &headless, quick_config())
             .unwrap();
         let info = registry.model_info();
-        assert_eq!(info[0].backend, "cpu");
-        assert_eq!(info[2].backend, "sim-gpu");
+        assert_eq!(info[2].name, "other");
         assert_eq!(info[0].input_dims, vec![10, 10, 4]);
         assert_eq!(info[0].output_classes, 6);
         assert_eq!(info[1].name, "headless");
@@ -1302,20 +1270,15 @@ mod tests {
 
         for _ in 0..3 {
             registry
-                .infer("sim", Tensor::zeros(vec![10, 10, 4]))
+                .infer("other", Tensor::zeros(vec![10, 10, 4]))
                 .unwrap();
         }
         let metrics = registry.metrics();
         let cpu = &metrics.models[0];
-        let sim = &metrics.models[2];
+        let other = &metrics.models[2];
         assert_eq!(cpu.metrics.completed_requests, 0);
-        assert_eq!(sim.metrics.completed_requests, 3);
-        assert!(sim.metrics.simulated_gpu_ms_total > 0.0);
+        assert_eq!(other.metrics.completed_requests, 3);
         assert_eq!(metrics.total_completed_requests, 3 + 1);
-        assert_eq!(
-            metrics.simulated_gpu_ms_total,
-            sim.metrics.simulated_gpu_ms_total
-        );
         registry.shutdown();
     }
 

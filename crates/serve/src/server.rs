@@ -5,9 +5,9 @@
 //! Engines are constructed with [`ServeEngine::builder`]: three typed option
 //! structs ([`PlanningOptions`], [`BatchingOptions`], [`RuntimeOptions`]) are
 //! validated at [`build`](ServeEngineBuilder::build), the plan is obtained
-//! through the [`PlanCache`], and execution goes through a pluggable
-//! [`ExecutionBackend`] — the real CPU executor or the wave-level GPU
-//! simulation. Batches are dispatched by a `tdc-exec` worker pool:
+//! through the [`PlanCache`], and execution goes through the
+//! [`ExecutionBackend`] seam — the CPU executor, optionally wrapped by a
+//! harness. Batches are dispatched by a `tdc-exec` worker pool:
 //! attach the process-wide pool with
 //! [`executor`](ServeEngineBuilder::executor) (what
 //! [`ModelRegistry`](crate::ModelRegistry) does for every model it
@@ -20,11 +20,14 @@
 //! [`ScratchArena`] handle and runs the batch through
 //! [`ExecutionBackend::forward_batch`], and answered requests recycle
 //! their input tensors back into the pool.
+//!
+//! Every latency the engine reports is one it measured on this host: the
+//! warmup probe is timed at build, every batch's execution is timed, and
+//! the full-batch execution estimate that drives early release and the
+//! `Retry-After` hint is derived from those timings.
 
 use crate::arena::{BufferPool, PoolStats, ScratchArena};
-use crate::backend::{
-    BackendKind, BackendLatencyReport, BackendWrapper, CpuBackend, ExecutionBackend, SimGpuBackend,
-};
+use crate::backend::{BackendWrapper, CpuBackend, ExecutionBackend};
 use crate::batcher::{BatchQueue, InferenceRequest, InferenceResponse, PendingResponse, TryBatch};
 use crate::metrics::{MetricsRecorder, ServeMetrics};
 use crate::model::CompressedModel;
@@ -35,7 +38,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use tdc::inference::Backend;
 use tdc::{CompressionPlan, TdcPipeline};
 use tdc_exec::{BatchSource, Executor, ExecutorOptions, QosClass, SourceHandle, SourceState};
 use tdc_nn::models::ModelDescriptor;
@@ -44,16 +46,12 @@ use tdc_tensor::Tensor;
 /// Final report returned by [`ServeEngine::shutdown`].
 #[derive(Debug, Clone)]
 pub struct ServeReport {
-    /// Identity of the backend that executed the batches.
-    pub backend: String,
     /// Aggregated metrics at shutdown.
     pub metrics: ServeMetrics,
     /// How the engine's plan was obtained.
     pub plan_outcome: CacheOutcome,
     /// Fingerprint of the plan served.
     pub plan_fingerprint: u64,
-    /// The backend's per-sample (batch 1) latency breakdown.
-    pub backend_latency: BackendLatencyReport,
 }
 
 /// Typed, validating constructor for [`ServeEngine`].
@@ -66,10 +64,7 @@ pub struct ServeReport {
 ///
 /// ```
 /// use std::time::Duration;
-/// use tdc_serve::{
-///     serving_descriptor, BackendKind, BatchingOptions, PlanCache, PlanningOptions,
-///     ServeEngine,
-/// };
+/// use tdc_serve::{serving_descriptor, BatchingOptions, PlanCache, PlanningOptions, ServeEngine};
 ///
 /// let descriptor = serving_descriptor("builder-docs", 8, 4, 4);
 /// let cache = PlanCache::new(2);
@@ -83,13 +78,13 @@ pub struct ServeReport {
 ///         max_batch_delay: Duration::from_millis(1),
 ///         ..BatchingOptions::default()
 ///     })
-///     .backend(BackendKind::SimGpu)
 ///     .plan_cache(&cache)
 ///     .build()
 ///     .unwrap();
 /// let response = engine.infer(tdc_tensor::Tensor::zeros(vec![8, 8, 4])).unwrap();
 /// assert_eq!(response.output.dims(), &[4]);
-/// assert!(response.simulated_gpu_batch_ms > 0.0);
+/// // Measured on this host: the batch's execution is part of its latency.
+/// assert!(response.total_ms() >= response.exec_ms);
 /// engine.shutdown();
 /// ```
 pub struct ServeEngineBuilder<'a> {
@@ -128,15 +123,9 @@ impl<'a> ServeEngineBuilder<'a> {
         self
     }
 
-    /// Replace the runtime options (workers, QoS class, seed, backend).
+    /// Replace the runtime options (workers, QoS class, seed).
     pub fn runtime(mut self, runtime: RuntimeOptions) -> Self {
         self.runtime = runtime;
-        self
-    }
-
-    /// Select the execution backend, keeping the other runtime options.
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.runtime.backend = backend;
         self
     }
 
@@ -169,8 +158,9 @@ impl<'a> ServeEngineBuilder<'a> {
 
     /// Validate the descriptor and every option group, obtain the plan
     /// (through the cache when one was attached), materialize the backend,
-    /// probe it once, and attach the engine to its executor (shared, or a
-    /// freshly spawned private pool).
+    /// probe it once (timed, to seed the execution-time estimate), and
+    /// attach the engine to its executor (shared, or a freshly spawned
+    /// private pool).
     pub fn build(self) -> Result<ServeEngine> {
         CompressedModel::validate(self.descriptor)?;
         self.planning.validate()?;
@@ -178,12 +168,7 @@ impl<'a> ServeEngineBuilder<'a> {
         self.runtime.validate()?;
 
         let cfg = self.planning.selection_config();
-        let key = PlanKey::new(
-            &self.descriptor.name,
-            &self.planning.device.name,
-            self.runtime.backend.label(),
-            &cfg,
-        );
+        let key = PlanKey::new(&self.descriptor.name, &self.planning.device.name, &cfg);
         let compute = || {
             let pipeline = TdcPipeline::new(self.planning.device.clone(), self.planning.strategy);
             pipeline
@@ -205,20 +190,7 @@ impl<'a> ServeEngineBuilder<'a> {
             &plan,
             self.runtime.seed,
         )?);
-        let backend: Arc<dyn ExecutionBackend> = match self.runtime.backend {
-            BackendKind::Cpu => Arc::new(CpuBackend::new(
-                Arc::clone(&model),
-                Arc::clone(&plan),
-                self.planning.device.clone(),
-                self.descriptor.fc.clone(),
-            )),
-            BackendKind::SimGpu => Arc::new(SimGpuBackend::new(
-                Arc::clone(&model),
-                Arc::clone(&plan),
-                self.planning.device.clone(),
-                self.descriptor.fc.clone(),
-            )),
-        };
+        let backend: Arc<dyn ExecutionBackend> = Arc::new(CpuBackend::new(Arc::clone(&model)));
         // Fault injectors and other harness wrappers interpose here, before
         // the warmup probe, so the probe exercises the wrapped chain.
         let backend = match &self.wrapper {
@@ -227,26 +199,23 @@ impl<'a> ServeEngineBuilder<'a> {
         };
         // Probe the whole execution chain once, so a backend that cannot run
         // the model fails engine construction with a real error instead of
-        // silently dropping every request in the workers.
+        // silently dropping every request in the workers. The probe runs
+        // one sample, so its time scaled to a full batch seeds the
+        // execution-time estimate until the first batch measures it.
+        let probe_started = Instant::now();
         backend.warmup()?;
-        let latency_report = backend.latency_report(1)?;
+        let probe = probe_started.elapsed();
 
-        // Predicted GPU latency of one sample under the paper's TDC-model
-        // backend; workers scale it by batch size when reporting.
-        let predicted_gpu_ms_per_sample = plan
-            .report(Backend::TuckerTdcModel)
-            .map(|r| r.total_ms)
-            .unwrap_or(0.0);
-
+        let queue = BatchQueue::new(
+            self.batching.max_batch_size,
+            self.batching.max_batch_delay,
+            self.batching.max_queue_depth,
+        );
+        queue.record_exec(probe, 1);
         let core = Arc::new(EngineCore {
-            queue: BatchQueue::new(
-                self.batching.max_batch_size,
-                self.batching.max_batch_delay,
-                self.batching.max_queue_depth,
-            ),
-            metrics: MetricsRecorder::new(backend.name()),
-            backend: Arc::clone(&backend),
-            predicted_gpu_ms_per_sample,
+            queue,
+            metrics: MetricsRecorder::default(),
+            backend,
             pool: Arc::new(BufferPool::new()),
             arenas: Mutex::new(Vec::new()),
             running: Mutex::new(0),
@@ -276,20 +245,6 @@ impl<'a> ServeEngineBuilder<'a> {
             Arc::clone(&core) as Arc<dyn BatchSource>,
         );
 
-        // Estimated full-batch service time, for Retry-After hints: the
-        // backend's own latency account at max batch size (memoized on
-        // simulating backends, closed-form on the CPU one).
-        let estimated_batch_ms = backend
-            .latency_report(self.batching.max_batch_size)
-            .map(|r| r.total_ms)
-            .unwrap_or(latency_report.total_ms * self.batching.max_batch_size as f64);
-        // Deadline-aware early release: the batcher releases a forming batch
-        // at `deadline − estimated_exec_time`, so the deadline bounds the
-        // *answer*, not merely the dequeue. Batch-delay tuning and deadline
-        // enforcement thereby share one latency model.
-        core.queue
-            .set_exec_estimate(Duration::from_secs_f64((estimated_batch_ms / 1e3).max(0.0)));
-
         Ok(ServeEngine {
             core,
             handle,
@@ -298,17 +253,16 @@ impl<'a> ServeEngineBuilder<'a> {
             plan,
             plan_outcome,
             model,
-            latency_report,
             next_id: AtomicU64::new(0),
             default_deadline: self.batching.default_deadline,
             max_batch_size: self.batching.max_batch_size,
-            estimated_batch_ms,
         })
     }
 }
 
-/// The engine's executable heart: the batch queue, metrics and backend,
-/// shared between the engine handle and the executor's dispatch tokens.
+/// The engine's executable heart: the batch queue (which also holds the
+/// measured full-batch execution estimate), metrics and backend, shared
+/// between the engine handle and the executor's dispatch tokens.
 ///
 /// This is what an engine registers on the executor — [`BatchSource::run_one`]
 /// dequeues one batch non-blockingly and runs the full dispatch path
@@ -319,7 +273,6 @@ struct EngineCore {
     queue: BatchQueue,
     metrics: MetricsRecorder,
     backend: Arc<dyn ExecutionBackend>,
-    predicted_gpu_ms_per_sample: f64,
     /// Shared f32 buffer pool behind the zero-allocation hot path: dispatch
     /// arenas draw from it, and answered requests recycle their input (and,
     /// at the HTTP layer, output) tensors back into it.
@@ -390,11 +343,11 @@ impl EngineCore {
     }
 
     /// Run one dequeued batch end to end: expire, forward, record, respond.
-    fn execute(&self, dispatch: crate::batcher::DequeuedBatch) {
+    /// `now` is the instant the batch was dequeued at.
+    fn execute(&self, dispatch: crate::batcher::DequeuedBatch, now: Instant) {
         // Deadline checkpoint 1 (dequeue): requests that expired while
         // queued were split out by the batcher and never reach the backend.
         if !dispatch.expired.is_empty() {
-            let now = Instant::now();
             for request in dispatch.expired {
                 let input = expire_request(request, &self.metrics, now);
                 self.pool.give(input.into_data());
@@ -405,7 +358,6 @@ impl EngineCore {
             return;
         }
         let batch_size = batch.len();
-        let predicted_gpu_batch_ms = self.predicted_gpu_ms_per_sample * batch_size as f64;
         // Check out a scratch arena for the dispatch (creating one on a cold
         // start); every staging buffer the backend needs comes from it.
         let mut arena = {
@@ -422,13 +374,14 @@ impl EngineCore {
         let execution = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.backend.forward_batch(&inputs, &mut arena)
         }));
-        let exec_ms = exec_started.elapsed().as_secs_f64() * 1e3;
+        let exec_time = exec_started.elapsed();
+        let exec_ms = exec_time.as_secs_f64() * 1e3;
         {
             let mut arenas = self.arenas.lock().unwrap_or_else(|e| e.into_inner());
             arenas.push(arena);
         }
-        let execution = match execution {
-            Ok(Ok(execution)) => execution,
+        let outputs = match execution {
+            Ok(Ok(outputs)) => outputs,
             // Engine start probes the whole chain and `submit` rejects wrong
             // shapes, so a failure here is a genuine anomaly — but still an
             // *answered* one: the batch is recorded, every request in it gets
@@ -436,7 +389,7 @@ impl EngineCore {
             // never observe a bare disconnect for an execution failure, and
             // no panic crosses the worker boundary.
             Ok(Err(error)) => {
-                self.fail_batch(batch, batch_size, predicted_gpu_batch_ms, error.to_string());
+                self.fail_batch(batch, error.to_string());
                 return;
             }
             Err(payload) => {
@@ -445,22 +398,14 @@ impl EngineCore {
                     .map(|s| s.to_string())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "backend panicked".to_string());
-                self.fail_batch(
-                    batch,
-                    batch_size,
-                    predicted_gpu_batch_ms,
-                    format!("backend panic: {reason}"),
-                );
+                self.fail_batch(batch, format!("backend panic: {reason}"));
                 return;
             }
         };
-        self.metrics.record_batch(
-            batch_size,
-            predicted_gpu_batch_ms,
-            execution.simulated_gpu_ms,
-        );
+        self.metrics.record_batch(batch_size);
+        self.queue.record_exec(exec_time, batch_size);
         let completed_at = Instant::now();
-        for (request, output) in batch.into_iter().zip(execution.outputs) {
+        for (request, output) in batch.into_iter().zip(outputs) {
             // Deadline checkpoint 3 (delivery): execution finished past the
             // request's deadline — the client contract is "answered within
             // the deadline or a typed error", so the late output is dropped.
@@ -491,8 +436,6 @@ impl EngineCore {
                 queue_ms,
                 exec_ms,
                 batch_size,
-                predicted_gpu_batch_ms,
-                simulated_gpu_batch_ms: execution.simulated_gpu_ms,
             };
             // The client may have given up; that is not the worker's problem.
             let _ = responder.send(Ok(response));
@@ -503,15 +446,8 @@ impl EngineCore {
     /// [`ServeError::ExecutionFailed`] and account the batch. Failures add
     /// no latency samples — like expiries, they must not skew the
     /// percentiles of the traffic that was actually served.
-    fn fail_batch(
-        &self,
-        batch: Vec<InferenceRequest>,
-        batch_size: usize,
-        predicted_gpu_batch_ms: f64,
-        reason: String,
-    ) {
-        self.metrics
-            .record_batch(batch_size, predicted_gpu_batch_ms, 0.0);
+    fn fail_batch(&self, batch: Vec<InferenceRequest>, reason: String) {
+        self.metrics.record_batch(batch.len());
         for request in batch {
             self.metrics.record_failed();
             let InferenceRequest {
@@ -534,12 +470,15 @@ impl BatchSource for EngineCore {
             let mut running = self.running.lock().unwrap_or_else(|e| e.into_inner());
             *running += 1;
         }
-        let state = match self.queue.try_next_batch() {
+        // The one clock read of a dispatch: the batcher's release check and
+        // expiry split, and the dequeue-time expiries, all see this instant.
+        let now = Instant::now();
+        let state = match self.queue.try_next_batch(now) {
             TryBatch::Empty => SourceState::Idle,
             TryBatch::Closed => SourceState::Closed,
             TryBatch::NotReady(retry_at) => SourceState::NotReady { retry_at },
             TryBatch::Batch(dispatch) => {
-                self.execute(dispatch);
+                self.execute(dispatch, now);
                 SourceState::Ran
             }
         };
@@ -566,11 +505,9 @@ pub struct ServeEngine {
     plan: Arc<CompressionPlan>,
     plan_outcome: CacheOutcome,
     model: Arc<CompressedModel>,
-    latency_report: BackendLatencyReport,
     next_id: AtomicU64,
     default_deadline: Option<Duration>,
     max_batch_size: usize,
-    estimated_batch_ms: f64,
 }
 
 impl ServeEngine {
@@ -589,14 +526,9 @@ impl ServeEngine {
         self.plan_outcome
     }
 
-    /// The materialized model shared by every backend.
+    /// The materialized model the backend executes.
     pub fn model(&self) -> &CompressedModel {
         &self.model
-    }
-
-    /// Identity of the execution backend running the batches.
-    pub fn backend_name(&self) -> &str {
-        self.core.backend.name()
     }
 
     /// The QoS class the engine is registered under on its executor.
@@ -613,22 +545,6 @@ impl ServeEngine {
     /// dispatches, batches executed.
     pub fn executor_source(&self) -> tdc_exec::SourceMetrics {
         self.handle.metrics()
-    }
-
-    /// The backend's per-sample (batch 1) latency breakdown, computed at
-    /// engine start.
-    pub fn backend_latency_report(&self) -> &BackendLatencyReport {
-        &self.latency_report
-    }
-
-    /// The backend's latency breakdown at an arbitrary batch size.
-    pub fn backend_latency_report_at(&self, batch_size: usize) -> Result<BackendLatencyReport> {
-        self.core.backend.latency_report(batch_size)
-    }
-
-    /// Predicted GPU latency of a single sample on the planned device, ms.
-    pub fn predicted_gpu_ms_per_sample(&self) -> f64 {
-        self.core.predicted_gpu_ms_per_sample
     }
 
     /// The default per-request deadline configured at build
@@ -761,20 +677,24 @@ impl ServeEngine {
 
     /// How many batches the engine released early at
     /// `deadline − estimated_exec_time` (deadline-aware early release; see
-    /// [`BatchQueue::set_exec_estimate`](crate::BatchQueue)).
+    /// [`BatchQueue::record_exec`](crate::BatchQueue::record_exec)).
     pub fn early_releases(&self) -> u64 {
         self.core.queue.early_releases()
     }
 
     /// Replace the execution-time estimate the deadline-aware early release
     /// subtracts from the earliest deadline, which the build seeds from the
-    /// backend's latency report. Zero disables early release.
+    /// timed warmup probe and every executed batch refreshes. Zero disables
+    /// early release until the next batch measures it again.
     #[cfg(test)]
     pub(crate) fn set_exec_estimate(&self, estimate: Duration) {
         self.core.queue.set_exec_estimate(estimate);
     }
 
-    /// The execution-time estimate currently steering early release.
+    /// The measured full-batch execution estimate currently steering early
+    /// release and the `Retry-After` hint: the last executed batch's time
+    /// scaled to `max_batch_size` (before the first batch, the timed warmup
+    /// probe's).
     pub fn exec_estimate(&self) -> Duration {
         self.core.queue.exec_estimate()
     }
@@ -805,21 +725,16 @@ impl ServeEngine {
         self.max_batch_size
     }
 
-    /// The backend's estimated service time for one full batch, ms (computed
-    /// once at build). What the Retry-After hint is derived from.
-    pub fn estimated_batch_ms(&self) -> f64 {
-        self.estimated_batch_ms
-    }
-
     /// How long a rejected or shed request should wait before retrying:
     /// the batches still ahead in the queue (`⌈depth / max_batch⌉`, at least
-    /// one) times the estimated full-batch service time. Clamped to
-    /// `[1 s, 1 h]` so the header is always actionable. The estimate is the
-    /// backend's *modelled* latency — a heuristic hint, not a promise.
+    /// one) times the measured full-batch execution estimate
+    /// ([`exec_estimate`](ServeEngine::exec_estimate)). Clamped to
+    /// `[1 s, 1 h]` so the header is always actionable — a heuristic hint,
+    /// not a promise.
     pub fn retry_after_hint(&self) -> Duration {
         let batches_ahead = self.core.queue.depth().div_ceil(self.max_batch_size).max(1);
-        let wait_ms = batches_ahead as f64 * self.estimated_batch_ms.max(0.0);
-        let secs = (wait_ms / 1e3).ceil().clamp(1.0, 3600.0);
+        let wait = self.core.queue.exec_estimate().as_secs_f64() * batches_ahead as f64;
+        let secs = wait.ceil().clamp(1.0, 3600.0);
         Duration::from_secs(secs as u64)
     }
 
@@ -853,11 +768,9 @@ impl ServeEngine {
         self.handle.notify();
         self.core.wait_idle(None);
         let report = ServeReport {
-            backend: self.core.backend.name().to_string(),
             metrics: self.metrics(),
             plan_outcome: self.plan_outcome,
             plan_fingerprint: self.plan.fingerprint(),
-            backend_latency: self.latency_report.clone(),
         };
         if self.private_executor {
             self.executor.shutdown();
@@ -927,7 +840,6 @@ mod tests {
         let cache = PlanCache::new(2);
         let engine = test_engine(&descriptor, &cache).unwrap();
         assert_eq!(engine.plan_outcome(), CacheOutcome::Miss);
-        assert_eq!(engine.backend_name(), "cpu");
 
         let mut rng = StdRng::seed_from_u64(1);
         let pending: Vec<_> = (0..16)
@@ -941,50 +853,90 @@ mod tests {
             let response = p.wait().unwrap();
             assert_eq!(response.output.dims(), &[6]);
             assert!(response.batch_size >= 1);
-            assert!(response.predicted_gpu_batch_ms > 0.0);
-            assert_eq!(
-                response.simulated_gpu_batch_ms, 0.0,
-                "cpu does not simulate"
-            );
             assert!(response.total_ms() >= response.exec_ms);
         }
         let report = engine.shutdown();
-        assert_eq!(report.backend, "cpu");
-        assert_eq!(report.metrics.backend, "cpu");
         assert_eq!(report.metrics.completed_requests, 16);
         assert!(report.metrics.batches <= 16);
         assert!(report.metrics.mean_batch_size >= 1.0);
-        assert_eq!(report.metrics.simulated_gpu_ms_total, 0.0);
+    }
+
+    /// Sleeps a fixed time per batch before running the real backend.
+    struct SlowBatches(Duration);
+
+    struct SlowBackend {
+        inner: Arc<dyn ExecutionBackend>,
+        delay: Duration,
+    }
+
+    impl BackendWrapper for SlowBatches {
+        fn wrap(&self, inner: Arc<dyn ExecutionBackend>) -> Arc<dyn ExecutionBackend> {
+            Arc::new(SlowBackend {
+                inner,
+                delay: self.0,
+            })
+        }
+    }
+
+    impl ExecutionBackend for SlowBackend {
+        fn input_dims(&self) -> &[usize] {
+            self.inner.input_dims()
+        }
+
+        fn warmup(&self) -> Result<()> {
+            self.inner.warmup()
+        }
+
+        fn forward_batch(
+            &self,
+            inputs: &[&Tensor],
+            arena: &mut ScratchArena,
+        ) -> Result<Vec<Tensor>> {
+            std::thread::sleep(self.delay);
+            self.inner.forward_batch(inputs, arena)
+        }
     }
 
     #[test]
-    fn sim_gpu_engine_reports_simulated_latency_end_to_end() {
-        // Large enough that the planner decomposes at least one layer.
-        let descriptor = serving_descriptor("engine-sim", 12, 8, 10);
-        let cache = PlanCache::new(2);
+    fn the_exec_estimate_and_retry_after_follow_the_measured_batch_time() {
+        let descriptor = serving_descriptor("engine-estimate", 10, 4, 6);
+        let delay = Duration::from_millis(20);
+        let max_batch_size = 64;
         let engine = ServeEngine::builder(&descriptor)
-            .batching(test_batching())
-            .backend(BackendKind::SimGpu)
-            .plan_cache(&cache)
+            .batching(BatchingOptions {
+                max_batch_size,
+                max_batch_delay: Duration::from_millis(1),
+                ..BatchingOptions::default()
+            })
+            .wrap_backend(Arc::new(SlowBatches(delay)))
             .build()
             .unwrap();
-        assert_eq!(engine.backend_name(), "sim-gpu");
-        let per_sample = engine.backend_latency_report();
-        assert_eq!(per_sample.batch_size, 1);
-        assert!(per_sample.total_ms > 0.0);
-        assert!(per_sample.per_layer.iter().any(|l| l.decomposed));
+        // The build seeds the estimate from the (unslowed) warmup probe.
+        let seeded = engine.exec_estimate();
+        assert!(
+            seeded > Duration::ZERO,
+            "the warmup probe seeds the estimate"
+        );
+        let hint_before = engine.retry_after_hint();
 
-        let mut rng = StdRng::seed_from_u64(2);
-        let response = engine
-            .infer(init::uniform(vec![12, 12, 8], -1.0, 1.0, &mut rng))
-            .unwrap();
-        assert!(response.simulated_gpu_batch_ms > 0.0);
-
-        let report = engine.shutdown();
-        assert_eq!(report.backend, "sim-gpu");
-        assert_eq!(report.metrics.backend, "sim-gpu");
-        assert!(report.metrics.simulated_gpu_ms_total > 0.0);
-        assert_eq!(report.backend_latency.backend, "sim-gpu");
+        // One single-sample batch: its measured time, scaled to a full
+        // batch, replaces the seed.
+        let response = engine.infer(Tensor::zeros(vec![10, 10, 4])).unwrap();
+        assert_eq!(response.batch_size, 1);
+        assert!(response.exec_ms >= 20.0, "exec_ms {}", response.exec_ms);
+        let estimate = engine.exec_estimate();
+        assert!(
+            estimate >= delay * max_batch_size as u32,
+            "estimate {estimate:?} below the measured batch time × {max_batch_size}"
+        );
+        // 20 ms × 64 is past one second, so the hint grows with it.
+        let hint_after = engine.retry_after_hint();
+        assert!(hint_after >= Duration::from_secs(2), "{hint_after:?}");
+        assert!(
+            hint_after > hint_before,
+            "Retry-After did not grow: {hint_before:?} -> {hint_after:?}"
+        );
+        engine.shutdown();
     }
 
     #[test]
@@ -998,27 +950,6 @@ mod tests {
         assert_eq!(second.plan_outcome(), CacheOutcome::MemoryHit);
         assert_eq!(second.plan().fingerprint(), fp);
         assert_eq!(cache.stats().memory_hits, 1);
-    }
-
-    #[test]
-    fn backend_identity_splits_the_plan_cache_key() {
-        let descriptor = serving_descriptor("engine-key", 10, 4, 6);
-        let cache = PlanCache::new(4);
-        let cpu = test_engine(&descriptor, &cache).unwrap();
-        drop(cpu);
-        let sim = ServeEngine::builder(&descriptor)
-            .batching(test_batching())
-            .backend(BackendKind::SimGpu)
-            .plan_cache(&cache)
-            .build()
-            .unwrap();
-        assert_eq!(
-            sim.plan_outcome(),
-            CacheOutcome::Miss,
-            "a different backend must not reuse another backend's cache entry"
-        );
-        drop(sim);
-        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Minimal tour of the serving subsystem: build an engine with the typed
-//! builder, serve a concurrent burst on the CPU backend, restart warm from
-//! the plan cache, serve the same model on the simulated-GPU backend and
-//! print its per-layer simulated latency breakdown, then host two models
-//! behind the multi-model registry + HTTP front end and query them over a
-//! real socket.
+//! builder, serve a concurrent burst, restart warm from the plan cache and
+//! print the measured full-batch execution estimate beside the plan's
+//! modelled per-layer GPU latency, then host two models behind the
+//! multi-model registry + HTTP front end and query them over a real socket.
 //!
 //! Run with: `cargo run --release --example serve_demo`
 
@@ -11,12 +10,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tdc_repro::core::Backend;
 use tdc_repro::serve::http::{
     http_request, BatchInferBody, BatchInferReply, InferBody, InferReply,
 };
 use tdc_repro::serve::{
-    serving_descriptor, BackendKind, BatchingOptions, CacheOutcome, HttpClient, HttpServer,
-    ModelConfig, ModelRegistry, PlanCache, PlanningOptions, RuntimeOptions, ServeEngine,
+    serving_descriptor, BatchingOptions, CacheOutcome, HttpClient, HttpServer, ModelConfig,
+    ModelRegistry, PlanCache, PlanningOptions, ServeEngine,
 };
 use tdc_repro::tensor::init;
 
@@ -40,19 +40,13 @@ fn main() {
         .build()
         .expect("build engine");
     println!(
-        "cold start in {:.1} ms: {} on the {} backend ({} of {} layers Tucker-decomposed, \
+        "cold start in {:.1} ms: {} ({} of {} layers Tucker-decomposed, \
          {:.0}% FLOPs reduction)",
         started.elapsed().as_secs_f64() * 1e3,
         descriptor.name,
-        engine.backend_name(),
         engine.model().decomposed_layers(),
         engine.plan().decisions.len(),
         engine.plan().achieved_reduction * 100.0,
-    );
-    println!(
-        "predicted GPU latency on {}: {:.4} ms/sample",
-        planning.device.name,
-        engine.predicted_gpu_ms_per_sample()
     );
 
     // Serve a concurrent burst of 32 requests.
@@ -86,8 +80,8 @@ fn main() {
     // Warm restart: the plan comes straight from the cache.
     let started = Instant::now();
     let engine = ServeEngine::builder(&descriptor)
-        .planning(planning.clone())
-        .batching(batching.clone())
+        .planning(planning)
+        .batching(batching)
         .plan_cache(&cache)
         .build()
         .expect("restart engine");
@@ -98,54 +92,37 @@ fn main() {
         cache.stats().memory_hits,
         cache.stats().misses,
     );
-    engine.shutdown();
 
-    // Same model behind the simulated-GPU backend: identical outputs, plus a
-    // wave-level simulated latency account per batch.
-    let engine = ServeEngine::builder(&descriptor)
-        .planning(planning.clone())
-        .batching(batching)
-        .runtime(RuntimeOptions {
-            workers: 2,
-            backend: BackendKind::SimGpu,
-            ..RuntimeOptions::default()
-        })
-        .plan_cache(&cache)
-        .build()
-        .expect("build sim-gpu engine");
-    println!("\nsim-gpu backend:");
-    let mut rng = StdRng::seed_from_u64(42);
-    let pending: Vec<_> = (0..16)
-        .map(|_| {
-            let input = init::uniform(vec![16, 16, 8], -1.0, 1.0, &mut rng);
-            engine.submit(input).expect("submit")
-        })
-        .collect();
-    for (i, p) in pending.into_iter().enumerate() {
-        let r = p.wait().expect("response");
-        if i % 8 == 0 {
-            println!(
-                "  request {:2}: batch of {}, simulated GPU {:.4} ms/batch",
-                r.id, r.batch_size, r.simulated_gpu_batch_ms
-            );
-        }
-    }
-    let breakdown = engine.backend_latency_report().clone();
-    let report = engine.shutdown();
+    // What the server measured versus what the plan modelled. The engine's
+    // full-batch execution estimate (behind early release and Retry-After)
+    // comes from timing batches on this host; the plan's per-layer latency
+    // is the planner's GPU model, used only to select ranks.
+    let r = engine
+        .infer(init::uniform(vec![16, 16, 8], -1.0, 1.0, &mut rng))
+        .expect("response");
     println!(
-        "served {} requests; simulated GPU total {:.2} ms on {}",
-        report.metrics.completed_requests, report.metrics.simulated_gpu_ms_total, breakdown.device
+        "measured here: exec {:.3} ms for a batch of {}, full-batch estimate {:.3} ms",
+        r.exec_ms,
+        r.batch_size,
+        engine.exec_estimate().as_secs_f64() * 1e3
     );
-    println!("per-sample simulated latency by layer:");
-    for layer in &breakdown.per_layer {
+    let modelled = engine
+        .plan()
+        .report(Backend::TuckerTdcModel)
+        .expect("the plan carries its TDC-model report");
+    println!(
+        "planned on {} (modelled, not measured): {:.4} ms/sample",
+        modelled.device, modelled.total_ms
+    );
+    for layer in &modelled.layers {
         println!(
-            "  {:24} {:>9.4} ms  ({} kernel(s), {:.1}% SM util)",
-            layer.label,
-            layer.ms,
-            layer.kernels,
-            layer.sm_utilization * 100.0
+            "  conv{} ({:6}) {:>9.4} ms",
+            layer.index,
+            if layer.decomposed { "tucker" } else { "dense" },
+            layer.ms
         );
     }
+    engine.shutdown();
 
     // Finally: two models behind the multi-model registry and the std-only
     // HTTP front end, queried over a real socket.
@@ -162,13 +139,7 @@ fn main() {
         .register(
             "demo-b",
             &serving_descriptor("demo-b", 8, 4, 4),
-            ModelConfig {
-                runtime: RuntimeOptions {
-                    backend: BackendKind::SimGpu,
-                    ..RuntimeOptions::default()
-                },
-                ..ModelConfig::default()
-            },
+            ModelConfig::default(),
         )
         .expect("register demo-b");
     let server = HttpServer::bind("127.0.0.1:0", Arc::new(registry)).expect("bind front end");
@@ -191,9 +162,9 @@ fn main() {
             .expect("infer over http");
         let reply: InferReply = serde_json::from_str(&reply).expect("parse reply");
         println!(
-            "  POST /v1/models/{name}/infer -> {status}: {} logits via {} (keep-alive)",
+            "  POST /v1/models/{name}/infer -> {status}: {} logits, exec {:.3} ms (keep-alive)",
             reply.output.len(),
-            reply.backend
+            reply.exec_ms
         );
     }
 

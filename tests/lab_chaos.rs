@@ -19,8 +19,7 @@ use std::time::Duration;
 
 use tdc_repro::lab::FaultInjector;
 use tdc_repro::serve::{
-    serving_descriptor, BackendKind, BackendWrapper, BatchingOptions, ModelConfig, ModelRegistry,
-    RuntimeOptions, TuneRequest,
+    serving_descriptor, BackendWrapper, BatchingOptions, ModelConfig, ModelRegistry, TuneRequest,
 };
 use tdc_repro::tensor::Tensor;
 
@@ -111,10 +110,6 @@ fn a_tune_keeps_the_fault_injector_on_the_swapped_engine() {
             // latency to claw back.
             max_batch_delay: Duration::from_millis(12),
             ..BatchingOptions::default()
-        },
-        runtime: RuntimeOptions {
-            backend: BackendKind::SimGpu,
-            ..RuntimeOptions::default()
         },
         backend_wrapper: Some(Arc::new(injector.clone()) as Arc<dyn BackendWrapper>),
         ..ModelConfig::default()

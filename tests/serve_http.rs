@@ -14,8 +14,8 @@ use tdc_repro::serve::http::{
     http_request, is_timeout, BatchInferBody, BatchInferReply, InferBody, InferReply,
 };
 use tdc_repro::serve::{
-    serving_descriptor, BackendKind, BatchingOptions, HealthReply, HttpClient, HttpServer,
-    ModelConfig, ModelRegistry, RuntimeOptions, ServeEngine, ServeError,
+    serving_descriptor, BatchingOptions, HealthReply, HttpClient, HttpServer, ModelConfig,
+    ModelRegistry, RuntimeOptions, ServeEngine, ServeError,
 };
 use tdc_repro::tensor::{init, Tensor};
 
@@ -25,21 +25,13 @@ fn two_models_over_http_match_direct_engine_calls_bit_for_bit() {
         serving_descriptor("http-a", 12, 4, 8),
         serving_descriptor("http-b", 10, 4, 6),
     ];
-    let backends = [BackendKind::Cpu, BackendKind::SimGpu];
-
     // Reference outputs from direct, in-process engines (same descriptor,
     // same default planning and seed, so the weights are identical).
     let mut rng = StdRng::seed_from_u64(4242);
     let mut inputs: Vec<Vec<Tensor>> = Vec::new();
     let mut expected: Vec<Vec<Tensor>> = Vec::new();
-    for (descriptor, &backend) in descriptors.iter().zip(&backends) {
-        let engine = ServeEngine::builder(descriptor)
-            .runtime(RuntimeOptions {
-                backend,
-                ..RuntimeOptions::default()
-            })
-            .build()
-            .unwrap();
+    for descriptor in &descriptors {
+        let engine = ServeEngine::builder(descriptor).build().unwrap();
         let dims = engine.model().input_dims().to_vec();
         let model_inputs: Vec<Tensor> = (0..6)
             .map(|_| init::uniform(dims.clone(), -1.0, 1.0, &mut rng))
@@ -56,19 +48,9 @@ fn two_models_over_http_match_direct_engine_calls_bit_for_bit() {
 
     // The same two models behind the HTTP front end.
     let registry = ModelRegistry::new(4);
-    for (descriptor, &backend) in descriptors.iter().zip(&backends) {
+    for descriptor in &descriptors {
         registry
-            .register(
-                &descriptor.slug(),
-                descriptor,
-                ModelConfig {
-                    runtime: RuntimeOptions {
-                        backend,
-                        ..RuntimeOptions::default()
-                    },
-                    ..ModelConfig::default()
-                },
-            )
+            .register(&descriptor.slug(), descriptor, ModelConfig::default())
             .unwrap();
     }
     let server = HttpServer::bind("127.0.0.1:0", Arc::new(registry)).unwrap();
@@ -247,7 +229,10 @@ fn flooding_one_model_rejects_typed_and_leaves_the_other_model_fast() {
 #[test]
 fn past_deadline_request_answers_504_without_reaching_the_executor() {
     // "saturated": a single worker that would hold an under-full batch open
-    // for 1.5 s — any request with a short deadline expires while queued.
+    // for 1.5 s. A zero deadline is already due at admission, so the forming
+    // batch releases at once and the request expires at dequeue. (A short
+    // positive one can now be met: the engine's measured full-batch estimate
+    // pulls the release in to `deadline − estimate`, which ships at once.)
     let flood_delay = Duration::from_millis(1500);
     let registry = ModelRegistry::new(2);
     registry
@@ -274,7 +259,7 @@ fn past_deadline_request_answers_504_without_reaching_the_executor() {
     let body = serde_json::to_string(&InferBody {
         input: vec![0.5f32; 10 * 10 * 4],
         dims: Some(vec![10, 10, 4]),
-        deadline_ms: Some(1),
+        deadline_ms: Some(0),
     })
     .unwrap();
     let started = Instant::now();

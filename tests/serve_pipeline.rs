@@ -1,22 +1,20 @@
 //! Cross-crate integration test of the serving subsystem: plan-cache
 //! hit/miss semantics (memory and disk), deterministic batched outputs,
-//! execution-backend parity, builder validation, and graceful shutdown
-//! draining the queue.
+//! builder validation, and graceful shutdown draining the queue.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Duration;
 use tdc_repro::serve::{
-    serving_descriptor, BackendKind, BatchingOptions, CacheOutcome, PlanCache, PlanKey,
-    PlanningOptions, RuntimeOptions, ServeEngine, ServeError,
+    serving_descriptor, BatchingOptions, CacheOutcome, PlanCache, PlanKey, PlanningOptions,
+    RuntimeOptions, ServeEngine, ServeError,
 };
 use tdc_repro::tensor::{init, Tensor};
 
 fn engine(
     descriptor: &tdc_repro::nn::models::ModelDescriptor,
     cache: &PlanCache,
-    backend: BackendKind,
     workers: usize,
     max_batch: usize,
     delay_ms: u64,
@@ -29,7 +27,6 @@ fn engine(
         })
         .runtime(RuntimeOptions {
             workers,
-            backend,
             ..RuntimeOptions::default()
         })
         .plan_cache(cache)
@@ -44,11 +41,11 @@ fn plan_cache_hit_miss_semantics_across_engines_and_processes() {
     let cache = PlanCache::new(4).with_spill_dir(&spill).unwrap();
 
     // Cold start misses, warm restart hits memory.
-    let first = engine(&descriptor, &cache, BackendKind::Cpu, 1, 4, 1);
+    let first = engine(&descriptor, &cache, 1, 4, 1);
     assert_eq!(first.plan_outcome(), CacheOutcome::Miss);
     let fingerprint = first.plan().fingerprint();
     drop(first);
-    let second = engine(&descriptor, &cache, BackendKind::Cpu, 1, 4, 1);
+    let second = engine(&descriptor, &cache, 1, 4, 1);
     assert_eq!(second.plan_outcome(), CacheOutcome::MemoryHit);
     assert_eq!(second.plan().fingerprint(), fingerprint);
     drop(second);
@@ -89,7 +86,7 @@ fn plan_cache_hit_miss_semantics_across_engines_and_processes() {
 
     // "Process restart": cold memory, warm disk -> disk hit, same plan.
     cache.clear_memory();
-    let fourth = engine(&descriptor, &cache, BackendKind::Cpu, 1, 4, 1);
+    let fourth = engine(&descriptor, &cache, 1, 4, 1);
     assert_eq!(fourth.plan_outcome(), CacheOutcome::DiskHit);
     assert_eq!(fourth.plan().fingerprint(), fingerprint);
     drop(fourth);
@@ -100,16 +97,15 @@ fn plan_cache_hit_miss_semantics_across_engines_and_processes() {
     assert_eq!(stats.misses, 3);
 
     // Direct key-level checks of the keying: budget quantization absorbs
-    // float noise, and every selection input — including the execution
-    // backend — participates in the key.
+    // float noise, and every selection input participates in the key.
     let cfg = tdc_repro::core::RankSelectionConfig::default();
     let noisy = tdc_repro::core::RankSelectionConfig {
         budget: cfg.budget + 1e-9,
         ..cfg.clone()
     };
     assert_eq!(
-        PlanKey::new("m", "d", "cpu", &cfg),
-        PlanKey::new("m", "d", "cpu", &noisy),
+        PlanKey::new("m", "d", &cfg),
+        PlanKey::new("m", "d", &noisy),
         "float noise below a micro-unit must not split keys"
     );
     let stepped = tdc_repro::core::RankSelectionConfig {
@@ -117,13 +113,8 @@ fn plan_cache_hit_miss_semantics_across_engines_and_processes() {
         ..cfg.clone()
     };
     assert_ne!(
-        PlanKey::new("m", "d", "cpu", &cfg),
-        PlanKey::new("m", "d", "cpu", &stepped)
-    );
-    assert_ne!(
-        PlanKey::new("m", "d", "cpu", &cfg),
-        PlanKey::new("m", "d", "sim-gpu", &cfg),
-        "the backend identity must participate in the key"
+        PlanKey::new("m", "d", &cfg),
+        PlanKey::new("m", "d", &stepped)
     );
     std::fs::remove_dir_all(&spill).ok();
 }
@@ -138,7 +129,7 @@ fn outputs_are_deterministic_regardless_of_batch_composition() {
 
     // Reference: an engine serving one request at a time (batch size 1).
     let cache = PlanCache::new(2);
-    let solo = engine(&descriptor, &cache, BackendKind::Cpu, 1, 1, 0);
+    let solo = engine(&descriptor, &cache, 1, 1, 0);
     let reference: Vec<Tensor> = inputs
         .iter()
         .map(|x| solo.infer(x.clone()).unwrap().output)
@@ -147,7 +138,7 @@ fn outputs_are_deterministic_regardless_of_batch_composition() {
 
     // Same inputs submitted concurrently through a batching engine: every
     // output must be bit-identical to the solo run, whatever batches formed.
-    let batched = engine(&descriptor, &cache, BackendKind::Cpu, 3, 4, 5);
+    let batched = engine(&descriptor, &cache, 3, 4, 5);
     let pending: Vec<_> = inputs
         .iter()
         .map(|x| batched.submit(x.clone()).unwrap())
@@ -167,49 +158,6 @@ fn outputs_are_deterministic_regardless_of_batch_composition() {
         batch_sizes.iter().any(|&b| b > 1),
         "no batching happened: {batch_sizes:?}"
     );
-}
-
-#[test]
-fn cpu_and_sim_gpu_backends_produce_bit_identical_outputs() {
-    let descriptor = serving_descriptor("it-parity", 12, 4, 8);
-    let mut rng = StdRng::seed_from_u64(99);
-    let inputs: Vec<Tensor> = (0..8)
-        .map(|_| init::uniform(vec![12, 12, 4], -1.0, 1.0, &mut rng))
-        .collect();
-
-    let cache = PlanCache::new(4);
-    let cpu = engine(&descriptor, &cache, BackendKind::Cpu, 2, 4, 2);
-    let cpu_outputs: Vec<Tensor> = inputs
-        .iter()
-        .map(|x| cpu.infer(x.clone()).unwrap().output)
-        .collect();
-    let cpu_report = cpu.shutdown();
-    assert_eq!(cpu_report.backend, "cpu");
-    assert_eq!(cpu_report.metrics.simulated_gpu_ms_total, 0.0);
-
-    let sim = engine(&descriptor, &cache, BackendKind::SimGpu, 2, 4, 2);
-    assert_eq!(sim.backend_name(), "sim-gpu");
-    let pending: Vec<_> = inputs
-        .iter()
-        .map(|x| sim.submit(x.clone()).unwrap())
-        .collect();
-    for (p, expected) in pending.into_iter().zip(cpu_outputs.iter()) {
-        let response = p.wait().unwrap();
-        assert_eq!(
-            &response.output, expected,
-            "sim-gpu output diverged from the cpu backend"
-        );
-        assert!(
-            response.simulated_gpu_batch_ms > 0.0,
-            "every sim-gpu batch must carry a simulated latency"
-        );
-    }
-    let sim_report = sim.shutdown();
-    assert_eq!(sim_report.backend, "sim-gpu");
-    assert!(sim_report.metrics.simulated_gpu_ms_total > 0.0);
-    // The per-sample breakdown covers the 4 convolutions plus the FC layer.
-    assert_eq!(sim_report.backend_latency.per_layer.len(), 5);
-    assert!(sim_report.backend_latency.total_ms > 0.0);
 }
 
 #[test]
@@ -260,7 +208,7 @@ fn shutdown_drains_the_queue_gracefully() {
     let descriptor = serving_descriptor("it-drain", 12, 4, 8);
     let cache = PlanCache::new(2);
     // One slow worker and a generous batch delay so a backlog builds up.
-    let engine = Arc::new(engine(&descriptor, &cache, BackendKind::Cpu, 1, 2, 1));
+    let engine = Arc::new(engine(&descriptor, &cache, 1, 2, 1));
 
     let mut rng = StdRng::seed_from_u64(5);
     let pending: Vec<_> = (0..20)
